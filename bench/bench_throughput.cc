@@ -8,10 +8,9 @@
 // (docs/OBSERVABILITY.md) after its final iteration. --timeout-ms=<n> and
 // --crash-mode=sim|real apply the statement watchdog / real-crash worker
 // harness (docs/ROBUSTNESS.md) to the sharded campaign, so their overhead is
-// measurable; --resume=<journal> benchmarks a checkpoint-verified resume of
-// that journal instead of a fresh campaign. --trace=<path> enables span
-// tracing during the sharded campaign (so its overhead is measurable) and
-// exports the final iteration's Chrome trace-event JSON.
+// measurable. --trace=<path> enables span tracing during the sharded
+// campaign (so its overhead is measurable) and exports the final
+// iteration's Chrome trace-event JSON.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -22,7 +21,6 @@
 
 #include "src/dialects/dialects.h"
 #include "src/soft/expr_collection.h"
-#include "src/soft/resume.h"
 #include "src/soft/patterns.h"
 #include "src/soft/seeds.h"
 #include "src/soft/soft_fuzzer.h"
@@ -34,7 +32,6 @@ namespace soft {
 
 int g_bench_threads = 0;           // 0 = unset; resolved by BenchThreads()
 std::string g_telemetry_path;      // set by --telemetry=<path>
-std::string g_resume_path;         // set by --resume=<journal>
 std::string g_trace_path;          // set by --trace=<path>
 int g_timeout_ms = 0;              // set by --timeout-ms=<n>
 bool g_crash_real = false;         // set by --crash-mode=real
@@ -154,23 +151,7 @@ void BM_ShardedSoftCampaign(benchmark::State& state) {
   uint64_t last_wall_ns = 0;
   for (auto _ : state) {
     const telemetry::WallTimer timer;
-    CampaignResult result =
-        g_resume_path.empty()
-            ? RunShardedSoftCampaign("mariadb", options, shards)
-            : [&] {
-                const Result<ResumeSpec> spec = LoadResumeSpec(g_resume_path);
-                if (!spec.ok()) {
-                  state.SkipWithError(spec.status().message().c_str());
-                  return CampaignResult{};
-                }
-                const Result<CampaignResult> resumed =
-                    ResumeSoftCampaign(*spec, options);
-                if (!resumed.ok()) {
-                  state.SkipWithError(resumed.status().message().c_str());
-                  return CampaignResult{};
-                }
-                return *resumed;
-              }();
+    CampaignResult result = RunShardedSoftCampaign("mariadb", options, shards);
     last_wall_ns = timer.ElapsedNs();
     benchmark::DoNotOptimize(result.statements_executed);
     state.counters["bugs"] = static_cast<double>(result.unique_bugs.size());
@@ -211,8 +192,6 @@ int main(int argc, char** argv) {
       soft::g_bench_threads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--telemetry=", 12) == 0) {
       soft::g_telemetry_path = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      soft::g_resume_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       soft::g_trace_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {

@@ -10,16 +10,18 @@
 //
 // Flags:
 //   --telemetry=<path>        stream the campaign's NDJSON event journal
-//                             (docs/OBSERVABILITY.md) — written live, so an
+//                             (docs/OBSERVABILITY.md) and spool every
+//                             finished shard to <path>.units/, so an
 //                             interrupted run leaves a resumable journal
-//   --checkpoint-every=<n>    checkpoint cadence in statements (default 1000
-//                             when a journal is written, else off)
 //   --timeout-ms=<n>          statement watchdog deadline (docs/ROBUSTNESS.md)
 //   --crash-mode=sim|real     realize triggered bugs as simulated results
 //                             (default) or as real signals inside forked
 //                             workers
-//   --resume=<journal>        resume an interrupted campaign from its journal
-//                             (dialect/budget/seed come from the journal)
+//   --resume=<journal>        resume an interrupted campaign from its journal:
+//                             dialect, budget, seed, unit count, stop rule,
+//                             watchdog deadline and oracles come from the
+//                             journal, spooled units are re-admitted, and
+//                             the journal is appended to
 //   --chaos=<spec>            arm failpoints before the campaign, e.g.
 //                             --chaos='io.write=error,eval.enter=after:500'
 //                             (docs/ROBUSTNESS.md lists modes and sites)
@@ -80,8 +82,10 @@
 //                             whose worker misses heartbeats this long is
 //                             reclaimed and re-granted
 //   --shards=<k>              split the campaign across k shards (case
-//                             partitioning: the merged result is bit-identical
-//                             to the serial run at any budget)
+//                             partitioning: the shards execute the serial
+//                             run's cases, but a statement that reads
+//                             session state can change a shard's outcome —
+//                             the exact reference is another --shards=k run)
 //   --trace=<path>            export a Perfetto-loadable Chrome trace-event
 //                             JSON file of the campaign's span tree
 //                             (docs/OBSERVABILITY.md, tools/check_trace_json.py)
@@ -95,13 +99,14 @@
 //                             Requires --crash-mode=sim (the default).
 //
 // Exit codes: 0 success, 1 bad usage / hard failure, 2 chaos oracle failed,
-// 3 campaign finished but its telemetry journal degraded mid-run, 4 fleet
-// campaign finished but the health doctor saw a stall no worker acknowledged.
+// 3 campaign finished but a unit result could not be spooled (a resume of
+// its journal re-runs that unit), 4 fleet campaign finished but the health
+// doctor saw a stall no worker acknowledged.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,17 +116,16 @@
 #include "src/fleet/worker_client.h"
 #include "src/soft/chaos.h"
 #include "src/soft/logic_oracle.h"
-#include "src/soft/resume.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/telemetry/journal.h"
-#include "src/telemetry/telemetry.h"
 
 namespace {
 
 void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [dialect] [budget] [--telemetry=<path>]\n"
-               "          [--checkpoint-every=<n>] [--timeout-ms=<n>]\n"
+               "          [--timeout-ms=<n>]\n"
                "          [--crash-mode=sim|real] [--resume=<journal>]\n"
                "          [--chaos=<spec>|list|enumerate|fleet] [--shards=<k>]\n"
                "          [--trace=<path>] [--trace-sample=<n>]\n"
@@ -234,7 +238,6 @@ int main(int argc, char** argv) {
   int doctor_stall_leases = 3;
   int hb_timeout_ms = 5000;
   int timeout_ms = 0;
-  int checkpoint_every = -1;  // -1: default (1000 with a journal, else 0)
   int trace_sample = 0;       // 0: default (1 when --trace is given, else off)
   int shards = 1;
   int workers = 2;
@@ -272,7 +275,6 @@ int main(int argc, char** argv) {
                ParseIntFlag(argv[i], "--doctor-stall-leases=", &doctor_stall_leases) ||
                ParseIntFlag(argv[i], "--hb-timeout-ms=", &hb_timeout_ms) ||
                ParseIntFlag(argv[i], "--timeout-ms=", &timeout_ms) ||
-               ParseIntFlag(argv[i], "--checkpoint-every=", &checkpoint_every) ||
                ParseIntFlag(argv[i], "--trace-sample=", &trace_sample) ||
                ParseIntFlag(argv[i], "--shards=", &shards) ||
                ParseIntFlag(argv[i], "--workers=", &workers) ||
@@ -375,8 +377,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--trace-sample needs --trace=<path>\n");
     return 1;
   }
-  if (!resume_path.empty() && shards != 1) {
-    std::fprintf(stderr, "--resume replays a single-shard campaign; drop --shards\n");
+  if (!resume_path.empty() &&
+      (!positional.empty() || shards != 1 || timeout_ms != 0 ||
+       !oracle_value.empty() || !telemetry_path.empty())) {
+    std::fprintf(stderr,
+                 "--resume takes the campaign (dialect, budget, units, oracles, "
+                 "watchdog deadline) from the journal and appends to it; drop "
+                 "the positional arguments, --shards, --oracle, --timeout-ms "
+                 "and --telemetry\n");
     return 1;
   }
   std::vector<std::string> oracle_names;
@@ -397,16 +405,6 @@ int main(int argc, char** argv) {
                    "--crash-mode=real\n");
       return 1;
     }
-    if (!resume_path.empty()) {
-      std::fprintf(stderr, "--oracle cannot be combined with --resume\n");
-      return 1;
-    }
-  }
-  if (!resume_path.empty() && !positional.empty()) {
-    std::fprintf(stderr,
-                 "--resume takes dialect/budget/seed from the journal; drop the "
-                 "positional arguments\n");
-    return 1;
   }
 
   if (chaos_spec == "list") {
@@ -473,50 +471,52 @@ int main(int argc, char** argv) {
   options.crash_realism = crash_mode == "real" ? soft::CrashRealism::kReal
                                                : soft::CrashRealism::kSimulated;
   options.statement_limits.deadline_ms = timeout_ms;
-  if (checkpoint_every < 0) {
-    checkpoint_every = telemetry_path.empty() ? 0 : 1000;
-  }
-  if (shards > 1 && checkpoint_every > 0) {
-    // Shards run on concurrent threads; a shared checkpoint stream would
-    // interleave. The journal still gets its header and derived tail.
-    std::printf("note: checkpointing disabled for sharded runs (--resume is "
-                "single-shard)\n");
-    checkpoint_every = 0;
-  }
-  options.checkpoint_every = checkpoint_every;
   if (!trace_path.empty()) {
     options.trace_sample = trace_sample > 0 ? trace_sample : 1;
   }
 
-  // Streaming journal: header + live checkpoints, tail after the run. An
-  // interrupted process leaves header + checkpoints = a resumable journal.
-  // A fleet coordinator owns its journal itself (lease stream + spool).
-  std::ofstream journal;
-  if (!telemetry_path.empty() && fleet_mode.empty()) {
-    journal.open(telemetry_path, std::ios::trunc);
-    if (!journal) {
-      std::fprintf(stderr, "cannot open journal '%s'\n", telemetry_path.c_str());
+  // A resume — local or fleet — runs the campaign its journal describes
+  // (src/soft/unit_spool.h); only crash realism and tracing stay local.
+  soft::UnitResume resume;
+  std::string dialect = !positional.empty() ? positional[0] : "virtuoso";
+  if (!resume_path.empty()) {
+    soft::Result<soft::UnitResume> loaded = soft::LoadUnitResume(resume_path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "cannot resume: %s\n", loaded.status().message().c_str());
       return 1;
     }
-    options.checkpoint_sink = [&journal](const soft::CampaignCheckpoint& cp) {
-      soft::telemetry::WriteCheckpointRecord(journal, cp);
-      journal.flush();
-      // False tells the campaign the journal stream is gone: it continues
-      // without checkpoints and latches journal_degraded (reported below).
-      // Clearing the stream's error state lets the final campaign_finish
-      // record still be attempted, so a lost checkpoint degrades the journal
-      // instead of poisoning every write after it.
-      if (!journal.good()) {
-        journal.clear();
-        return false;
+    resume = std::move(loaded).value();
+    dialect = resume.dialect;
+    const soft::CrashRealism crash_realism = options.crash_realism;
+    const int sample = options.trace_sample;
+    options = resume.options;
+    options.crash_realism = crash_realism;
+    options.trace_sample = sample;
+    std::printf("=== SOFT %s (resuming %s) ===\n",
+                fleet_mode == "serve" ? "fleet campaign" : "bug-hunting campaign",
+                resume_path.c_str());
+    std::printf("target:  %s, budget %d, seed %llu, %zu of %d units journaled "
+                "complete%s\n\n",
+                dialect.c_str(), options.max_statements,
+                static_cast<unsigned long long>(options.seed), resume.completed.size(),
+                resume.units,
+                resume.finished ? " (the journal already holds a finished campaign)"
+                                : "");
+  } else {
+    options.max_statements = positional.size() > 1 ? std::atoi(positional[1]) : 150000;
+    if (soft::MakeDialect(dialect) == nullptr) {
+      std::fprintf(stderr, "unknown dialect '%s'; options:", dialect.c_str());
+      for (const std::string& name : soft::AllDialectNames()) {
+        std::fprintf(stderr, " %s", name.c_str());
       }
-      return true;
-    };
+      std::fprintf(stderr, "\n");
+      return 1;
+    }
   }
 
-  std::string dialect;
   soft::CampaignResult result;
-  uint64_t campaign_wall_ns = 0;
+  std::vector<std::string> spool_failures;
+  const std::string journal_path = !resume_path.empty() ? resume_path : telemetry_path;
   bool fleet_stall_unacked = false;
 
   if (fleet_mode == "serve") {
@@ -525,57 +525,26 @@ int main(int argc, char** argv) {
     fopts.socket_path = socket_path.empty() ? "/tmp/soft_fleet.sock" : socket_path;
     fopts.tcp_listen = listen_addr;
     fopts.workers = workers;
-    fopts.units = units;
+    fopts.units = resume_path.empty() ? units : resume.units;
     fopts.lease_deadline_ms = lease_ms;
     fopts.heartbeat_timeout_ms = hb_timeout_ms;
-    fopts.journal_path = !resume_path.empty() ? resume_path : telemetry_path;
+    fopts.journal_path = journal_path;
     fopts.resume = !resume_path.empty();
     fopts.metrics_out = metrics_out;
     fopts.metrics_every_ms = metrics_every_ms;
     fopts.doctor_stall_leases = doctor_stall_leases;
-    if (fopts.resume) {
-      const soft::Result<soft::fleet::FleetResumeSpec> spec =
-          soft::fleet::LoadFleetResumeSpec(resume_path);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "cannot resume fleet campaign: %s\n",
-                     spec.status().message().c_str());
-        return 1;
-      }
-      dialect = spec->dialect;
-      options.seed = spec->seed;
-      options.max_statements = spec->budget;
-      fopts.units = spec->units;
-      std::printf("=== SOFT fleet campaign (resuming %s) ===\n", resume_path.c_str());
-      std::printf("target:  %s, budget %d, seed %llu, %zu of %d units already "
-                  "journaled complete\n\n",
-                  dialect.c_str(), spec->budget,
-                  static_cast<unsigned long long>(spec->seed),
-                  spec->completed.size(), spec->units);
-    } else {
-      dialect = !positional.empty() ? positional[0] : "virtuoso";
-      const int budget = positional.size() > 1 ? std::atoi(positional[1]) : 150000;
-      options.max_statements = budget;
-      if (soft::MakeDialect(dialect) == nullptr) {
-        std::fprintf(stderr, "unknown dialect '%s'; options:", dialect.c_str());
-        for (const std::string& name : soft::AllDialectNames()) {
-          std::fprintf(stderr, " %s", name.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 1;
-      }
+    if (!fopts.resume) {
       std::printf("=== SOFT fleet campaign ===\n");
       std::printf("target:  %s, budget %d statements  [%d workers, %d units, "
                   "%s %s]\n\n",
-                  dialect.c_str(), budget, fopts.workers,
+                  dialect.c_str(), options.max_statements, fopts.workers,
                   fopts.units > 0 ? fopts.units : soft::fleet::kDefaultUnits,
                   listen_addr.empty() ? "socket" : "tcp",
                   listen_addr.empty() ? fopts.socket_path.c_str()
                                       : listen_addr.c_str());
     }
-    const soft::telemetry::WallTimer timer;
     soft::Result<soft::fleet::FleetOutcome> outcome =
         soft::fleet::RunFleetCampaign(dialect, options, fopts);
-    campaign_wall_ns = timer.ElapsedNs();
     if (!outcome.ok()) {
       std::fprintf(stderr, "fleet campaign failed: %s\n",
                    outcome.status().message().c_str());
@@ -607,114 +576,64 @@ int main(int argc, char** argv) {
                   u64(stats.metrics_snapshots), metrics_out.c_str());
     }
     fleet_stall_unacked = stats.health_stall_unacked;
+    spool_failures = stats.spool_failures;
     if (!listen_addr.empty()) {
       std::printf("fleet bound: %s\n", stats.bound_address.c_str());
     }
     if (!fopts.journal_path.empty()) {
-      std::printf("fleet journal: %s  (unit spool: %s.units)\n",
-                  fopts.journal_path.c_str(), fopts.journal_path.c_str());
+      std::printf("fleet journal: %s  (unit spool: %s)\n", fopts.journal_path.c_str(),
+                  soft::SpoolDirFor(fopts.journal_path).c_str());
     }
     std::printf("\n");
     result = std::move(outcome->result);
-  } else if (!resume_path.empty()) {
-    // --- resume path -------------------------------------------------------
-    const soft::Result<soft::ResumeSpec> spec = soft::LoadResumeSpec(resume_path);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "cannot resume: %s\n", spec.status().message().c_str());
-      return 1;
-    }
-    dialect = spec->dialect;
-    std::printf("=== SOFT bug-hunting campaign (resuming %s) ===\n",
-                resume_path.c_str());
-    std::printf("target:  %s, budget %d, seed %llu\n", dialect.c_str(), spec->budget,
-                static_cast<unsigned long long>(spec->seed));
-    if (spec->finished) {
-      std::printf("note: journal already holds a finished campaign; re-running\n");
-    }
-    if (spec->has_checkpoint) {
-      std::printf("resume anchor: checkpoint at %d cases (%d bugs found)\n",
-                  spec->last_checkpoint.cases_completed, spec->last_checkpoint.unique_bugs);
-    } else {
-      std::printf("journal has no checkpoint yet; replaying from the start\n");
-    }
-    // Mirror the knobs ResumeSoftCampaign derives from the spec so the new
-    // journal's header matches the interrupted run's.
-    options.seed = spec->seed;
-    options.max_statements = spec->budget;
-    if (spec->has_checkpoint) {
-      options.checkpoint_every = spec->last_checkpoint.every;
-    }
-    if (journal.is_open()) {
-      soft::telemetry::WriteCampaignStart(journal, options, "SOFT", dialect, 1);
-      if (!chaos_spec.empty()) {
-        soft::telemetry::WriteChaosMarker(journal, chaos_spec);
-      }
-      soft::telemetry::WriteResumeMarker(
-          journal, spec->has_checkpoint ? spec->last_checkpoint.cases_completed : 0);
-      journal.flush();
-    }
-    const soft::telemetry::WallTimer timer;
-    const soft::Result<soft::CampaignResult> resumed =
-        soft::ResumeSoftCampaign(*spec, options);
-    campaign_wall_ns = timer.ElapsedNs();
-    if (!resumed.ok()) {
-      std::fprintf(stderr, "resume failed: %s\n", resumed.status().message().c_str());
-      return 1;
-    }
-    result = *resumed;
   } else {
-    // --- fresh campaign ----------------------------------------------------
-    dialect = !positional.empty() ? positional[0] : "virtuoso";
-    const int budget = positional.size() > 1 ? std::atoi(positional[1]) : 150000;
-    options.max_statements = budget;
-
-    std::unique_ptr<soft::Database> db = soft::MakeDialect(dialect);
-    if (db == nullptr) {
-      std::fprintf(stderr, "unknown dialect '%s'; options:", dialect.c_str());
-      for (const std::string& name : soft::AllDialectNames()) {
-        std::fprintf(stderr, " %s", name.c_str());
+    // --- local campaign: serial or --shards, journaled and resumable -------
+    if (resume_path.empty()) {
+      std::unique_ptr<soft::Database> db = soft::MakeDialect(dialect);
+      std::printf("=== SOFT bug-hunting campaign ===\n");
+      std::printf("target:  %s (%zu functions, strict casts: %s)\n",
+                  dialect.c_str(), db->registry().size(),
+                  db->config().cast_options.strict ? "yes" : "no");
+      std::printf("budget:  %d statements", options.max_statements);
+      if (shards > 1) {
+        std::printf("  [%d shards]", shards);
       }
-      std::fprintf(stderr, "\n");
-      return 1;
-    }
-
-    std::printf("=== SOFT bug-hunting campaign ===\n");
-    std::printf("target:  %s (%zu functions, strict casts: %s)\n",
-                dialect.c_str(), db->registry().size(),
-                db->config().cast_options.strict ? "yes" : "no");
-    std::printf("budget:  %d statements", budget);
-    if (shards > 1) {
-      std::printf("  [%d shards]", shards);
-    }
-    if (options.crash_realism == soft::CrashRealism::kReal) {
-      std::printf("  [real-crash workers]");
-    }
-    if (timeout_ms > 0) {
-      std::printf("  [watchdog %d ms]", timeout_ms);
-    }
-    if (!oracle_names.empty()) {
-      std::printf("  [oracles:");
-      for (const std::string& name : oracle_names) {
-        std::printf(" %s", name.c_str());
+      if (options.crash_realism == soft::CrashRealism::kReal) {
+        std::printf("  [real-crash workers]");
       }
-      std::printf("]");
-    }
-    std::printf("\n\n");
-    db.reset();  // the campaign builds its own instance
-
-    if (journal.is_open()) {
-      soft::telemetry::WriteCampaignStart(journal, options, "SOFT", dialect, shards);
-      if (!chaos_spec.empty()) {
-        soft::telemetry::WriteChaosMarker(journal, chaos_spec);
+      if (timeout_ms > 0) {
+        std::printf("  [watchdog %d ms]", timeout_ms);
       }
-      journal.flush();
+      if (!oracle_names.empty()) {
+        std::printf("  [oracles:");
+        for (const std::string& name : oracle_names) {
+          std::printf(" %s", name.c_str());
+        }
+        std::printf("]");
+      }
+      std::printf("\n\n");
     }
-    const soft::telemetry::WallTimer timer;
-    // The sharded runner partitions the case order, so any shard count is
-    // bit-identical to the plain serial run, and it is the path that honours
-    // --crash-mode=real.
-    result = soft::RunShardedSoftCampaign(dialect, options, shards);
-    campaign_wall_ns = timer.ElapsedNs();
+    if (journal_path.empty()) {
+      result = soft::RunShardedSoftCampaign(dialect, options, shards);
+    } else {
+      soft::Result<soft::SpooledRun> run =
+          resume_path.empty()
+              ? soft::RunSpooledSoftCampaign(journal_path, dialect, options, shards,
+                                             chaos_spec)
+              : soft::ResumeSpooledSoftCampaign(journal_path, resume, options,
+                                                chaos_spec);
+      if (!run.ok()) {
+        std::fprintf(stderr, "campaign failed: %s\n", run.status().message().c_str());
+        return 1;
+      }
+      if (!resume_path.empty()) {
+        std::printf("resume: %d of %d units re-admitted from the spool (%d failed "
+                    "the digest check and re-ran)\n\n",
+                    run->units_resumed, resume.units, run->units_spool_diverged);
+      }
+      result = std::move(run->result);
+      spool_failures = std::move(run->spool_failures);
+    }
   }
 
   std::printf("campaign finished: %d statements (%d SQL errors, %d crashes observed, "
@@ -797,20 +716,18 @@ int main(int argc, char** argv) {
                 trace_path.c_str());
   }
 
-  if (journal.is_open()) {
-    soft::telemetry::WriteCampaignTail(journal, result, campaign_wall_ns);
-    journal.flush();
-    if (!journal) {
-      std::fprintf(stderr, "failed to write journal '%s'\n", telemetry_path.c_str());
-      return 1;
-    }
-    std::printf("wrote NDJSON journal to %s\n", telemetry_path.c_str());
+  if (!journal_path.empty() && fleet_mode.empty()) {
+    std::printf("wrote NDJSON journal to %s  (unit spool: %s)\n", journal_path.c_str(),
+                soft::SpoolDirFor(journal_path).c_str());
   }
   if (result.journal_degraded) {
+    for (const std::string& failure : spool_failures) {
+      std::fprintf(stderr, "warning: %s\n", failure.c_str());
+    }
     std::fprintf(stderr,
-                 "warning: checkpoint journal '%s' degraded mid-campaign; the "
-                 "bug report above is complete but the journal is not resumable\n",
-                 telemetry_path.empty() ? "(sink)" : telemetry_path.c_str());
+                 "warning: journal '%s' degraded: the bug report above is "
+                 "complete, but a resume re-runs the unit(s) named above\n",
+                 journal_path.c_str());
     return 3;
   }
   if (fleet_stall_unacked) {

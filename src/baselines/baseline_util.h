@@ -5,7 +5,6 @@
 #include <set>
 #include <string>
 
-#include "src/failpoint/failpoint.h"
 #include "src/soft/campaign.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
@@ -15,11 +14,9 @@ namespace soft {
 // Executes one statement and folds the outcome into the campaign result.
 // Telemetry: the baselines generate statements on the fly, so `found_by`
 // (the tool name) is the counter key and generated == executed.
-// `dedup_digest` is the running FNV digest of found bug ids (campaign.h),
-// carried into checkpoint records.
 inline void ExecuteAndRecord(Database& db, const std::string& sql,
                              const std::string& found_by, CampaignResult& result,
-                             std::set<int>& found_ids, uint64_t& dedup_digest) {
+                             std::set<int>& found_ids) {
   ++result.statements_executed;
   telemetry::CountGenerated(found_by, 1);
   telemetry::CountExecuted(found_by);
@@ -32,7 +29,6 @@ inline void ExecuteAndRecord(Database& db, const std::string& sql,
     trace::AnnotateStatement("bug_id", std::to_string(r.crash->bug_id));
     if (found_ids.insert(r.crash->bug_id).second) {
       telemetry::CountBugDeduped(found_by);
-      dedup_digest = DedupDigestStep(dedup_digest, r.crash->bug_id);
       trace::AnnotateStatement("first_witness", "1");
       FoundBug bug;
       bug.crash = *r.crash;
@@ -86,32 +82,9 @@ struct ScopedBaselineRecorders {
 };
 
 // Campaign-start housekeeping shared by the baseline Run()s: applies the
-// watchdog budgets to the campaign database. Baselines checkpoint through
-// MaybeCheckpointBaseline below.
+// watchdog budgets to the campaign database.
 inline void ApplyCampaignLimits(Database& db, const CampaignOptions& options) {
   db.set_statement_limits(options.statement_limits);
-}
-
-// Emits a checkpoint when the cadence divides the statement count. The
-// baselines draw from a live RNG, so the fingerprint is taken from it. A
-// failed sink (or the campaign.checkpoint_sink failpoint) latches
-// result.journal_degraded and the campaign continues without checkpoints —
-// same graceful degradation as the SOFT loop.
-inline void MaybeCheckpointBaseline(const CampaignOptions& options,
-                                    CampaignResult& result, const Rng& rng,
-                                    uint64_t dedup_digest) {
-  if (options.checkpoint_every <= 0 || !options.checkpoint_sink ||
-      result.journal_degraded ||
-      result.statements_executed % options.checkpoint_every != 0) {
-    return;
-  }
-  const bool sink_ok =
-      !SOFT_FAILPOINT_HIT("campaign.checkpoint_sink") &&
-      options.checkpoint_sink(
-          MakeCheckpoint(options, result, rng.StateFingerprint(), dedup_digest));
-  if (!sink_ok) {
-    result.journal_degraded = true;
-  }
 }
 
 // Benign literal generators shared by the baselines: small integers, short

@@ -91,7 +91,6 @@ CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
   const ScopedBaselineRecorders recorders(result, options);
   Rng rng(options.seed ^ 0x535155ull);
   std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
   ApplyCampaignLimits(db, options);
 
   const std::vector<std::string> suite = SeedSuiteFor(db.config().name);
@@ -133,8 +132,7 @@ CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
     if (rng.NextBool(0.3) && mutant->limit == std::nullopt) {
       mutant->limit = static_cast<int64_t>(1 + rng.NextBelow(5));
     }
-    ExecuteAndRecord(db, mutant->ToSql(), name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    ExecuteAndRecord(db, mutant->ToSql(), name(), result, found_ids);
   }
 
   result.functions_triggered = db.coverage().TriggeredFunctionCount();

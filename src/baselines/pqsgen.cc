@@ -32,7 +32,6 @@ CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
   const ScopedBaselineRecorders recorders(result, options);
   Rng rng(options.seed ^ 0x505153ull);
   std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
   ApplyCampaignLimits(db, options);
 
   db.Execute("DROP TABLE IF EXISTS t_pqs");
@@ -88,8 +87,7 @@ CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
     } else {
       sql = "SELECT " + call;
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    ExecuteAndRecord(db, sql, name(), result, found_ids);
     // The pivot-containment logic oracle itself finds no crash bugs by
     // construction; crash detection above is what counts here.
   }

@@ -73,7 +73,6 @@ CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
   const ScopedBaselineRecorders recorders(result, options);
   Rng rng(options.seed ^ 0x536d697468ull);
   std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
   ApplyCampaignLimits(db, options);
 
   // Its own scratch table for FROM-clause clutter.
@@ -137,8 +136,7 @@ CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
         sql += " LIMIT " + std::to_string(1 + rng.NextBelow(3));
       }
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    ExecuteAndRecord(db, sql, name(), result, found_ids);
   }
 
   result.functions_triggered = db.coverage().TriggeredFunctionCount();

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <set>
 
-#include "src/telemetry/telemetry.h"
 
 namespace soft {
 namespace {
@@ -64,10 +63,6 @@ constexpr int kLiteralCraftedFormat = 41;
 }  // namespace
 
 BugStudy::BugStudy() {
-  // Corpus construction cost flows into the process-wide named histogram
-  // (see the timer destructor at the end of this constructor) — the same
-  // telemetry path the engine stages use, not a private chrono stopwatch.
-  const telemetry::WallTimer build_timer;
   constexpr int kTotal = 318;
   bugs_.resize(kTotal);
 
@@ -188,7 +183,6 @@ BugStudy::BugStudy() {
     }
     assert(literal_i == literal_pool.size());
   }
-  telemetry::RecordNamedLatency("study_corpus_build", build_timer.ElapsedNs());
 }
 
 const BugStudy& BugStudy::Instance() {

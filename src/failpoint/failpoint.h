@@ -3,7 +3,7 @@
 // The paper's core finding is that DBMS bugs hide in rarely-exercised
 // boundary and error paths — and the same is true of the fuzzing harness
 // itself: allocation failures, short or failed writes, torn journals and a
-// lost telemetry sink are exactly the paths a long campaign exercises only
+// failed spool commit are exactly the paths a long campaign exercises only
 // when something is already going wrong. This registry lets tests and chaos
 // campaigns (docs/ROBUSTNESS.md, "Failpoints and chaos campaigns") arm those
 // paths deterministically and prove the campaign degrades gracefully instead
@@ -66,22 +66,6 @@ enum class Mode {
   kOomThrow,     // throw std::bad_alloc instead of returning an error
 };
 
-inline std::string_view ModeName(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kError:
-      return "error";
-    case Mode::kProbability:
-      return "prob";
-    case Mode::kAfterN:
-      return "after";
-    case Mode::kOomThrow:
-      return "oom";
-  }
-  return "unknown";
-}
-
 // What kind of failure a site injects — drives both the Status code the
 // SOFT_FAILPOINT macro returns and the chaos enumerator's oracle for the
 // site (src/soft/chaos.h).
@@ -100,9 +84,11 @@ enum class SiteClass {
   // left behind. Oracle: the caller reports the error; retrying after
   // disarm produces the identical artifact.
   kIoError,
-  // Telemetry-sink site: the campaign continues without the sink and
-  // records CampaignResult::journal_degraded. Oracle: bug set and counters
-  // bit-identical to the uninjected run; journal_degraded set.
+  // Unit-spool site: a finished unit's result is not committed (no spool
+  // file, no `lease complete` record); the campaign continues and records
+  // CampaignResult::journal_degraded. Oracle: outcome digest identical to the
+  // uninjected run, journal_degraded set, and a resume re-runs exactly the
+  // uncommitted unit.
   kDegrade,
   // Network-transport site (the fleet's framed wire, src/soft/wire.cc): the
   // fault is a lost/corrupted/duplicated/torn frame or a dead connection.
@@ -139,7 +125,7 @@ struct SiteInfo {
 // this table; Arm/ArmFromSpec reject names that are not in it, so the table
 // cannot silently drift from the instrumentation (tests/failpoint_test.cc
 // cross-checks the macro call sites against it).
-inline constexpr std::array<SiteInfo, 33> kInventory = {{
+inline constexpr std::array<SiteInfo, 32> kInventory = {{
     {"parse.enter", SiteClass::kEngine, "ParseStatement entry (src/sqlparser/parser.cc)"},
     {"parse.expr", SiteClass::kEngine, "expression parser (src/sqlparser/parser.cc)"},
     {"optimize.enter", SiteClass::kEngine, "OptimizeStatement entry (src/engine/optimizer.cc)"},
@@ -151,10 +137,8 @@ inline constexpr std::array<SiteInfo, 33> kInventory = {{
     {"catalog.create", SiteClass::kEngine, "Database::CreateTable (src/engine/database.cc)"},
     {"catalog.drop", SiteClass::kEngine, "Database::DropTable (src/engine/database.cc)"},
     {"catalog.insert", SiteClass::kEngine, "Database::Insert (src/engine/database.cc)"},
-    {"campaign.checkpoint_sink", SiteClass::kDegrade,
-     "campaign checkpoint emission (src/soft/soft_fuzzer.cc, src/baselines)"},
-    {"journal.checkpoint_write", SiteClass::kDegrade,
-     "WriteCheckpointRecord (src/telemetry/journal.cc)"},
+    {"spool.commit", SiteClass::kDegrade,
+     "UnitSpool::Commit, before the spool write (src/soft/unit_spool.cc)"},
     {"io.eintr", SiteClass::kIoRetry, "RetryingWriter::WriteAll (src/util/io.cc)"},
     {"io.short_write", SiteClass::kIoRetry, "RetryingWriter::WriteAll (src/util/io.cc)"},
     {"io.open", SiteClass::kIoError, "WriteFileAtomic open (src/util/io.cc)"},
@@ -232,7 +216,7 @@ Status Arm(std::string_view name, Mode mode, double probability = 0.0,
 
 // Arms a comma-separated chaos spec: "name=mode[:a[:b]]{,name=...}", e.g.
 //   --chaos=eval.enter=after:50,io.short_write=after:0:3
-//   --chaos=journal.checkpoint_write=error
+//   --chaos=spool.commit=after:1:1
 //   --chaos=eval.function=prob:0.01
 // Fails (arming nothing further) on the first malformed entry.
 Status ArmFromSpec(std::string_view spec);

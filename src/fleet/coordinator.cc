@@ -31,6 +31,7 @@
 #include "src/fleet/worker_client.h"
 #include "src/soft/parallel_runner.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/soft/wire.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
@@ -43,113 +44,7 @@ namespace {
 
 constexpr int kJournalRing = 16;  // recent journal lines kept for STATUS
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string JoinOracles(const std::vector<std::string>& oracles) {
-  std::string joined;
-  for (const std::string& name : oracles) {
-    if (!joined.empty()) {
-      joined += ',';
-    }
-    joined += name;
-  }
-  return joined;
-}
-
-// The unit campaign options a GRANT line describes — built identically by
-// the coordinator's degrade-to-local path and by RunFleetWorker's grant
-// parser, so a unit executes bit-identically wherever it lands. Note the
-// GRANT vocabulary is the determinism-relevant subset of CampaignOptions
-// (seed, budget, partition, stop rule, watchdog deadline, oracles, trace
-// sampling); checkpoint sinks are transport-local and fuel/row limits are
-// not shipped.
-ShardPlan UnitPlan(const CampaignOptions& base, int unit, int units,
-                   int heartbeat_every) {
-  ShardPlan plan;
-  plan.shard = unit;
-  plan.options.seed = base.seed;
-  plan.options.max_statements = base.max_statements;
-  plan.options.shard_index = unit;
-  plan.options.shard_count = units;
-  plan.options.stop_when_all_bugs_found = base.stop_when_all_bugs_found;
-  plan.options.statement_limits.deadline_ms = base.statement_limits.deadline_ms;
-  plan.options.trace_sample = base.trace_sample;
-  plan.options.logic_oracles = base.logic_oracles;
-  plan.options.checkpoint_every = heartbeat_every;
-  return plan;
-}
-
-std::string EncodeGrant(const CampaignOptions& base, const std::string& dialect,
-                        int unit, int units, int heartbeat_every,
-                        uint64_t campaign_base_ns) {
-  return "GRANT " + std::to_string(unit) + " " + std::to_string(units) + " " +
-         std::to_string(base.seed) + " " + std::to_string(base.max_statements) +
-         " " + wire::HexEncode(dialect) + " " +
-         std::to_string(base.stop_when_all_bugs_found ? 1 : 0) + " " +
-         std::to_string(base.statement_limits.deadline_ms) + " " +
-         std::to_string(base.trace_sample) + " " +
-         std::to_string(heartbeat_every) + " " +
-         std::to_string(campaign_base_ns) + " " +
-         wire::HexEncode(JoinOracles(base.logic_oracles));
-}
-
-// Serializes a completed unit's result block for the spool (the same wire
-// records the socket carries, '\n'-framed).
-std::string SpoolEncode(const ShardResult& outcome) {
-  std::string out;
-  wire::WriteResultBlock(
-      [&out](const std::string& record) {
-        out += record;
-        out += '\n';
-        return true;
-      },
-      outcome.result, outcome.coverage);
-  return out;
-}
-
-bool SpoolDecode(const std::string& content, ShardResult& outcome) {
-  wire::ResultBlock block;
-  size_t start = 0;
-  while (start < content.size()) {
-    const size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      break;  // torn tail — the atomic writer makes this unreachable, but
-              // a hand-damaged spool must not parse as complete
-    }
-    if (!wire::ConsumeResultLine(content.substr(start, nl - start), block)) {
-      return false;
-    }
-    start = nl + 1;
-  }
-  if (!block.complete) {
-    return false;
-  }
-  outcome.result = std::move(block.result);
-  outcome.coverage = std::move(block.coverage);
-  return true;
-}
-
-std::string SpoolPath(const std::string& spool_dir, int unit) {
-  return spool_dir + "/unit_" + std::to_string(unit) + ".wire";
-}
+using telemetry::EscapeJson;
 
 // One accepted connection: unclassified until its first frame, then a worker
 // transport (bound to a Session) or a status client. Connections are
@@ -215,14 +110,8 @@ class Coordinator {
   }
   void JournalLease(const std::string& action, int unit, int worker, int cases,
                     uint64_t digest) {
-    telemetry::JournalLeaseEvent event;
-    event.action = action;
-    event.unit = unit;
-    event.worker = worker;
-    event.cases = cases;
-    event.unit_digest = digest;
     std::ostringstream line;
-    telemetry::WriteLeaseEvent(line, event);
+    telemetry::WriteLeaseEvent(line, {action, unit, worker, cases, digest});
     JournalEmit(line.str());
   }
   void JournalNet(const std::string& kind, const std::string& detail,
@@ -411,6 +300,17 @@ class Coordinator {
   }
 
   // --- lease/grant ----------------------------------------------------------
+  Grant GrantFor(int unit) const {
+    Grant grant;
+    grant.unit = unit;
+    grant.units = units_;
+    grant.dialect = dialect_;
+    grant.options = options_;
+    grant.heartbeat_every = fleet_.heartbeat_every;
+    grant.campaign_base_ns = campaign_base_ns_;
+    return grant;
+  }
+
   void TryGrant(Session& session) {
     Conn* conn = FindConn(session.conn);
     if (conn == nullptr || conn->dead || session.finished) {
@@ -432,10 +332,7 @@ class Coordinator {
       CloseConn(*conn, "lease_grant fault injected");
       return;
     }
-    if (!SessionWrite(session, EncodeGrant(options_, dialect_, unit, units_,
-                                           fleet_.heartbeat_every,
-                                           campaign_base_ns_))
-             .ok()) {
+    if (!SessionWrite(session, GrantFor(unit).Encode()).ok()) {
       CloseConn(*conn, "grant write failed");
     }
   }
@@ -460,10 +357,7 @@ class Coordinator {
       table_->Heartbeat(view.unit, session.worker, view.cases, now, lease_ns_);
       ++stats_.grants_redelivered;
       JournalNet("redeliver", "grant", session.token, session.worker, view.unit);
-      if (!SessionWrite(session,
-                        EncodeGrant(options_, dialect_, view.unit, units_,
-                                    fleet_.heartbeat_every, campaign_base_ns_))
-               .ok()) {
+      if (!SessionWrite(session, GrantFor(view.unit).Encode()).ok()) {
         if (Conn* conn = FindConn(session.conn)) {
           CloseConn(*conn, "grant redelivery write failed");
         }
@@ -500,13 +394,9 @@ class Coordinator {
   void CommitUnit(int unit, int worker, ShardResult outcome) {
     const uint64_t digest = DigestCampaignResult(outcome.result);
     const int cases = outcome.result.statements_executed;
-    if (!spool_dir_.empty()) {
-      // Spool before journal: the `complete` record is the commit point a
-      // resume trusts, so the bytes it vouches for must already be durable.
-      static_cast<void>(io::WriteFileAtomic(SpoolPath(spool_dir_, unit),
-                                            SpoolEncode(outcome)));
-    }
-    JournalLease("complete", unit, worker, cases, digest);
+    // Spool, then the `complete` record (src/soft/unit_spool.h). A failed
+    // commit journals nothing and latches journal_degraded on the outcome.
+    static_cast<void>(spool_->Commit(unit, worker, outcome));
     // Live status watchers see the completion (and, with trace, the unit's
     // TRS span lines) as it commits. Purely observational: enqueue into the
     // bounded nonblocking buffers, never wait on a reader.
@@ -530,17 +420,21 @@ class Coordinator {
         }
       }
     }
-    statements_merged_ +=
-        static_cast<uint64_t>(outcome.result.statements_executed);
-    bugs_merged_ += outcome.result.unique_bugs.size();
-    results_[unit] = std::move(outcome);
-    ++stats_.units_completed;
+    Merge(unit, std::move(outcome));
     // Only a worker-driven completion proves the fleet recovered; a
     // degrade-to-local completion (worker == -1) finishes the campaign but
     // leaves any stall unacknowledged — that distinction is exit code 4.
     if (worker >= 0) {
       stall_unacked_ = false;
     }
+  }
+
+  // Accepts a committed or re-admitted unit result for the final merge.
+  void Merge(int unit, ShardResult outcome) {
+    statements_merged_ += static_cast<uint64_t>(outcome.result.statements_executed);
+    bugs_merged_ += outcome.result.unique_bugs.size();
+    results_[unit] = std::move(outcome);
+    ++stats_.units_completed;
   }
 
   // --- frame pump and per-payload dispatch ----------------------------------
@@ -767,8 +661,8 @@ class Coordinator {
   // One Prometheus text-exposition snapshot of everything this coordinator
   // can see: the live lease/worker gauges and doctor rates, the FleetStats
   // and lease-table counters, the merged campaign telemetry (stage
-  // histograms + per-pattern counters), failpoint site counters, and the
-  // process-global hook registry. Read-only over coordinator state.
+  // histograms + per-pattern counters) and failpoint site counters.
+  // Read-only over coordinator state.
   telemetry::MetricsRegistry BuildMetrics() {
     telemetry::MetricsRegistry reg;
     const LeaseCounters& counters = table_->counters();
@@ -849,6 +743,11 @@ class Coordinator {
     for (const auto& spec : kCounters) {
       reg.Counter(spec.name, spec.help, {}, spec.value);
     }
+    for (const auto& [state, transitions] : transitions_by_state_) {
+      reg.Counter("soft_health_transitions_by_state_total",
+                  "Doctor transitions by resulting state", {{"state", state}},
+                  transitions);
+    }
     const telemetry::MetricLabels dialect_labels = {{"dialect", dialect_}};
     reg.Counter("soft_statements_total",
                 "Statements executed across merged units", dialect_labels,
@@ -864,7 +763,6 @@ class Coordinator {
                 dialect_labels, watchdog);
     telemetry::AddTelemetryMetrics(reg, MergedTelemetry());
     telemetry::AddFailpointMetrics(reg);
-    reg.MergeFrom(telemetry::GlobalMetricsSnapshot());
     return reg;
   }
 
@@ -915,7 +813,8 @@ class Coordinator {
     sample.bugs = bugs_merged_;
     sample.reclaims = table_->counters().reclaimed;
     sample.redeliveries = stats_.grants_redelivered;
-    sample.journal_degraded = journal_.is_open() && !journal_.good();
+    sample.journal_degraded =
+        (journal_.is_open() && !journal_.good()) || !spool_->failures().empty();
     sample.all_done = table_->AllDone();
     const HealthVerdict verdict = doctor_->Observe(sample);
     if (!verdict.changed) {
@@ -923,6 +822,7 @@ class Coordinator {
     }
     ++stats_.health_transitions;
     stats_.health = std::string(HealthStateName(verdict.state));
+    ++transitions_by_state_[stats_.health];
     stats_.health_reason = verdict.reason;
     if (verdict.state == HealthState::kStall) {
       ++stats_.health_stalls;
@@ -948,9 +848,6 @@ class Coordinator {
         StatusEnqueue(conn, health_line);
       }
     }
-    telemetry::CountGlobalMetric("soft_health_transitions_by_state_total",
-                                 "Doctor transitions by resulting state",
-                                 {{"state", stats_.health}}, 1);
   }
 
   void MaybeWriteMetricsSnapshot(uint64_t now, bool force) {
@@ -1033,25 +930,7 @@ class Coordinator {
     }
     // Per-pattern telemetry of the units merged so far (deterministic sums;
     // empty under -DSOFT_TELEMETRY=OFF).
-    std::map<std::string, telemetry::PatternCounters> patterns;
-    for (const std::optional<ShardResult>& outcome : results_) {
-      if (!outcome.has_value()) {
-        continue;
-      }
-      for (const auto& [pattern, counters] : outcome->result.telemetry.patterns) {
-        telemetry::PatternCounters& sum = patterns[pattern];
-        sum.generated += counters.generated;
-        sum.executed += counters.executed;
-        sum.crashes += counters.crashes;
-        sum.bugs_deduped += counters.bugs_deduped;
-        sum.sql_errors += counters.sql_errors;
-        sum.false_positives += counters.false_positives;
-        sum.timeouts += counters.timeouts;
-        sum.logic_checks += counters.logic_checks;
-        sum.logic_bugs += counters.logic_bugs;
-      }
-    }
-    for (const auto& [pattern, counters] : patterns) {
+    for (const auto& [pattern, counters] : MergedTelemetry().patterns) {
       lines.push_back(
           "{\"event\":\"fleet_pattern\",\"pattern\":\"" + EscapeJson(pattern) +
           "\",\"executed\":" + std::to_string(counters.executed) +
@@ -1120,52 +999,14 @@ class Coordinator {
       if (view.state == UnitState::kDone) {
         continue;
       }
-      const ShardPlan plan =
-          UnitPlan(options_, view.unit, units_, fleet_.heartbeat_every);
+      const ShardPlan plan = GrantFor(view.unit).Plan();
       ShardResult outcome = ExecuteShardPlan(
           [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
-          [this] { return MakeDialect(dialect_); }, plan, WorkerOptions{},
-          campaign_base_ns_);
+          [this] { return MakeDialect(dialect_); }, plan, campaign_base_ns_);
       table_->ForceComplete(view.unit, -1);
       ++stats_.units_run_locally;
       CommitUnit(view.unit, -1, std::move(outcome));
     }
-  }
-
-  // --- resume ---------------------------------------------------------------
-  Status AdmitSpooledUnits() {
-    SOFT_ASSIGN_OR_RETURN(FleetResumeSpec spec,
-                          LoadFleetResumeSpec(fleet_.journal_path));
-    if (spec.dialect != dialect_ || spec.seed != options_.seed ||
-        spec.budget != options_.max_statements || spec.units != units_) {
-      return InvalidArgument(
-          "fleet resume rejected: journal campaign (" + spec.dialect + ", seed " +
-          std::to_string(spec.seed) + ", budget " + std::to_string(spec.budget) +
-          ", units " + std::to_string(spec.units) +
-          ") does not match this invocation");
-    }
-    for (const auto& [unit, digest] : spec.completed) {
-      if (unit < 0 || unit >= units_) {
-        continue;
-      }
-      std::ifstream in(SpoolPath(spool_dir_, unit), std::ios::binary);
-      std::ostringstream content;
-      content << in.rdbuf();
-      ShardResult outcome;
-      if (!in || !SpoolDecode(content.str(), outcome) ||
-          DigestCampaignResult(outcome.result) != digest) {
-        ++stats_.units_spool_diverged;
-        continue;  // distrust the spool; the unit re-runs deterministically
-      }
-      table_->ForceComplete(unit, -1);
-      statements_merged_ +=
-          static_cast<uint64_t>(outcome.result.statements_executed);
-      bugs_merged_ += outcome.result.unique_bugs.size();
-      results_[unit] = std::move(outcome);
-      ++stats_.units_completed;
-      ++stats_.units_resumed;
-    }
-    return OkStatus();
   }
 
   const std::string dialect_;
@@ -1176,11 +1017,12 @@ class Coordinator {
   uint64_t heartbeat_ns_ = 0;
   size_t status_cap_ = 1 << 20;
   uint64_t campaign_base_ns_ = 0;
-  std::string spool_dir_;
   std::ofstream journal_;
+  std::optional<UnitSpool> spool_;  // every unit commits through it
   std::deque<std::string> ring_;
   std::optional<LeaseTable> table_;
   std::optional<HealthDoctor> doctor_;
+  std::map<std::string, uint64_t> transitions_by_state_;  // doctor, by new state
   uint64_t statements_merged_ = 0;  // cumulative, updated at unit commit
   uint64_t bugs_merged_ = 0;
   bool stall_unacked_ = false;      // set on stall, cleared by worker commits
@@ -1221,47 +1063,45 @@ Result<FleetOutcome> Coordinator::Run() {
   heartbeat_ns_ =
       static_cast<uint64_t>(std::max(fleet_.heartbeat_timeout_ms, 1)) * 1000000ull;
   status_cap_ = static_cast<size_t>(std::max(fleet_.status_buffer_cap, 4096));
-  spool_dir_ = fleet_.spool_dir;
-  if (spool_dir_.empty() && !fleet_.journal_path.empty()) {
-    spool_dir_ = fleet_.journal_path + ".units";
-  }
-  if (!spool_dir_.empty()) {
-    ::mkdir(spool_dir_.c_str(), 0755);
+  std::string spool_dir = fleet_.spool_dir;
+  if (spool_dir.empty() && !fleet_.journal_path.empty()) {
+    spool_dir = SpoolDirFor(fleet_.journal_path);
   }
   stats_.units = units_;
   table_.emplace(units_);
   results_.resize(units_);
 
+  // A resume is the journal's own campaign or nothing: checked before the
+  // journal is touched.
+  std::optional<UnitResume> resume;
   if (fleet_.resume) {
-    if (Status admitted = AdmitSpooledUnits(); !admitted.ok()) {
-      return admitted;
-    }
-  }
-
-  if (!fleet_.journal_path.empty()) {
-    journal_.open(fleet_.journal_path,
-                  fleet_.resume ? std::ios::app : std::ios::trunc);
+    SOFT_ASSIGN_OR_RETURN(UnitResume loaded, LoadUnitResume(fleet_.journal_path));
+    SOFT_RETURN_IF_ERROR(CheckResumeMatches(loaded, dialect_, options_, units_));
+    SOFT_RETURN_IF_ERROR(OpenJournalForResume(fleet_.journal_path, journal_));
+    resume = std::move(loaded);
+  } else if (!fleet_.journal_path.empty()) {
+    journal_.open(fleet_.journal_path, std::ios::trunc);
     if (!journal_) {
       return IoError("fleet: cannot open journal '" + fleet_.journal_path + "'");
     }
-  }
-  if (journal_.is_open() && !fleet_.resume) {
     std::ostringstream header;
     telemetry::WriteCampaignStart(header, options_, "SOFT", dialect_, units_);
     JournalEmit(header.str());
   }
-  if (fleet_.resume) {
-    int resumed_cases = 0;
-    for (const std::optional<ShardResult>& outcome : results_) {
-      resumed_cases += outcome.has_value() ? outcome->result.statements_executed : 0;
-    }
-    std::ostringstream marker;
-    telemetry::WriteResumeMarker(marker, resumed_cases);
-    JournalEmit(marker.str());
-    for (const LeaseView& view : table_->Snapshot()) {
-      if (view.state == UnitState::kDone) {
-        JournalLease("resume", view.unit, -1, 0,
-                     DigestCampaignResult(results_[view.unit]->result));
+  spool_.emplace(spool_dir, [this](const std::string& line) {
+    JournalEmit(line);
+    return !journal_.is_open() || journal_.good();
+  });
+  if (resume.has_value()) {
+    // Re-admit the units the spool still vouches for; the rest stay pending
+    // and run like any other unit.
+    int diverged = 0;
+    stats_.units_resumed = static_cast<uint64_t>(spool_->Admit(*resume, &diverged));
+    stats_.units_spool_diverged = static_cast<uint64_t>(diverged);
+    for (int unit = 0; unit < units_; ++unit) {
+      if (std::optional<ShardResult> outcome = spool_->TakeAdmitted(unit)) {
+        table_->ForceComplete(unit, -1);
+        Merge(unit, std::move(*outcome));
       }
     }
   }
@@ -1548,6 +1388,7 @@ Result<FleetOutcome> Coordinator::Run() {
   ObserveHealth(end_ns);
   MaybeWriteMetricsSnapshot(end_ns, /*force=*/true);
   stats_.health_stall_unacked = stall_unacked_;
+  stats_.spool_failures = spool_->failures();
 
   std::vector<ShardResult> outcomes;
   outcomes.reserve(units_);
@@ -1592,27 +1433,6 @@ Result<FleetOutcome> RunFleetCampaign(const std::string& dialect,
                                       const FleetOptions& fleet) {
   Coordinator coordinator(dialect, options, fleet);
   return coordinator.Run();
-}
-
-Result<FleetResumeSpec> LoadFleetResumeSpec(const std::string& journal_path) {
-  SOFT_ASSIGN_OR_RETURN(telemetry::JournalReplay replay,
-                        telemetry::ReplayJournalFile(journal_path));
-  if (replay.tool != "SOFT") {
-    return InvalidArgument("fleet resume only replays SOFT journals (journal tool: '" +
-                           replay.tool + "')");
-  }
-  FleetResumeSpec spec;
-  spec.dialect = replay.dialect;
-  spec.seed = replay.seed;
-  spec.budget = replay.budget;
-  spec.units = replay.shards;
-  spec.finished = replay.finished;
-  for (const telemetry::JournalLeaseEvent& event : replay.lease_events) {
-    if (event.action == "complete" || event.action == "resume") {
-      spec.completed[event.unit] = event.unit_digest;
-    }
-  }
-  return spec;
 }
 
 Status StreamFleetStatus(const FleetStatusRequest& request,
@@ -1750,6 +1570,11 @@ ChaosReport RunSocketChaosEnumeration(const std::string& dialect, int budget,
     }
     if (DigestCampaignResult(injected->result) != reference_digest) {
       outcome.detail = "merged digest diverged from the uninjected sharded reference";
+      report.outcomes.push_back(outcome);
+      continue;
+    }
+    if (injected->result.journal_degraded) {
+      outcome.detail = "the absorbed fault degraded the campaign journal";
       report.outcomes.push_back(outcome);
       continue;
     }

@@ -17,16 +17,20 @@
 // Consequences, all by construction:
 //
 //   * the merged outcome digest is bit-identical to `--shards=units` at any
-//     worker count, and the bug-inventory digest (DigestBugInventory) is
-//     bit-identical to the plain serial campaign;
+//     worker count. The units execute the serial campaign's cases, but a
+//     statement that reads session state can make a unit's outcome — and
+//     so the bug-inventory digest — differ from the serial run; the exact
+//     reference for a fleet is `--shards=units`;
 //   * a worker crash loses nothing: its leases expire (missed heartbeats)
 //     or are reclaimed on disconnect, surviving workers steal the units,
 //     and the re-executed unit produces the identical result;
 //   * the coordinator journals every lease transition (NDJSON `lease`,
 //     `worker_death`, `fleet_finish` events — docs/OBSERVABILITY.md) and
-//     spools completed unit results crash-atomically, so `resume = true`
-//     after a coordinator kill -9 re-admits spooled units whose recomputed
-//     digest matches the journal and re-runs only the rest.
+//     commits completed unit results through the unit spool
+//     (src/soft/unit_spool.h) that serial and --shards runs use too, so
+//     `resume = true` after a coordinator kill -9 re-admits spooled units
+//     whose recomputed digest matches the journal and re-runs only the
+//     rest — whichever executor wrote the journal.
 //
 // Degrade ladder when the worker pool collapses (respawn budget exhausted,
 // or workers == 0 and nothing attached within the lease deadline): the
@@ -56,8 +60,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "src/fleet/transport.h"
 #include "src/soft/campaign.h"
@@ -82,8 +86,8 @@ struct FleetOptions {
   // unit count — not the worker count — defines the case partition, so the
   // merged result is invariant under the worker count.
   int units = 0;
-  // Worker heartbeat cadence in executed cases (becomes the unit campaign's
-  // checkpoint_every).
+  // Worker heartbeat cadence in executed cases (workers throttle the unit
+  // campaign's progress callback to it).
   int heartbeat_every = 200;
   // Lease deadline: a leased unit whose worker misses heartbeats for this
   // long is reclaimed and re-granted (work stealing).
@@ -109,10 +113,11 @@ struct FleetOptions {
   // crash-atomically). Empty defaults to journal_path + ".units" when a
   // journal is configured, else no spool (resume then re-runs everything).
   std::string spool_dir;
-  // Resume a coordinator killed mid-campaign from journal_path: spooled
-  // units whose digest matches the journaled lease record are re-admitted,
-  // the rest re-run. The merged result is bit-identical to an uninterrupted
-  // run either way.
+  // Resume a coordinator killed mid-campaign from journal_path (a fleet's,
+  // or a serial/--shards run's): spooled units whose digest matches the
+  // journaled lease record are re-admitted, the rest re-run. The campaign
+  // knobs must match the journal's campaign_start. The merged result is
+  // bit-identical to an uninterrupted run either way.
   bool resume = false;
 
   // --- Campaign-health doctor (src/fleet/doctor.h; always on — it only
@@ -191,6 +196,9 @@ struct FleetStats {
   // the signal behind find_bugs --fleet=serve exit code 4.
   bool health_stall_unacked = false;
   uint64_t metrics_snapshots = 0;   // --metrics-out files written
+  // One message per unit result the spool could not commit (the journal is
+  // then degraded: a resume re-runs those units).
+  std::vector<std::string> spool_failures;
 };
 
 struct FleetOutcome {
@@ -200,31 +208,13 @@ struct FleetOutcome {
 
 // Runs one fleet campaign: SOFT against MakeDialect(`dialect`), coordinator
 // in-process, workers forked (plus any external attachers). `options` is the
-// campaign spec shipped to workers inside GRANT lines; its checkpoint_sink /
-// checkpoint_every are ignored (heartbeats ride that mechanism) and
-// crash_realism must be kSimulated — fleet workers are already process
-// isolation. Blocks until the merged campaign completes.
+// campaign spec shipped to workers inside GRANT lines; its progress callback
+// is ignored (workers install their own, for heartbeats) and crash_realism
+// must be kSimulated — fleet workers are already process isolation. Blocks
+// until the merged campaign completes.
 Result<FleetOutcome> RunFleetCampaign(const std::string& dialect,
                                       const CampaignOptions& options,
                                       const FleetOptions& fleet);
-
-// What a fleet --resume needs from the interrupted coordinator's journal.
-struct FleetResumeSpec {
-  std::string dialect;
-  uint64_t seed = 0;
-  int budget = 0;
-  int units = 0;
-  bool finished = false;
-  // unit → journaled unit-result digest, from lease complete/resume events
-  // (last record wins). Only spooled results matching these digests are
-  // re-admitted.
-  std::map<int, uint64_t> completed;
-};
-
-// Parses a fleet journal into a resume spec. Unlike LoadResumeSpec this
-// accepts multi-shard (units > 1) journals — fleet units checkpoint into
-// the spool, not the journal's checkpoint stream.
-Result<FleetResumeSpec> LoadFleetResumeSpec(const std::string& journal_path);
 
 // Chaos oracle for the five fleet.* failpoint sites (delegated to here by
 // soft::RunChaosEnumeration — soft_core cannot link this library). Each site

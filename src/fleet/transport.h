@@ -26,8 +26,6 @@ struct Endpoint {
   std::string tcp;          // "host:port" (listen side: port 0 = kernel picks)
 
   bool empty() const { return socket_path.empty() && tcp.empty(); }
-  // Human-readable form for logs and error messages.
-  std::string Describe() const { return tcp.empty() ? socket_path : tcp; }
 };
 
 // Splits "host:port" at the last ':' (IPv6 literals keep their colons in

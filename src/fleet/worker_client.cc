@@ -14,10 +14,10 @@
 
 #include "src/dialects/dialects.h"
 #include "src/fleet/transport.h"
-#include "src/soft/parallel_runner.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/wire.h"
 #include "src/util/io.h"
+#include "src/util/str_util.h"
 
 namespace soft {
 namespace fleet {
@@ -51,46 +51,6 @@ int ConnectWithBackoff(const FleetWorkerOptions& options) {
     }
   }
   return -1;
-}
-
-// The unit spec a GRANT line carries — everything needed to run the unit as
-// one case-partition shard, self-contained so external workers can attach.
-struct Grant {
-  int unit = 0;
-  int units = 1;
-  uint64_t seed = 0;
-  int budget = 0;
-  std::string dialect;
-  bool stop_all = false;
-  int timeout_ms = 0;
-  int trace_sample = 0;
-  int heartbeat_every = 0;
-  uint64_t campaign_base_ns = 0;
-  std::vector<std::string> oracles;
-};
-
-bool ParseGrant(const std::string& line, Grant& grant) {
-  std::istringstream in(line);
-  std::string tag, dialect_hex, oracles_hex;
-  uint64_t stop_all = 0;
-  if (!(in >> tag >> grant.unit >> grant.units >> grant.seed >> grant.budget >>
-        dialect_hex >> stop_all >> grant.timeout_ms >> grant.trace_sample >>
-        grant.heartbeat_every >> grant.campaign_base_ns >> oracles_hex)) {
-    return false;
-  }
-  grant.dialect = wire::HexDecode(dialect_hex);
-  grant.stop_all = stop_all != 0;
-  const std::string oracles = wire::HexDecode(oracles_hex);
-  size_t start = 0;
-  while (start < oracles.size()) {
-    const size_t comma = oracles.find(',', start);
-    const size_t end = comma == std::string::npos ? oracles.size() : comma;
-    if (end > start) {
-      grant.oracles.push_back(oracles.substr(start, end - start));
-    }
-    start = end + 1;
-  }
-  return grant.units > 0 && grant.unit >= 0 && grant.unit < grant.units;
 }
 
 // One live connection to the coordinator: the framed read side with
@@ -170,6 +130,50 @@ bool NextLine(WireConn& conn, wire::FramedWriter& writer, int read_timeout_ms,
 }
 
 }  // namespace
+
+std::string Grant::Encode() const {
+  return "GRANT " + std::to_string(unit) + " " + std::to_string(units) + " " +
+         std::to_string(options.seed) + " " + std::to_string(options.max_statements) +
+         " " + wire::HexEncode(dialect) + " " +
+         std::to_string(options.stop_when_all_bugs_found ? 1 : 0) + " " +
+         std::to_string(options.statement_limits.deadline_ms) + " " +
+         std::to_string(options.trace_sample) + " " + std::to_string(heartbeat_every) +
+         " " + std::to_string(campaign_base_ns) + " " +
+         wire::HexEncode(Join(options.logic_oracles, ","));
+}
+
+bool Grant::Parse(const std::string& line, Grant& grant) {
+  std::istringstream in(line);
+  std::string tag, dialect_hex, oracles_hex;
+  int stop_all = 0;
+  if (!(in >> tag >> grant.unit >> grant.units >> grant.options.seed >>
+        grant.options.max_statements >> dialect_hex >> stop_all >>
+        grant.options.statement_limits.deadline_ms >> grant.options.trace_sample >>
+        grant.heartbeat_every >> grant.campaign_base_ns >> oracles_hex)) {
+    return false;
+  }
+  grant.dialect = wire::HexDecode(dialect_hex);
+  grant.options.stop_when_all_bugs_found = stop_all != 0;
+  const std::string oracles = wire::HexDecode(oracles_hex);
+  if (!oracles.empty()) {
+    grant.options.logic_oracles = Split(oracles, ',');
+  }
+  return grant.units > 0 && grant.unit >= 0 && grant.unit < grant.units;
+}
+
+ShardPlan Grant::Plan() const {
+  ShardPlan plan;
+  plan.shard = unit;
+  plan.options.seed = options.seed;
+  plan.options.max_statements = options.max_statements;
+  plan.options.shard_index = unit;
+  plan.options.shard_count = units;
+  plan.options.stop_when_all_bugs_found = options.stop_when_all_bugs_found;
+  plan.options.statement_limits.deadline_ms = options.statement_limits.deadline_ms;
+  plan.options.trace_sample = options.trace_sample;
+  plan.options.logic_oracles = options.logic_oracles;
+  return plan;
+}
 
 int RunFleetWorker(const FleetWorkerOptions& options) {
   // A dying coordinator must surface as clean EPIPE write errors, never as
@@ -256,7 +260,7 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
         return 0;
       }
       Grant grant;
-      if (!ParseGrant(line, grant)) {
+      if (!Grant::Parse(line, grant)) {
         ::close(fd);
         return 1;
       }
@@ -286,23 +290,14 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
       const bool partition_here =
           options.partition_at_unit == ordinal && !partition_done;
 
-      ShardPlan plan;
-      plan.shard = grant.unit;
-      plan.options.seed = grant.seed;
-      plan.options.max_statements = grant.budget;
-      plan.options.shard_index = grant.unit;
-      plan.options.shard_count = grant.units;
-      plan.options.stop_when_all_bugs_found = grant.stop_all;
-      plan.options.statement_limits.deadline_ms = grant.timeout_ms;
-      plan.options.trace_sample = grant.trace_sample;
-      plan.options.logic_oracles = grant.oracles;
-      plan.options.checkpoint_every = grant.heartbeat_every;
-      // Heartbeats ride the campaign's checkpoint cadence. A failed send
-      // marks the sink dead; the campaign continues (journal_degraded —
-      // excluded from the unit digest) and the finished result is delivered
-      // over the *next* connection via the resume/resend ladder.
+      ShardPlan plan = grant.Plan();
+      // Heartbeats: the grant acknowledgement, then every heartbeat_every
+      // executed statements. A failed send only stops this unit's heartbeats
+      // (the connection is gone); the finished result is delivered over the
+      // *next* connection via the resume/resend ladder.
       bool partitioned_this_unit = false;
-      plan.options.checkpoint_sink = [&](const CampaignCheckpoint& cp) {
+      bool heartbeats_ok = true;
+      const auto heartbeat = [&](int cases) {
         if (kill9_here) {
           ::kill(::getpid(), SIGKILL);
         }
@@ -322,24 +317,30 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
           partition_done = true;
           SleepMs(options.partition_ms);
         }
-        return writer
-            .WriteLine("HB " + std::to_string(grant.unit) + " " +
-                       std::to_string(cp.cases_completed))
-            .ok();
+        heartbeats_ok =
+            heartbeats_ok && writer
+                                 .WriteLine("HB " + std::to_string(grant.unit) + " " +
+                                            std::to_string(cases))
+                                 .ok();
+      };
+      const int heartbeat_every = std::max(grant.heartbeat_every, 1);
+      plan.options.progress = [&](int cases) {
+        if (cases % heartbeat_every == 0) {
+          heartbeat(cases);
+        }
       };
       // Acknowledge the grant so a hung unit is distinguishable from a
       // never-started one; also the hook point for the chaos kill and the
       // simulated partition.
-      CampaignCheckpoint ack;
-      if (!plan.options.checkpoint_sink(ack) && !partitioned_this_unit) {
+      heartbeat(0);
+      if (!heartbeats_ok && !partitioned_this_unit) {
         break;  // conn died before the unit started — nothing to cache
       }
 
       const std::string dialect = grant.dialect;
       ShardResult outcome = ExecuteShardPlan(
           [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
-          [dialect] { return MakeDialect(dialect); }, plan, WorkerOptions{},
-          grant.campaign_base_ns);
+          [dialect] { return MakeDialect(dialect); }, plan, grant.campaign_base_ns);
 
       // Cache, then deliver. The cache is the at-least-once side of the
       // exactly-once contract: whatever the network does to this delivery,

@@ -14,8 +14,8 @@
 //                          <heartbeat_every> <campaign_base_ns> <oracles-hex>
 //            ... or  FIN                      (campaign done — exit 0)
 //   worker → coord   HB <unit> <cases>        (every heartbeat_every cases,
-//                                              piggybacked on the campaign's
-//                                              checkpoint sink; one HB with
+//                                              throttled from the campaign's
+//                                              progress callback; one HB with
 //                                              cases=0 acknowledges the grant)
 //   worker → coord   UNIT <unit>
 //                    <wire result block>      (RES..END, src/soft/wire.h)
@@ -30,8 +30,7 @@
 // executes as one case-partition shard via ExecuteShardPlan: shard_index =
 // unit, shard_count = units, base seed, full budget — exactly the plan a
 // `--shards=units` campaign would run, which is what makes the coordinator's
-// merge bit-identical to a sharded (and, for the bug inventory, the serial)
-// run at any worker count.
+// merge bit-identical to that sharded run at any worker count.
 //
 // Surviving the network: the WELCOME token names a *session* that outlives
 // any one connection. On socket loss the worker reconnects with bounded
@@ -52,10 +51,33 @@
 #ifndef SRC_FLEET_WORKER_CLIENT_H_
 #define SRC_FLEET_WORKER_CLIENT_H_
 
+#include <cstdint>
 #include <string>
+
+#include "src/soft/parallel_runner.h"
 
 namespace soft {
 namespace fleet {
+
+// The unit spec one GRANT line carries (the line format is above). `options`
+// holds the determinism-relevant subset of CampaignOptions — the knobs the
+// journal's campaign_start records, plus trace sampling; the progress
+// callback is transport-local and fuel/row limits are not shipped.
+struct Grant {
+  int unit = 0;
+  int units = 1;
+  std::string dialect;
+  CampaignOptions options;
+  int heartbeat_every = 0;
+  uint64_t campaign_base_ns = 0;
+
+  std::string Encode() const;
+  static bool Parse(const std::string& line, Grant& grant);
+  // The unit's shard plan. Workers and the coordinator's degrade-to-local
+  // path both build it here, so a unit executes bit-identically wherever it
+  // lands.
+  ShardPlan Plan() const;
+};
 
 struct FleetWorkerOptions {
   // Exactly one of these addresses the coordinator (tcp_connect wins).

@@ -13,38 +13,6 @@
 
 namespace soft {
 
-// Periodic campaign progress record: the journal's `checkpoint` event and the
-// worker pipe's checkpoint lines (docs/ROBUSTNESS.md). Fuzzer execution loops
-// emit one every CampaignOptions::checkpoint_every executed statements. The
-// rng_fingerprint and dedup_digest exist so --resume can *verify* that its
-// deterministic replay retraced the interrupted campaign rather than trusting
-// the journal blindly.
-struct CampaignCheckpoint {
-  int every = 0;            // the cadence the producer was running with
-  int shard = 0;
-  int cases_completed = 0;  // statements executed when this was taken
-  int sql_errors = 0;
-  int crashes_observed = 0;
-  int false_positives = 0;
-  int watchdog_timeouts = 0;
-  int unique_bugs = 0;
-  uint64_t rng_fingerprint = 0;  // Rng::StateFingerprint() at emission
-  uint64_t dedup_digest = 0;     // FNV-1a over found bug ids, discovery order
-
-  bool operator==(const CampaignCheckpoint&) const = default;
-};
-
-// FNV-1a step folding one found bug id into the dedup-set digest.
-inline uint64_t DedupDigestStep(uint64_t digest, int bug_id) {
-  const uint64_t v = static_cast<uint64_t>(bug_id);
-  for (int shift = 0; shift < 64; shift += 8) {
-    digest ^= (v >> shift) & 0xFFu;
-    digest *= 0x100000001B3ull;
-  }
-  return digest;
-}
-inline constexpr uint64_t kDedupDigestSeed = 0xCBF29CE484222325ull;
-
 struct CampaignOptions {
   uint64_t seed = 1;
   // Statement budget standing in for the paper's wall-clock budgets (all
@@ -58,9 +26,12 @@ struct CampaignOptions {
   // src/soft/parallel_runner.h): when shard_count > 1, a fuzzer with a
   // finite generated case pool executes only the global case indices below
   // max_statements with index % shard_count == shard_index, all derived
-  // from the same base seed. The union over shards is then exactly the
-  // serial campaign's executed prefix — identical bug set and coverage by
-  // construction. Fuzzers that generate statements on the fly (the
+  // from the same base seed. The shards together execute exactly the serial
+  // campaign's cases, but each shard runs them against its own database, so
+  // a statement that reads session state (LASTVAL, sequences) can see a
+  // different history than in the serial run: outcomes, and occasionally
+  // the bug set, can differ from serial. The exact reference for a K-shard
+  // run is a K-shard run. Fuzzers that generate statements on the fly (the
   // baselines) ignore these fields and are sharded by budget split instead.
   int shard_index = 0;
   int shard_count = 1;
@@ -76,16 +47,12 @@ struct CampaignOptions {
   // fuel/row kills surface as kResourceExhausted (false positives).
   StatementLimits statement_limits;
 
-  // Checkpointing: with checkpoint_every > 0 and a sink installed, the
-  // execution loop invokes the sink every checkpoint_every executed
-  // statements. Campaign runs ignore the sink's cost — it must not perturb
-  // determinism (write-only). The sink returns false when it can no longer
-  // persist checkpoints (journal stream went bad, pipe broke): the campaign
-  // then *continues without the sink* and latches
-  // CampaignResult::journal_degraded rather than crashing or silently
-  // pretending the journal is intact (docs/ROBUSTNESS.md).
-  int checkpoint_every = 0;
-  std::function<bool(const CampaignCheckpoint&)> checkpoint_sink;
+  // Per-statement progress callback: SoftFuzzer::Run calls it after every
+  // executed statement with the statements executed so far. Strictly
+  // observational — it has no way to stop or degrade the campaign. Fleet
+  // workers throttle it into heartbeats. A kReal shard runs its campaign in
+  // forked children, which do not forward it.
+  std::function<void(int statements_executed)> progress;
 
   // Span tracing (src/telemetry/trace.h): 0 disables tracing (the default —
   // campaigns carry an empty trace); N ≥ 1 records a statement span with
@@ -173,21 +140,18 @@ struct CampaignResult {
   int shards = 1;
   std::vector<int> shard_statements;
 
-  // True when the telemetry/checkpoint sink failed mid-campaign and the run
-  // continued without it (graceful degradation — the campaign outcome is
-  // still complete and deterministic, but the streamed journal is not).
-  // Sharded merges OR the per-shard flags. Exported as `journal_degraded`
-  // on the journal's campaign_finish event.
+  // True when a finished shard's result could not be committed to the unit
+  // spool (src/soft/unit_spool.h): the campaign outcome is complete and
+  // deterministic, but a resume of its journal re-runs that shard. Sharded
+  // merges OR the per-shard flags. Exported as `journal_degraded` on the
+  // journal's campaign_finish event.
   bool journal_degraded = false;
 
   // Observability snapshot (src/telemetry): stage-latency histograms and
-  // per-pattern counters recorded during this campaign. Serial campaigns
-  // fill `telemetry` directly; merged sharded campaigns carry the
-  // shard-index-ordered per-shard snapshots in `shard_telemetry` and their
-  // deterministic sum in `telemetry`. Empty in -DSOFT_TELEMETRY=OFF builds
-  // or under telemetry::SetRuntimeEnabled(false).
+  // per-pattern counters recorded during this campaign. Merged sharded
+  // campaigns carry the deterministic shard-index-ordered sum. Empty in
+  // -DSOFT_TELEMETRY=OFF builds or under telemetry::SetRuntimeEnabled(false).
   telemetry::CampaignTelemetry telemetry;
-  std::vector<telemetry::CampaignTelemetry> shard_telemetry;
 
   // Causal span trace (src/telemetry/trace.h). Empty unless
   // CampaignOptions::trace_sample > 0. Serial in-process runs carry their
@@ -202,23 +166,6 @@ struct CampaignResult {
   // events. Empty for simulated campaigns.
   std::vector<trace::CrashFlightRecord> crash_flights;
 };
-
-inline CampaignCheckpoint MakeCheckpoint(const CampaignOptions& options,
-                                         const CampaignResult& result,
-                                         uint64_t rng_fingerprint, uint64_t dedup_digest) {
-  CampaignCheckpoint cp;
-  cp.every = options.checkpoint_every;
-  cp.shard = options.shard_index;
-  cp.cases_completed = result.statements_executed;
-  cp.sql_errors = result.sql_errors;
-  cp.crashes_observed = result.crashes_observed;
-  cp.false_positives = result.false_positives;
-  cp.watchdog_timeouts = result.watchdog_timeouts;
-  cp.unique_bugs = static_cast<int>(result.unique_bugs.size());
-  cp.rng_fingerprint = rng_fingerprint;
-  cp.dedup_digest = dedup_digest;
-  return cp;
-}
 
 // Common interface so the comparison benches can run the four tools
 // uniformly.

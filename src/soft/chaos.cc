@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,7 +12,7 @@
 
 #include "src/failpoint/failpoint.h"
 #include "src/soft/soft_fuzzer.h"
-#include "src/telemetry/journal.h"
+#include "src/soft/unit_spool.h"
 #include "src/util/io.h"
 
 namespace soft {
@@ -362,53 +363,55 @@ ChaosSiteOutcome CheckDegradeSite(const failpoint::SiteInfo& site,
   ChaosSiteOutcome outcome;
   outcome.failpoint = std::string(site.name);
   outcome.site_class = std::string(failpoint::SiteClassName(site.site_class));
-  outcome.spec = outcome.failpoint + "=error";
+  outcome.spec = outcome.failpoint + "=after:0:1";
   outcome.ran = true;
 
-  // Reference: sink intact (writing real checkpoint records, as find_bugs
-  // does), campaign not degraded.
-  CampaignOptions reference_options = SmokeOptions(budget);
-  reference_options.checkpoint_every = 50;
-  std::ostringstream reference_journal;
-  reference_options.checkpoint_sink = [&](const CampaignCheckpoint& cp) {
-    telemetry::WriteCheckpointRecord(reference_journal, cp);
-    return reference_journal.good();
-  };
-  failpoint::DisarmAll();
-  const CampaignResult reference = RunShardedSoftCampaign(dialect, reference_options, 1);
-  if (reference.journal_degraded) {
-    outcome.detail = "uninjected reference campaign unexpectedly degraded";
-    return outcome;
-  }
+  // A two-unit journaled campaign whose first unit commit fails: the run
+  // must finish degraded with the reference outcome, and a resume of its
+  // journal must re-run exactly the uncommitted unit.
+  constexpr int kUnits = 2;
+  const std::string journal =
+      "chaos_spool_" + std::to_string(static_cast<long>(::getpid())) + ".ndjson";
+  struct Cleanup {
+    const std::string& path;
+    ~Cleanup() {
+      std::error_code ignored;
+      std::filesystem::remove(path, ignored);
+      std::filesystem::remove_all(SpoolDirFor(path), ignored);
+    }
+  } cleanup{journal};
 
-  // Injected: the sink (or the record writer under it) fails mid-campaign.
+  failpoint::DisarmAll();
+  const uint64_t reference = DigestCampaignResult(
+      RunShardedSoftCampaign(dialect, SmokeOptions(budget), kUnits));
   if (Status armed = failpoint::ArmFromSpec(outcome.spec); !armed.ok()) {
     outcome.detail = "arm failed: " + armed.ToString();
     return outcome;
   }
-  CampaignOptions injected_options = SmokeOptions(budget);
-  injected_options.checkpoint_every = 50;
-  std::ostringstream injected_journal;
-  int sink_calls = 0;
-  injected_options.checkpoint_sink = [&](const CampaignCheckpoint& cp) {
-    ++sink_calls;
-    telemetry::WriteCheckpointRecord(injected_journal, cp);
-    return injected_journal.good();
-  };
-  const CampaignResult injected = RunShardedSoftCampaign(dialect, injected_options, 1);
+  const Result<SpooledRun> injected =
+      RunSpooledSoftCampaign(journal, dialect, SmokeOptions(budget), kUnits);
   failpoint::DisarmAll();
-
-  if (!injected.journal_degraded) {
-    outcome.detail = "campaign did not record journal_degraded";
+  if (!injected.ok() || !injected->result.journal_degraded ||
+      injected->spool_failures.size() != 1 ||
+      DigestCampaignResult(injected->result) != reference) {
+    outcome.detail = injected.ok() ? "expected one uncommitted unit, journal_degraded "
+                                     "and the reference outcome"
+                                   : injected.status().ToString();
     return outcome;
   }
-  if (DigestCampaignResult(injected) != DigestCampaignResult(reference)) {
-    outcome.detail = "degraded campaign outcome diverged from reference";
+  const Result<UnitResume> resume = LoadUnitResume(journal);
+  const Result<SpooledRun> resumed =
+      resume.ok() ? ResumeSpooledSoftCampaign(journal, *resume, CampaignOptions())
+                  : Result<SpooledRun>(resume.status());
+  if (!resumed.ok() || resumed->units_resumed != kUnits - 1 ||
+      DigestCampaignResult(resumed->result) != reference) {
+    outcome.detail = "resume did not re-run exactly the uncommitted unit to the "
+                     "reference outcome";
     return outcome;
   }
   outcome.ok = true;
-  outcome.detail = "campaign continued degraded (" + std::to_string(sink_calls) +
-                   " sink call(s) before loss), outcome bit-identical to reference";
+  outcome.detail = "campaign continued degraded (" + injected->spool_failures.front() +
+                   "), outcome bit-identical; resume re-ran only that unit";
   return outcome;
 }
 

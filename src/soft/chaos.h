@@ -19,10 +19,10 @@
 //   kIoError   the artifact write fails with kIoError naming the path, the
 //              destination keeps its previous contents, no tmp file is left
 //              behind; after disarming, the identical artifact is produced.
-//   kDegrade   the campaign continues without its checkpoint sink, latches
-//              CampaignResult::journal_degraded, and its deterministic
-//              outcome (bug set, counters, coverage) is bit-identical to
-//              the uninjected run.
+//   kDegrade   a journaled campaign whose unit commit fails continues,
+//              latches CampaignResult::journal_degraded, and its outcome
+//              digest is bit-identical to the uninjected run; a resume of
+//              its journal re-runs exactly the uncommitted unit.
 #ifndef SRC_SOFT_CHAOS_H_
 #define SRC_SOFT_CHAOS_H_
 
@@ -71,9 +71,11 @@ uint64_t DigestCampaignResult(const CampaignResult& result);
 // Stable digest over the campaign's *bug inventory* alone: the dialect plus
 // the sorted crash-bug ids and sorted logic-bug ids. Unlike
 // DigestCampaignResult it folds no shard structure, witnesses, or counters,
-// so it is bit-identical between a serial run, a --shards=K run, and a
-// fleet campaign at any worker count — the parity oracle the asan-fleet CI
-// lane greps (`find_bugs` prints it as `bug digest`).
+// so it equals the serial run's digest whenever a --shards=K run or a fleet
+// campaign finds the same bugs — which is typical but not guaranteed: a
+// statement that reads session state can change what a partition shard
+// finds. The asan-fleet CI lane greps it (`find_bugs` prints it as
+// `bug digest`).
 uint64_t DigestBugInventory(const CampaignResult& result);
 
 // Stable digest over a campaign's wrong-result outcome: the logic counters

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/dialects/dialects.h"
+#include "src/soft/unit_spool.h"
 #include "src/util/rng.h"
 
 namespace soft {
@@ -93,9 +94,7 @@ void AttachShardSpans(CampaignResult& result, int shard, uint64_t shard_start_ns
 
 ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
                              const WorkerDatabaseFactory& make_database,
-                             const ShardPlan& plan,
-                             const WorkerOptions& worker_options,
-                             uint64_t campaign_base_ns) {
+                             const ShardPlan& plan, uint64_t campaign_base_ns) {
   ShardResult outcome;
   const bool tracing = plan.options.trace_sample > 0;
   const uint64_t shard_start_ns =
@@ -105,10 +104,9 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
     // supervised forked workers. Deterministic replay makes the returned
     // result bit-identical to the simulated in-process path.
     WorkerShardOutcome worker = RunShardInWorkerProcess(
-        make_fuzzer, make_database, plan.options, worker_options);
+        make_fuzzer, make_database, plan.options);
     outcome.result = std::move(worker.result);
     outcome.coverage = std::move(worker.coverage);
-    outcome.stats = worker.stats;
     for (FoundBug& bug : outcome.result.unique_bugs) {
       bug.shard = plan.shard;
     }
@@ -143,12 +141,8 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
   return outcome;
 }
 
-CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
-                                 WorkerRunStats* stats) {
+CampaignResult MergeShardResults(std::vector<ShardResult> outcomes) {
   CampaignResult merged;
-  if (stats != nullptr) {
-    *stats = WorkerRunStats{};
-  }
   if (outcomes.empty()) {
     return merged;
   }
@@ -159,11 +153,6 @@ CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
   CoverageTracker coverage;
   std::vector<FoundBug> witnesses;
   std::vector<FoundLogicBug> logic_witnesses;
-  if (stats != nullptr) {
-    for (const ShardResult& outcome : outcomes) {
-      stats->MergeFrom(outcome.stats);
-    }
-  }
   for (const ShardResult& outcome : outcomes) {
     const CampaignResult& r = outcome.result;
     merged.statements_executed += r.statements_executed;
@@ -178,10 +167,8 @@ CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
     merged.shard_statements.push_back(r.statements_executed);
     // Telemetry merges by per-bucket / per-counter sum, walking shards in
     // index order; the merged snapshot is a pure function of the shard
-    // results, never of thread scheduling. Shard-local snapshots are kept
-    // alongside so callers can attribute cost per shard.
+    // results, never of thread scheduling.
     merged.telemetry.MergeFrom(r.telemetry);
-    merged.shard_telemetry.push_back(r.telemetry);
     coverage.MergeFrom(outcome.coverage);
     witnesses.insert(witnesses.end(), r.unique_bugs.begin(), r.unique_bugs.end());
     logic_witnesses.insert(logic_witnesses.end(), r.logic_bugs.begin(),
@@ -261,28 +248,43 @@ CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
   return merged;
 }
 
+ShardResult ParallelCampaignRunner::RunPlan(const ShardPlan& plan,
+                                            uint64_t campaign_base_ns) const {
+  if (spool_ != nullptr) {
+    if (std::optional<ShardResult> admitted = spool_->TakeAdmitted(plan.shard)) {
+      return std::move(*admitted);
+    }
+  }
+  ShardResult outcome =
+      ExecuteShardPlan(make_fuzzer_, make_database_, plan, campaign_base_ns);
+  if (spool_ != nullptr) {
+    // A failed commit latches journal_degraded on the outcome; the campaign
+    // carries on — only a resume pays, by re-running this shard.
+    static_cast<void>(spool_->Commit(plan.shard, /*worker=*/-1, outcome));
+  }
+  return outcome;
+}
+
 CampaignResult ParallelCampaignRunner::Run(const CampaignOptions& options, int shards,
                                            ShardMode mode) const {
   const std::vector<ShardPlan> plans = PlanShards(options, shards, mode);
   const uint64_t campaign_base_ns = telemetry::MonotonicNowNs();
   std::vector<ShardResult> outcomes(plans.size());
   if (plans.size() == 1) {
-    outcomes[0] = ExecuteShardPlan(make_fuzzer_, make_database_, plans[0],
-                                   worker_options_, campaign_base_ns);
-    return MergeShardResults(std::move(outcomes), &worker_stats_);
+    outcomes[0] = RunPlan(plans[0], campaign_base_ns);
+    return MergeShardResults(std::move(outcomes));
   }
   std::vector<std::thread> workers;
   workers.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
     workers.emplace_back([this, &plans, &outcomes, campaign_base_ns, i] {
-      outcomes[i] = ExecuteShardPlan(make_fuzzer_, make_database_, plans[i],
-                                     worker_options_, campaign_base_ns);
+      outcomes[i] = RunPlan(plans[i], campaign_base_ns);
     });
   }
   for (std::thread& worker : workers) {
     worker.join();
   }
-  return MergeShardResults(std::move(outcomes), &worker_stats_);
+  return MergeShardResults(std::move(outcomes));
 }
 
 CampaignResult ParallelCampaignRunner::RunSerial(const CampaignOptions& options,
@@ -291,10 +293,9 @@ CampaignResult ParallelCampaignRunner::RunSerial(const CampaignOptions& options,
   const uint64_t campaign_base_ns = telemetry::MonotonicNowNs();
   std::vector<ShardResult> outcomes(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
-    outcomes[i] = ExecuteShardPlan(make_fuzzer_, make_database_, plans[i],
-                                   worker_options_, campaign_base_ns);
+    outcomes[i] = RunPlan(plans[i], campaign_base_ns);
   }
-  return MergeShardResults(std::move(outcomes), &worker_stats_);
+  return MergeShardResults(std::move(outcomes));
 }
 
 CampaignResult RunShardedCampaign(const ParallelCampaignRunner::FuzzerFactory& make_fuzzer,

@@ -20,7 +20,9 @@
 // Consequently Run(options, K) is bit-identical to RunSerial(options, K)
 // (the same shard plan executed sequentially), which is what
 // tests/parallel_runner_test.cc asserts per dialect, and a 1-shard run is
-// bit-identical to the plain serial Fuzzer::Run it replaces.
+// bit-identical to the plain serial Fuzzer::Run it replaces. With a unit
+// spool (src/soft/unit_spool.h), re-admitted shards merge unexecuted — the
+// same merge, so a resumed run is bit-identical to the uninterrupted one.
 #ifndef SRC_SOFT_PARALLEL_RUNNER_H_
 #define SRC_SOFT_PARALLEL_RUNNER_H_
 
@@ -46,9 +48,12 @@ enum class ShardMode {
   // Shard i runs with the *base* seed, the full budget, and
   // (shard_index, shard_count) = (i, K) in its CampaignOptions: a
   // pool-based fuzzer (SOFT) then executes the interleaved partition of the
-  // global case order, so the shards divide the serial campaign's work
-  // exactly — identical merged bug set and coverage by construction, at any
-  // budget. Requires the fuzzer to honor shard_index/shard_count.
+  // global case order, so the shards execute exactly the serial campaign's
+  // set of cases. Each shard has its own database, though, so a statement
+  // that reads session state (LASTVAL) can see a different history than in
+  // the serial run, and counters, digests and even the bug set can differ
+  // from serial. The exact reference for a K-shard run is a K-shard run.
+  // Requires the fuzzer to honor shard_index/shard_count.
   kPartitionCases,
 };
 
@@ -71,8 +76,6 @@ struct ShardResult {
   // Snapshot of the shard database's tracker, merged across shards so the
   // campaign-level coverage counts are a true union (not a sum).
   CoverageTracker coverage;
-  // Worker-supervision record for this shard (real-crash mode only).
-  WorkerRunStats stats;
 };
 
 // Executes one shard plan on the calling thread: honours
@@ -85,9 +88,7 @@ struct ShardResult {
 // what makes a fleet merge bit-identical to a sharded run by construction.
 ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
                              const WorkerDatabaseFactory& make_database,
-                             const ShardPlan& plan,
-                             const WorkerOptions& worker_options = {},
-                             uint64_t campaign_base_ns = 0);
+                             const ShardPlan& plan, uint64_t campaign_base_ns = 0);
 
 // The deterministic shard merge (see the contract above): walks `outcomes`
 // in index order — counters sum, coverage unions, crash bugs dedupe by
@@ -96,10 +97,10 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
 // concatenate and gain the campaign root span. A pure function of the
 // outcome vector: any executor that produces the same per-shard results
 // (threads, fleet workers, a resume loading spooled units) merges to the
-// bit-identical campaign. `stats`, when given, receives the aggregated
-// worker-supervision counters.
-CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
-                                 WorkerRunStats* stats = nullptr);
+// bit-identical campaign.
+CampaignResult MergeShardResults(std::vector<ShardResult> outcomes);
+
+class UnitSpool;
 
 class ParallelCampaignRunner {
  public:
@@ -121,22 +122,18 @@ class ParallelCampaignRunner {
   CampaignResult RunSerial(const CampaignOptions& options, int shards,
                            ShardMode mode = ShardMode::kSplitBudget) const;
 
-  // Supervision knobs for real-crash campaigns (options.crash_realism ==
-  // CrashRealism::kReal): each shard then runs inside forked worker
-  // processes via RunShardInWorkerProcess. Ignored in simulated mode.
-  void set_worker_options(const WorkerOptions& options) { worker_options_ = options; }
-
-  // Supervision statistics aggregated across shards by the most recent
-  // Run/RunSerial call (zeroed at each merge). Only populated by real-crash
-  // campaigns.
-  const WorkerRunStats& worker_stats() const { return worker_stats_; }
+  // Crash-survivable execution: shard i is unit i of `spool`. A shard the
+  // spool re-admitted (UnitSpool::TakeAdmitted) merges without executing;
+  // every executed shard is committed to it. Null (the default) = no spool.
+  void set_unit_spool(UnitSpool* spool) { spool_ = spool; }
 
  private:
+  // One shard through the spool: admitted, or executed and committed.
+  ShardResult RunPlan(const ShardPlan& plan, uint64_t campaign_base_ns) const;
+
   FuzzerFactory make_fuzzer_;
   DatabaseFactory make_database_;
-  WorkerOptions worker_options_;
-  // Written only by Merge, which runs on the thread that called Run/RunSerial.
-  mutable WorkerRunStats worker_stats_;
+  UnitSpool* spool_ = nullptr;
 };
 
 // Convenience for the common case: run `fuzzer factory` shards against fresh

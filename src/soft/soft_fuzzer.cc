@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/dialects/dialects.h"
-#include "src/failpoint/failpoint.h"
 #include "src/soft/expr_collection.h"
 #include "src/soft/logic_oracle.h"
 #include "src/soft/parallel_runner.h"
@@ -175,7 +174,6 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
                             : size_t{0};
   std::set<int> found_ids;
   std::set<int> logic_found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
   for (size_t case_index = shard_index;
        case_index < cases.size() && case_index < budget; case_index += shard_count) {
     const GeneratedCase& test_case = cases[case_index];
@@ -197,7 +195,6 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
       trace::AnnotateStatement("bug_id", std::to_string(r.crash->bug_id));
       if (found_ids.insert(r.crash->bug_id).second) {
         telemetry::CountBugDeduped(test_case.pattern);
-        dedup_digest = DedupDigestStep(dedup_digest, r.crash->bug_id);
         trace::AnnotateStatement("first_witness", "1");
         FoundBug bug;
         bug.crash = *r.crash;
@@ -288,19 +285,8 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     }
     trace::EndStatement(outcome);
     trace::FlightEndStatement(outcome);
-    if (options.checkpoint_every > 0 && options.checkpoint_sink &&
-        !result.journal_degraded &&
-        result.statements_executed % options.checkpoint_every == 0) {
-      // campaign.checkpoint_sink: chaos campaigns kill the sink here to
-      // prove the run continues (degraded, not dead) with an identical
-      // campaign outcome.
-      const bool sink_ok =
-          !SOFT_FAILPOINT_HIT("campaign.checkpoint_sink") &&
-          options.checkpoint_sink(
-              MakeCheckpoint(options, result, rng.StateFingerprint(), dedup_digest));
-      if (!sink_ok) {
-        result.journal_degraded = true;
-      }
+    if (options.progress) {
+      options.progress(result.statements_executed);
     }
     if (stop) {
       break;

@@ -39,12 +39,12 @@ class SoftFuzzer : public Fuzzer {
 // Runs one SOFT campaign split across `shards` parallel threads, each shard
 // against a fresh instance of `dialect` (see src/soft/parallel_runner.h for
 // the shard/merge semantics). SOFT generates a finite case pool, so the
-// default mode partitions the serial campaign's case order across shards —
-// the merged run finds the identical bug set and coverage as the serial
-// reference at any budget. Pass ShardMode::kSplitBudget to get the
-// decorrelated per-shard-seed sampling used for the baselines instead.
-// shards == 1 is bit-identical to SoftFuzzer::Run against
-// MakeDialect(dialect) in either mode.
+// default mode partitions the serial campaign's case order across shards:
+// the shards execute the serial campaign's cases, though a statement that
+// reads session state can make a shard's outcome differ from serial. Pass
+// ShardMode::kSplitBudget to get the decorrelated per-shard-seed sampling
+// used for the baselines instead. shards == 1 is bit-identical to
+// SoftFuzzer::Run against MakeDialect(dialect) in either mode.
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,
                                       const CampaignOptions& options, int shards,
                                       SoftOptions soft_options = SoftOptions(),

@@ -119,22 +119,6 @@ bool DecodeSpan(std::istringstream& in, trace::TraceSpan& s) {
   return true;
 }
 
-std::string EncodeCheckpoint(const CampaignCheckpoint& cp) {
-  std::ostringstream out;
-  out << cp.every << ' ' << cp.shard << ' ' << cp.cases_completed << ' '
-      << cp.sql_errors << ' ' << cp.crashes_observed << ' ' << cp.false_positives
-      << ' ' << cp.watchdog_timeouts << ' ' << cp.unique_bugs << ' '
-      << cp.rng_fingerprint << ' ' << cp.dedup_digest;
-  return out.str();
-}
-
-bool DecodeCheckpoint(std::istringstream& in, CampaignCheckpoint& cp) {
-  return static_cast<bool>(in >> cp.every >> cp.shard >> cp.cases_completed >>
-                           cp.sql_errors >> cp.crashes_observed >> cp.false_positives >>
-                           cp.watchdog_timeouts >> cp.unique_bugs >>
-                           cp.rng_fingerprint >> cp.dedup_digest);
-}
-
 std::string EncodeLogicBug(const FoundLogicBug& bug) {
   std::ostringstream out;
   out << bug.info.bug_id << ' ' << HexEncode(bug.info.dbms) << ' '
@@ -171,8 +155,7 @@ bool DecodeLogicBug(std::istringstream& in, FoundLogicBug& bug) {
 std::string EncodeFlightRecord(const trace::CrashFlightRecord& flight) {
   std::ostringstream out;
   out << flight.shard << ' ' << flight.worker_run << ' ' << (flight.announced ? 1 : 0)
-      << ' ' << flight.bug_id << ' ' << flight.last_checkpoint_cases << ' '
-      << flight.entries.size();
+      << ' ' << flight.bug_id << ' ' << flight.entries.size();
   for (const trace::FlightEntry& entry : flight.entries) {
     out << ' ' << EncodeFlightEntry(entry);
   }
@@ -183,7 +166,7 @@ bool DecodeFlightRecord(std::istringstream& in, trace::CrashFlightRecord& flight
   int announced = 0;
   size_t entry_count = 0;
   if (!(in >> flight.shard >> flight.worker_run >> announced >> flight.bug_id >>
-        flight.last_checkpoint_cases >> entry_count)) {
+        entry_count)) {
     return false;
   }
   flight.announced = announced != 0;

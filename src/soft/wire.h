@@ -24,8 +24,9 @@
 //   END  terminates the block
 //
 // Progress records outside result blocks (transport-specific dispatch):
-// the worker pipe's F/C/K lines and the fleet protocol's HELLO/REQ/GRANT/
-// HB/UNIT/FIN lines reuse the token and sub-record encoders below.
+// the worker pipe's F/C lines and the fleet protocol's HELLO/REQ/GRANT/
+// HB/UNIT/FIN lines reuse the token and sub-record encoders below. The unit
+// spool (src/soft/unit_spool.h) stores result blocks in this format too.
 //
 // Framing comes in two strengths. The worker pipe (same host, trusted fd)
 // keeps the bare '\n' framing via LineBuffer. The fleet transport — which
@@ -70,9 +71,6 @@ bool DecodeFlightEntry(std::istringstream& in, trace::FlightEntry& e);
 std::string EncodeSpan(const trace::TraceSpan& s);
 bool DecodeSpan(std::istringstream& in, trace::TraceSpan& s);
 
-std::string EncodeCheckpoint(const CampaignCheckpoint& cp);
-bool DecodeCheckpoint(std::istringstream& in, CampaignCheckpoint& cp);
-
 std::string EncodeLogicBug(const FoundLogicBug& bug);
 bool DecodeLogicBug(std::istringstream& in, FoundLogicBug& bug);
 
@@ -100,7 +98,7 @@ struct ResultBlock {
 
 // Feeds one record line into `block`. Returns true when the tag was a
 // result-block tag (consumed), false for anything else — the caller owns
-// transport-specific records (C/F/K, fleet control lines) and torn tails.
+// transport-specific records (C/F, fleet control lines) and torn tails.
 bool ConsumeResultLine(const std::string& line, ResultBlock& block);
 
 // --- framing ---------------------------------------------------------------

@@ -11,9 +11,6 @@
 //        crashing statement itself
 //   C  <bug_id> <dbms> <function> <crash> <stage> <pattern> <description>
 //        crash announcement, flushed before the signal is raised
-//   K  <every> <shard> <cases> <sql_errors> <crashes> <fps> <timeouts>
-//        <unique_bugs> <rng_fingerprint> <dedup_digest>
-//        checkpoint record, forwarded to the shard's checkpoint sink
 //
 // A child that finishes its campaign writes the wire result block
 // (RES/SST/BUG/LBG/CVB/TLS/TLP/TRS/FLR/END — see wire.h).
@@ -44,8 +41,7 @@ namespace {
 // Writes the whole line (append '\n') to fd through the shared retrying
 // writer (bounded backoff over EINTR/short writes — src/util/io.h). Only
 // write(2) + usleep(2) — safe to call right before raising a fatal signal.
-// Returns false when the writer gave up (supervisor gone / pipe dead);
-// callers that stream checkpoints use that to latch journal degradation.
+// Returns false when the writer gave up (supervisor gone / pipe dead).
 // The worker.pipe_write failpoint forces the first byte through alone so
 // chaos campaigns exercise the record-reassembly path on every record.
 bool WriteLine(int fd, const std::string& line) {
@@ -71,7 +67,7 @@ bool WriteLine(int fd, const std::string& line) {
   }
   // A supervisor killed mid-read must not SIGPIPE-kill the child mid-frame:
   // writes then fail with EPIPE, which RetryingWriter surfaces as a clean
-  // kIoError and the checkpoint sink turns into journal degradation.
+  // kIoError.
   io::IgnoreSigpipe();
   std::unique_ptr<Database> db = make_database();
   std::unique_ptr<Fuzzer> fuzzer = make_fuzzer();
@@ -110,13 +106,9 @@ bool WriteLine(int fd, const std::string& line) {
   };
   db->set_crash_realism(std::move(policy));
 
-  // Checkpoints stream over the pipe; the supervisor forwards them to the
-  // shard's original sink with restart duplicates filtered. A dead pipe
-  // degrades the journal (the child keeps running), it does not kill the
-  // campaign.
-  options.checkpoint_sink = [fd](const CampaignCheckpoint& cp) {
-    return WriteLine(fd, "K " + wire::EncodeCheckpoint(cp));
-  };
+  // Progress stays in the supervisor's process; a replaying child would
+  // report every restart's prefix again.
+  options.progress = nullptr;
 
   const CampaignResult result = fuzzer->Run(*db, options);
   wire::WriteResultBlock([fd](const std::string& line) { return WriteLine(fd, line); },
@@ -135,8 +127,7 @@ struct ChildStream {
   wire::ResultBlock block;
 };
 
-void ParseChildLine(const std::string& line, ChildStream& stream,
-                    const std::function<bool(const CampaignCheckpoint&)>& on_checkpoint) {
+void ParseChildLine(const std::string& line, ChildStream& stream) {
   if (line.empty()) {
     return;
   }
@@ -154,11 +145,6 @@ void ParseChildLine(const std::string& line, ChildStream& stream,
     if (wire::DecodeFlightEntry(in, entry)) {
       stream.flight.push_back(std::move(entry));
     }
-  } else if (tag == "K") {
-    CampaignCheckpoint cp;
-    if (wire::DecodeCheckpoint(in, cp) && on_checkpoint) {
-      on_checkpoint(cp);
-    }
   } else {
     // Result-block records go through the shared parser. Unknown tags are
     // ignored: a child killed mid-write leaves a torn last line, which must
@@ -167,8 +153,7 @@ void ParseChildLine(const std::string& line, ChildStream& stream,
   }
 }
 
-ChildStream ReadChildStream(
-    int fd, const std::function<bool(const CampaignCheckpoint&)>& on_checkpoint) {
+ChildStream ReadChildStream(int fd) {
   ChildStream stream;
   wire::LineBuffer buffer;
   std::string line;
@@ -182,7 +167,7 @@ ChildStream ReadChildStream(
     }
     buffer.Append(chunk, static_cast<size_t>(n));
     while (buffer.Next(line)) {
-      ParseChildLine(line, stream, on_checkpoint);
+      ParseChildLine(line, stream);
     }
   }
   return stream;
@@ -210,7 +195,6 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
   };
   std::vector<RunRec> runs;
   std::vector<trace::CrashFlightRecord> flights;
-  int last_checkpoint_cases = -1;  // newest checkpoint seen on the pipe
 
   // Attaches the supervision-side observability to the shard's final result:
   // the collected crash-flight records always, and — when tracing — one
@@ -257,27 +241,6 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
                               run_spans.end());
   };
 
-  // Restart duplicates: a replaying child re-emits checkpoints it already
-  // streamed in a previous life; forward only strictly-new progress. A
-  // failing downstream sink latches degradation for the shard — duplicates
-  // and already-degraded forwards still count as "handled" (true) so the
-  // child keeps its own journal_degraded flag accurate.
-  const auto original_sink = options.checkpoint_sink;
-  int max_forwarded_cases = 0;
-  bool sink_degraded = false;
-  const std::function<bool(const CampaignCheckpoint&)> forward_checkpoint =
-      [&](const CampaignCheckpoint& cp) {
-        last_checkpoint_cases = std::max(last_checkpoint_cases, cp.cases_completed);
-        if (!original_sink || sink_degraded || cp.cases_completed <= max_forwarded_cases) {
-          return true;
-        }
-        max_forwarded_cases = cp.cases_completed;
-        if (!original_sink(cp)) {
-          sink_degraded = true;
-        }
-        return true;
-      };
-
   int confirmed_crashes = 0;
   int consecutive_unannounced = 0;
   int backoff_ms = worker_options.backoff_initial_ms;
@@ -295,14 +258,12 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
       }
       CampaignOptions degraded = options;
       degraded.crash_realism = CrashRealism::kSimulated;
-      degraded.checkpoint_sink = forward_checkpoint;
       RunRec rec;
       rec.start_ns = shard_timer.ElapsedNs();
       outcome.result = fuzzer->Run(*db, degraded);
       rec.end_ns = shard_timer.ElapsedNs();
       rec.verdict = "degraded-simulated";
       runs.push_back(rec);
-      outcome.result.journal_degraded |= sink_degraded;
       outcome.coverage = db->coverage();
       attach_observability(outcome.result, rec.start_ns);
       return outcome;
@@ -338,7 +299,7 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
                      confirmed_crashes, die_silently);
     }
     ::close(fds[1]);
-    ChildStream stream = ReadChildStream(fds[0], forward_checkpoint);
+    ChildStream stream = ReadChildStream(fds[0]);
     ::close(fds[0]);
     int status = 0;
     ::waitpid(pid, &status, 0);
@@ -348,7 +309,6 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
       rec.verdict = "completed";
       runs.push_back(rec);
       outcome.result = std::move(stream.block.result);
-      outcome.result.journal_degraded |= sink_degraded;
       outcome.coverage = std::move(stream.block.coverage);
       attach_observability(outcome.result, rec.start_ns);
       return outcome;
@@ -361,7 +321,6 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
       flight.worker_run = static_cast<int>(runs.size());
       flight.announced = true;
       flight.bug_id = stream.crash.bug_id;
-      flight.last_checkpoint_cases = last_checkpoint_cases;
       flight.entries = std::move(stream.flight);
       flights.push_back(std::move(flight));
       rec.verdict = "crashed";
@@ -379,14 +338,13 @@ WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzze
       }
       continue;
     }
-    // Unannounced death: no flight ring made it out — the record carries the
-    // last checkpoint the supervisor saw, which is where the restart resumes.
+    // Unannounced death: no flight ring made it out — the record says only
+    // that this child life died.
     {
       trace::CrashFlightRecord flight;
       flight.shard = options.shard_index;
       flight.worker_run = static_cast<int>(runs.size());
       flight.announced = false;
-      flight.last_checkpoint_cases = last_checkpoint_cases;
       flights.push_back(std::move(flight));
     }
     rec.verdict = "unannounced-death";

@@ -58,16 +58,6 @@ struct WorkerRunStats {
   int unexpected_deaths = 0;   // deaths without an announcement
   int alarm_kills = 0;         // unexpected deaths that were SIGALRM (backstop)
   bool degraded_to_simulated = false;
-
-  void MergeFrom(const WorkerRunStats& other) {
-    forks += other.forks;
-    real_crashes += other.real_crashes;
-    matched_signals += other.matched_signals;
-    mismatched_signals += other.mismatched_signals;
-    unexpected_deaths += other.unexpected_deaths;
-    alarm_kills += other.alarm_kills;
-    degraded_to_simulated = degraded_to_simulated || other.degraded_to_simulated;
-  }
 };
 
 struct WorkerShardOutcome {
@@ -80,12 +70,11 @@ using WorkerFuzzerFactory = std::function<std::unique_ptr<Fuzzer>()>;
 using WorkerDatabaseFactory = std::function<std::unique_ptr<Database>()>;
 
 // Runs one campaign shard under real-crash execution, supervising forked
-// workers as described above. `options` is the shard's CampaignOptions (its
-// checkpoint_sink, when set, receives the checkpoints forwarded from child
-// pipes — duplicates from restarts are filtered by cases_completed). Blocks
-// until the shard completes (possibly degraded). The returned result has
-// FoundBug::shard left as the fuzzer produced it; callers stamp shard ids
-// exactly as they do for in-process shards.
+// workers as described above. `options` is the shard's CampaignOptions; its
+// progress callback runs only on the degraded in-process path (children do
+// not forward it). Blocks until the shard completes (possibly degraded).
+// The returned result has FoundBug::shard left as the fuzzer produced it;
+// callers stamp shard ids exactly as they do for in-process shards.
 WorkerShardOutcome RunShardInWorkerProcess(const WorkerFuzzerFactory& make_fuzzer,
                                            const WorkerDatabaseFactory& make_database,
                                            CampaignOptions options,

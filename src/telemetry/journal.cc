@@ -15,9 +15,9 @@
 #include <sstream>
 #include <string>
 
-#include "src/failpoint/failpoint.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/io.h"
+#include "src/util/str_util.h"
 
 namespace soft {
 namespace telemetry {
@@ -28,8 +28,6 @@ uint64_t MonotonicNowNs() {
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<uint64_t>(ts.tv_nsec);
 }
-
-namespace {
 
 std::string EscapeJson(const std::string& s) {
   std::string out;
@@ -63,6 +61,8 @@ std::string EscapeJson(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string FormatMs(uint64_t ns) {
   char buf[32];
@@ -295,27 +295,10 @@ void WriteCampaignStart(std::ostream& out, const CampaignOptions& options,
   out << "{\"event\":\"campaign_start\",\"tool\":\"" << EscapeJson(tool)
       << "\",\"dialect\":\"" << EscapeJson(dialect)
       << "\",\"seed\":" << options.seed << ",\"budget\":" << options.max_statements
-      << ",\"shards\":" << shards << "}\n";
-}
-
-void WriteCheckpointRecord(std::ostream& out, const CampaignCheckpoint& checkpoint) {
-  // journal.checkpoint_write: the stream goes bad exactly as a full disk
-  // would make it — sinks that check stream state (find_bugs) then latch
-  // journal degradation and the campaign continues without checkpoints.
-  if (SOFT_FAILPOINT_HIT("journal.checkpoint_write")) {
-    out.setstate(std::ios_base::badbit);
-    return;
-  }
-  out << "{\"event\":\"checkpoint\",\"every\":" << checkpoint.every
-      << ",\"shard\":" << checkpoint.shard
-      << ",\"cases_completed\":" << checkpoint.cases_completed
-      << ",\"sql_errors\":" << checkpoint.sql_errors
-      << ",\"crashes_observed\":" << checkpoint.crashes_observed
-      << ",\"false_positives\":" << checkpoint.false_positives
-      << ",\"watchdog_timeouts\":" << checkpoint.watchdog_timeouts
-      << ",\"unique_bugs\":" << checkpoint.unique_bugs
-      << ",\"rng_fingerprint\":" << checkpoint.rng_fingerprint
-      << ",\"dedup_digest\":" << checkpoint.dedup_digest << "}\n";
+      << ",\"shards\":" << shards << ",\"stop_when_all_bugs_found\":"
+      << (options.stop_when_all_bugs_found ? 1 : 0)
+      << ",\"deadline_ms\":" << options.statement_limits.deadline_ms
+      << ",\"oracles\":\"" << EscapeJson(Join(options.logic_oracles, ",")) << "\"}\n";
 }
 
 void WriteResumeMarker(std::ostream& out, int from_cases) {
@@ -419,9 +402,7 @@ void WriteCampaignTail(std::ostream& out, const CampaignResult& result,
     out << "{\"event\":\"crash_flight\",\"shard\":" << flight.shard
         << ",\"worker_run\":" << flight.worker_run
         << ",\"announced\":" << (flight.announced ? "true" : "false")
-        << ",\"bug_id\":" << flight.bug_id
-        << ",\"last_checkpoint_cases\":" << flight.last_checkpoint_cases
-        << ",\"entries\":[";
+        << ",\"bug_id\":" << flight.bug_id << ",\"entries\":[";
     for (size_t i = 0; i < flight.entries.size(); ++i) {
       const trace::FlightEntry& entry = flight.entries[i];
       if (i != 0) {
@@ -478,6 +459,10 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
   bool started = false;
   std::string line;
   int line_no = 0;
+  const auto malformed = [&line_no](const std::string& what) {
+    return InvalidArgument("journal line " + std::to_string(line_no) + ": malformed " +
+                           what);
+  };
   while (std::getline(in, line)) {
     ++line_no;
     // Torn-tail rule: every writer emits the terminating '\n' as the last
@@ -506,17 +491,31 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractString(line, "dialect", replay.dialect) ||
           !ExtractUint(line, "seed", replay.seed) ||
           !ExtractInt(line, "budget", budget) || !ExtractInt(line, "shards", shards)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_start");
+        return malformed("campaign_start");
       }
       replay.budget = static_cast<int>(budget);
       replay.shards = static_cast<int>(shards);
+      int64_t stop_all = 0, deadline_ms = 0;
+      std::string oracles;
+      const auto knob = [&replay](const char* name, bool present) {
+        if (!present) {
+          replay.missing_knobs.push_back(name);
+        }
+      };
+      knob("stop_when_all_bugs_found",
+           ExtractInt(line, "stop_when_all_bugs_found", stop_all));
+      knob("deadline_ms", ExtractInt(line, "deadline_ms", deadline_ms));
+      knob("oracles", ExtractString(line, "oracles", oracles));
+      replay.stop_when_all_bugs_found = stop_all != 0;
+      replay.deadline_ms = static_cast<int>(deadline_ms);
+      if (!oracles.empty()) {
+        replay.oracles = Split(oracles, ',');
+      }
       started = true;
     } else if (event == "shard_merge") {
       int64_t statements = 0;
       if (!ExtractInt(line, "statements", statements)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed shard_merge");
+        return malformed("shard_merge");
       }
       replay.shard_statements.push_back(static_cast<int>(statements));
     } else if (event == "first_witness") {
@@ -527,8 +526,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractInt(line, "statement_index", statement_index) ||
           !ExtractInt(line, "shard", shard) ||
           !ExtractDouble(line, "wall_ms", witness.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed first_witness");
+        return malformed("first_witness");
       }
       witness.bug_id = static_cast<int>(bug_id);
       witness.statement_index = static_cast<int>(statement_index);
@@ -552,8 +550,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractInt(line, "shard", shard) ||
           !ExtractString(line, "poc", bug.poc) ||
           !ExtractString(line, "witness", bug.witness)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed logic_bug");
+        return malformed("logic_bug");
       }
       bug.bug_id = static_cast<int>(bug_id);
       bug.case_index = static_cast<int>(case_index);
@@ -562,46 +559,21 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
       replay.logic_bugs.push_back(std::move(bug));
     } else if (event == "crash_flight") {
       trace::CrashFlightRecord flight;
-      int64_t shard = 0, worker_run = 0, bug_id = 0, last_cases = 0;
+      int64_t shard = 0, worker_run = 0, bug_id = 0;
       if (!ExtractInt(line, "shard", shard) ||
           !ExtractInt(line, "worker_run", worker_run) ||
           !ExtractBool(line, "announced", flight.announced) ||
           !ExtractInt(line, "bug_id", bug_id) ||
-          !ExtractInt(line, "last_checkpoint_cases", last_cases) ||
           !ParseFlightEntries(line, flight.entries)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed crash_flight");
+        return malformed("crash_flight");
       }
       flight.shard = static_cast<int>(shard);
       flight.worker_run = static_cast<int>(worker_run);
       flight.bug_id = static_cast<int>(bug_id);
-      flight.last_checkpoint_cases = static_cast<int>(last_cases);
       replay.crash_flights.push_back(std::move(flight));
     } else if (event == "checkpoint") {
-      CampaignCheckpoint cp;
-      int64_t every = 0, shard = 0, cases = 0, sql_errors = 0, crashes = 0, fps = 0,
-              timeouts = 0, bugs = 0;
-      if (!ExtractInt(line, "every", every) || !ExtractInt(line, "shard", shard) ||
-          !ExtractInt(line, "cases_completed", cases) ||
-          !ExtractInt(line, "sql_errors", sql_errors) ||
-          !ExtractInt(line, "crashes_observed", crashes) ||
-          !ExtractInt(line, "false_positives", fps) ||
-          !ExtractInt(line, "watchdog_timeouts", timeouts) ||
-          !ExtractInt(line, "unique_bugs", bugs) ||
-          !ExtractUint(line, "rng_fingerprint", cp.rng_fingerprint) ||
-          !ExtractUint(line, "dedup_digest", cp.dedup_digest)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed checkpoint");
-      }
-      cp.every = static_cast<int>(every);
-      cp.shard = static_cast<int>(shard);
-      cp.cases_completed = static_cast<int>(cases);
-      cp.sql_errors = static_cast<int>(sql_errors);
-      cp.crashes_observed = static_cast<int>(crashes);
-      cp.false_positives = static_cast<int>(fps);
-      cp.watchdog_timeouts = static_cast<int>(timeouts);
-      cp.unique_bugs = static_cast<int>(bugs);
-      replay.checkpoints.push_back(cp);
+      // Statement checkpoints of journals written before the unit spool:
+      // nothing reads them any more.
     } else if (event == "lease") {
       JournalLeaseEvent lease;
       int64_t unit = 0, worker = 0, cases = 0;
@@ -609,8 +581,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractInt(line, "unit", unit) || !ExtractInt(line, "worker", worker) ||
           !ExtractInt(line, "cases", cases) ||
           !ExtractUint(line, "unit_digest", lease.unit_digest)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed lease");
+        return malformed("lease");
       }
       lease.unit = static_cast<int>(unit);
       lease.worker = static_cast<int>(worker);
@@ -622,8 +593,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
       if (!ExtractInt(line, "worker", worker) || !ExtractInt(line, "pid", death.pid) ||
           !ExtractInt(line, "units_completed", units_completed) ||
           !ExtractString(line, "reason", death.reason)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed worker_death");
+        return malformed("worker_death");
       }
       death.worker = static_cast<int>(worker);
       death.units_completed = static_cast<int>(units_completed);
@@ -643,8 +613,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractUint(line, "units_resumed", fin.units_resumed) ||
           !ExtractUint(line, "units_spool_diverged", fin.units_spool_diverged) ||
           !ExtractBool(line, "degraded_to_local", degraded)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed fleet_finish");
+        return malformed("fleet_finish");
       }
       fin.degraded_to_local = degraded;
       replay.fleet_finished = true;
@@ -658,8 +627,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractDouble(line, "reclaims_per_s", health.reclaims_per_s) ||
           !ExtractDouble(line, "redeliveries_per_s", health.redeliveries_per_s) ||
           !ExtractDouble(line, "wall_ms", health.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed health");
+        return malformed("health");
       }
       replay.health_events.push_back(std::move(health));
     } else if (event == "metrics_snapshot") {
@@ -669,8 +637,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractUint(line, "units_done", snap.units_done) ||
           !ExtractString(line, "health", snap.health) ||
           !ExtractDouble(line, "wall_ms", snap.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed metrics_snapshot");
+        return malformed("metrics_snapshot");
       }
       replay.metrics_snapshots.push_back(std::move(snap));
     } else if (event == "net_session" || event == "net_disconnect" ||
@@ -681,8 +648,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
       if (!ExtractString(line, "detail", net.detail) ||
           !ExtractString(line, "session", net.session) ||
           !ExtractInt(line, "worker", worker) || !ExtractInt(line, "unit", unit)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed " + event);
+        return malformed(event);
       }
       net.worker = static_cast<int>(worker);
       net.unit = static_cast<int>(unit);
@@ -690,15 +656,13 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
     } else if (event == "campaign_resume") {
       int64_t from_cases = 0;
       if (!ExtractInt(line, "from_cases", from_cases)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_resume");
+        return malformed("campaign_resume");
       }
       ++replay.resume_markers;
     } else if (event == "chaos") {
       std::string spec;
       if (!ExtractString(line, "spec", spec)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed chaos marker");
+        return malformed("chaos marker");
       }
       replay.chaos_specs.push_back(std::move(spec));
     } else if (event == "campaign_finish") {
@@ -707,8 +671,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
           !ExtractUint(line, "functions_triggered", replay.functions_triggered) ||
           !ExtractUint(line, "branches_covered", replay.branches_covered) ||
           !ExtractDouble(line, "wall_ms", replay.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_finish");
+        return malformed("campaign_finish");
       }
       // Optional in journals written before the statement watchdog existed.
       int64_t timeouts = 0;

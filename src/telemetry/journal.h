@@ -7,12 +7,13 @@
 // the (deterministic) result and never of thread scheduling, preserving the
 // parallel runner's bit-identical-merge guarantee. Event types:
 //
-//   campaign_start   tool, dialect, seed, budget, shards
-//   checkpoint       streamed periodic progress record (docs/ROBUSTNESS.md):
-//                    cases completed, counters, RNG fingerprint, dedup
-//                    digest — what --resume replays from
+//   campaign_start   tool, dialect, seed, budget, shards (the unit count a
+//                    resume re-partitions by), and the other knobs that
+//                    decide the outcome: stop_when_all_bugs_found,
+//                    deadline_ms, oracles (comma list) — a resume takes all
+//                    of them from here (docs/ROBUSTNESS.md, "Resume")
 //   campaign_resume  marker a resumed run writes before continuing: the
-//                    cases_completed it resumed from
+//                    statements its re-admitted units already executed
 //   shard_merge      one per shard of a sharded run: shard, statements
 //   first_witness    one per unique bug, discovery order: bug_id, pattern,
 //                    statement index, shard, wall_ms, recorded (false when
@@ -24,13 +25,15 @@
 //                    statement_index + shard (shard-local attribution), poc,
 //                    witness (the diverging rewrite / sibling dialect)
 //   crash_flight     one per worker death in a real-crash campaign: shard,
-//                    worker_run, announced, bug_id, last_checkpoint_cases,
-//                    and the flushed flight-ring entries (the last entry of
-//                    an announced crash is the crashing statement itself)
-//   lease            fleet coordinator lease transition (streamed live):
-//                    action (grant|complete|reclaim|steal|local|resume),
-//                    unit, worker, cases, unit_digest — the record --resume
-//                    trusts when re-admitting a spooled unit result
+//                    worker_run, announced, bug_id, and the flushed
+//                    flight-ring entries (the last entry of an announced
+//                    crash is the crashing statement itself)
+//   lease            unit transition (streamed live): action
+//                    (grant|complete|reclaim|steal|local|resume), unit,
+//                    worker, cases, unit_digest. Fleet coordinators write
+//                    every action; serial and --shards runs write complete
+//                    and resume. `complete` is the record --resume trusts
+//                    when re-admitting a spooled unit result
 //   worker_death     fleet worker connection lost or process reaped dead:
 //                    worker, pid, units_completed, reason
 //   net_session      fleet transport session lifecycle: detail (open|resume),
@@ -73,18 +76,20 @@
 namespace soft {
 namespace telemetry {
 
+// JSON string escaping shared by every NDJSON writer in the tree.
+std::string EscapeJson(const std::string& s);
+
 // Appends the campaign's NDJSON event stream to `out`. `wall_ns` is the
 // campaign's measured wall time (0 when unknown). Equivalent to
-// WriteCampaignStart + WriteCampaignTail (the post-hoc, checkpoint-free form).
+// WriteCampaignStart + WriteCampaignTail (the post-hoc form).
 void WriteCampaignJournal(std::ostream& out, const CampaignOptions& options,
                           const CampaignResult& result, uint64_t wall_ns);
 
-// Streaming writers for live (checkpointing/resumable) campaigns. The header
-// takes tool/dialect/shards explicitly because the CampaignResult does not
-// exist yet when a streamed journal opens.
+// Streaming writers for live (resumable) campaigns. The header takes
+// tool/dialect/shards explicitly because the CampaignResult does not exist
+// yet when a streamed journal opens.
 void WriteCampaignStart(std::ostream& out, const CampaignOptions& options,
                         const std::string& tool, const std::string& dialect, int shards);
-void WriteCheckpointRecord(std::ostream& out, const CampaignCheckpoint& checkpoint);
 void WriteResumeMarker(std::ostream& out, int from_cases);
 // Marker a chaos campaign writes after arming its failpoint spec, so the
 // journal records that its stream was produced under fault injection.
@@ -92,10 +97,10 @@ void WriteChaosMarker(std::ostream& out, const std::string& spec);
 // The derived tail: shard_merge, first_witness, campaign_finish.
 void WriteCampaignTail(std::ostream& out, const CampaignResult& result, uint64_t wall_ns);
 
-// One fleet lease transition (written live by the coordinator, replayed on
-// --resume). The structs below are plain data mirrors of the fleet
-// subsystem's state — journal.h cannot depend on src/fleet/ (fleet links
-// telemetry, not the reverse).
+// One unit lease transition (written live by the unit spool's commit and
+// the fleet coordinator, replayed on --resume). The structs below are plain
+// data mirrors of the fleet subsystem's state — journal.h cannot depend on
+// src/fleet/ (fleet links telemetry, not the reverse).
 struct JournalLeaseEvent {
   std::string action;  // grant | complete | reclaim | steal | local | resume
   int unit = 0;
@@ -214,9 +219,15 @@ struct JournalReplay {
   uint64_t seed = 0;
   int budget = 0;
   int shards = 0;
+  // The remaining outcome knobs of campaign_start. Journals written before
+  // the header carried them lack them; `missing_knobs` names each absent
+  // one, and a resume refuses such a journal.
+  bool stop_when_all_bugs_found = false;
+  int deadline_ms = 0;
+  std::vector<std::string> oracles;
+  std::vector<std::string> missing_knobs;
   std::vector<int> shard_statements;       // from shard_merge events
   std::vector<JournalWitness> witnesses;   // journal order == discovery order
-  std::vector<CampaignCheckpoint> checkpoints;  // journal order
   int resume_markers = 0;                  // campaign_resume events seen
   std::vector<std::string> chaos_specs;    // chaos markers (fault-injected runs)
   std::vector<trace::CrashFlightRecord> crash_flights;  // journal order
@@ -241,11 +252,10 @@ struct JournalReplay {
   bool finished = false;                   // campaign_finish event present
   // The final line hit EOF without its terminating '\n': the producer died
   // mid-record (kill -9). The torn record is dropped; everything before it
-  // replayed normally, so --resume continues from the last intact
-  // checkpoint.
+  // replayed normally, so --resume trusts only the intact records.
   bool torn_tail = false;
-  // campaign_finish reported that the producer lost its checkpoint sink
-  // mid-run (CampaignResult::journal_degraded).
+  // campaign_finish reported that a unit result could not be spooled
+  // (CampaignResult::journal_degraded).
   bool journal_degraded = false;
 
   std::set<int> BugIds() const;
@@ -253,7 +263,9 @@ struct JournalReplay {
 };
 
 // Parses an NDJSON journal stream. Fails on unknown event types, missing
-// required fields, or a stream without a campaign_start line. Every record
+// required fields, or a stream without a campaign_start line. `checkpoint`
+// lines, which journals written before the unit spool carried, are skipped.
+// Every record
 // is '\n'-terminated by construction, so a final line without one is a torn
 // tail: it is dropped and flagged (torn_tail), not an error — the kill -9
 // recovery path depends on replaying the intact prefix.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <mutex>
 
 #include "src/failpoint/failpoint.h"
 
@@ -333,40 +332,6 @@ void AddFailpointMetrics(MetricsRegistry& registry) {
                      "Failpoint fault injections", labels, stats.fires);
   }
 }
-
-// ---------------------------------------------------------------------------
-// Global process hooks (real implementations only when the telemetry layer
-// is compiled in; the header supplies inline no-op stubs otherwise).
-
-#ifdef SOFT_TELEMETRY_ENABLED
-
-namespace {
-
-std::mutex g_global_metrics_mu;
-MetricsRegistry& GlobalMetricsLocked() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-}  // namespace
-
-void CountGlobalMetric(std::string_view name, std::string_view help,
-                       const MetricLabels& labels, uint64_t n) {
-  std::lock_guard<std::mutex> lock(g_global_metrics_mu);
-  GlobalMetricsLocked().Counter(name, help, labels, n);
-}
-
-MetricsRegistry GlobalMetricsSnapshot() {
-  std::lock_guard<std::mutex> lock(g_global_metrics_mu);
-  return GlobalMetricsLocked();
-}
-
-void ResetGlobalMetricsForTest() {
-  std::lock_guard<std::mutex> lock(g_global_metrics_mu);
-  GlobalMetricsLocked() = MetricsRegistry();
-}
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 }  // namespace telemetry
 }  // namespace soft

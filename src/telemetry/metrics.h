@@ -22,15 +22,10 @@
 // interpolation) for every histogram with samples. The output is
 // deterministic: families and series render in lexicographic order.
 //
-// Gating contract (mirrors telemetry.h): the registry itself is plain data
-// and always compiled — journal replay and the fleet coordinator use it
-// regardless of build flavour. Only the *global process hooks*
-// (CountGlobalMetric / GlobalMetricsSnapshot) follow the SOFT_TELEMETRY=OFF
-// fold-to-no-op contract: under OFF they are inline no-op stubs and the CI
-// nm-guard asserts no `telemetry::CountGlobalMetric` /
-// `telemetry::GlobalMetricsSnapshot` undefined references survive in the
-// core libraries. Everything here is strictly observational: campaign
-// digests are bit-identical with metrics on or off.
+// The registry is plain data and always compiled — journal replay and the
+// fleet coordinator use it regardless of build flavour. Everything here is
+// strictly observational: campaign digests are bit-identical with metrics
+// on or off.
 #ifndef SOFT_TELEMETRY_METRICS_H_
 #define SOFT_TELEMETRY_METRICS_H_
 
@@ -135,29 +130,6 @@ void AddTelemetryMetrics(MetricsRegistry& registry,
 // for sites with at least one evaluation) plus the
 // `soft_failpoints_compiled` gauge.
 void AddFailpointMetrics(MetricsRegistry& registry);
-
-// ---------------------------------------------------------------------------
-// Global process hooks — same compile-out contract as the telemetry hooks.
-// CountGlobalMetric accumulates into a process-wide registry behind a mutex
-// (usable from any thread); GlobalMetricsSnapshot copies it out. Under
-// SOFT_TELEMETRY=OFF both fold to no-ops and the nm-guard keeps them out of
-// the core libraries entirely.
-
-#ifdef SOFT_TELEMETRY_ENABLED
-
-void CountGlobalMetric(std::string_view name, std::string_view help,
-                       const MetricLabels& labels, uint64_t n);
-MetricsRegistry GlobalMetricsSnapshot();
-void ResetGlobalMetricsForTest();
-
-#else  // !SOFT_TELEMETRY_ENABLED
-
-inline void CountGlobalMetric(std::string_view, std::string_view,
-                              const MetricLabels&, uint64_t) {}
-inline MetricsRegistry GlobalMetricsSnapshot() { return MetricsRegistry(); }
-inline void ResetGlobalMetricsForTest() {}
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 }  // namespace telemetry
 }  // namespace soft

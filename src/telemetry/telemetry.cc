@@ -1,13 +1,12 @@
-// Recording hooks: the thread-local collector and the process-global named
-// histograms. Compiled only when SOFT_TELEMETRY=ON (the default); the OFF
-// configuration gets the inline no-ops from telemetry.h and this file is
-// excluded from the build, so any stray hook reference would fail to link.
+// Recording hooks: the thread-local collector. Compiled only when
+// SOFT_TELEMETRY=ON (the default); the OFF configuration gets the inline
+// no-ops from telemetry.h and this file is excluded from the build, so any
+// stray hook reference would fail to link.
 #include "src/telemetry/telemetry.h"
 
 #ifdef SOFT_TELEMETRY_ENABLED
 
 #include <atomic>
-#include <mutex>
 
 namespace soft {
 namespace telemetry {
@@ -21,17 +20,6 @@ std::atomic<bool> g_runtime_enabled{true};
 // contention-free on the statement path.
 thread_local CampaignTelemetry* t_sink = nullptr;
 thread_local uint64_t t_start_ns = 0;
-
-std::mutex& NamedMutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-
-std::map<std::string, LatencyHistogram>& NamedHistogramsLocked() {
-  static std::map<std::string, LatencyHistogram>* histograms =
-      new std::map<std::string, LatencyHistogram>;
-  return *histograms;
-}
 
 }  // namespace
 
@@ -122,19 +110,6 @@ void CountLogicBug(const std::string& pattern) {
   if (t_sink != nullptr) {
     ++t_sink->patterns[pattern].logic_bugs;
   }
-}
-
-void RecordNamedLatency(std::string_view name, uint64_t ns) {
-  if (!RuntimeEnabled()) {
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(NamedMutex());
-  NamedHistogramsLocked()[std::string(name)].Record(ns);
-}
-
-std::map<std::string, LatencyHistogram> NamedLatencySnapshot() {
-  const std::lock_guard<std::mutex> lock(NamedMutex());
-  return NamedHistogramsLocked();
 }
 
 }  // namespace telemetry

@@ -274,12 +274,6 @@ void CountTimeout(const std::string& pattern);
 void CountLogicCheck(const std::string& pattern);
 void CountLogicBug(const std::string& pattern);
 
-// Process-global named histograms for one-off timings that outlive any
-// campaign (e.g. the study-corpus build, bench harness phases). Guarded by
-// a mutex; fine for coarse events, not for per-statement paths.
-void RecordNamedLatency(std::string_view name, uint64_t ns);
-std::map<std::string, LatencyHistogram> NamedLatencySnapshot();
-
 #else  // !SOFT_TELEMETRY_ENABLED — the whole hook surface folds to nothing.
 
 inline bool RuntimeEnabled() { return false; }
@@ -304,8 +298,6 @@ inline void CountFalsePositive(const std::string&) {}
 inline void CountTimeout(const std::string&) {}
 inline void CountLogicCheck(const std::string&) {}
 inline void CountLogicBug(const std::string&) {}
-inline void RecordNamedLatency(std::string_view, uint64_t) {}
-inline std::map<std::string, LatencyHistogram> NamedLatencySnapshot() { return {}; }
 
 #endif  // SOFT_TELEMETRY_ENABLED
 

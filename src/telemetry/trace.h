@@ -119,14 +119,12 @@ struct FlightEntry {
 // One worker death's flight record, assembled supervisor-side. An announced
 // crash carries the ring flushed over the pipe just before the signal was
 // raised (entries.back() is the crashing statement); an unannounced death
-// (SIGKILL, OOM killer) carries no entries — only the last checkpoint the
-// supervisor saw, which is where the restart resumed from.
+// (SIGKILL, OOM killer) carries no entries.
 struct CrashFlightRecord {
   int shard = 0;
   int worker_run = 0;  // fork ordinal within the shard (0-based)
   bool announced = false;
-  int bug_id = 0;                  // 0 when unannounced
-  int last_checkpoint_cases = -1;  // -1 = no checkpoint observed
+  int bug_id = 0;  // 0 when unannounced
   std::vector<FlightEntry> entries;
 
   bool operator==(const CrashFlightRecord&) const = default;

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-constexpr char kPrintable[] =
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-.";
 constexpr char kLetters[] = "abcdefghijklmnopqrstuvwxyz";
 constexpr char kAlnum[] = "abcdefghijklmnopqrstuvwxyz0123456789";
 
@@ -54,44 +52,11 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<int64_t>(Next());
-  }
-  return lo + static_cast<int64_t>(NextBelow(span));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
-
-std::string Rng::NextString(size_t length) {
-  std::string out;
-  out.reserve(length);
-  const size_t n = sizeof(kPrintable) - 1;
-  for (size_t i = 0; i < length; ++i) {
-    out.push_back(kPrintable[NextBelow(n)]);
-  }
-  return out;
-}
-
-uint64_t Rng::StateFingerprint() const {
-  // FNV-1a over the four state words; mixing order matters, collisions don't
-  // (the fingerprint only has to distinguish "same point in the stream" from
-  // "diverged").
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (const uint64_t st : state_) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (st >> shift) & 0xFFu;
-      h *= 0x100000001B3ull;
-    }
-  }
-  return h;
-}
 
 uint64_t SeedForShard(uint64_t base_seed, int shard) {
   if (shard == 0) {

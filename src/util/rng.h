@@ -23,32 +23,14 @@ class Rng {
   // Uniform integer in [0, bound). bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 
   // Bernoulli draw with probability p.
   bool NextBool(double p = 0.5);
 
-  // Uniform choice from a non-empty vector.
-  template <typename T>
-  const T& Choose(const std::vector<T>& items) {
-    return items[NextBelow(items.size())];
-  }
-
-  // Random ASCII string of the given length from a printable alphabet.
-  std::string NextString(size_t length);
-
   // Random identifier-looking token (letters + digits, starts with a letter).
   std::string NextIdentifier(size_t length);
-
-  // Non-destructive digest of the generator state (the journal's "RNG
-  // cursor"): two identical campaigns have identical fingerprints at the
-  // same statement index, so checkpoint/resume can verify a replay really
-  // retraced the interrupted run. Does not advance the stream.
-  uint64_t StateFingerprint() const;
 
  private:
   uint64_t state_[4];

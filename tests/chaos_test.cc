@@ -8,11 +8,14 @@
 // chaos CI lane runs them plus `find_bugs --chaos=enumerate`.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "src/failpoint/failpoint.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/telemetry/telemetry.h"
 
 namespace soft {
@@ -129,33 +132,31 @@ TEST_F(ChaosTest, ShardedCampaignBitIdenticalUnderInjectedWorkerFaults) {
 }
 
 TEST_F(ChaosTest, SinkLossLatchesDegradedWithoutChangingTheOutcome) {
-  // No failpoint involved: the bool-returning sink contract alone must
-  // degrade gracefully, so this holds in -DSOFT_FAILPOINTS=OFF builds too.
-  CampaignOptions baseline_options = ChaosOptions(kBudget);
-  baseline_options.checkpoint_every = 25;
-  int baseline_calls = 0;
-  baseline_options.checkpoint_sink = [&baseline_calls](const CampaignCheckpoint&) {
-    ++baseline_calls;
-    return true;
-  };
-  const CampaignResult baseline =
-      RunShardedSoftCampaign(kDialect, baseline_options, 1);
-  ASSERT_GT(baseline_calls, 3);
-  EXPECT_FALSE(baseline.journal_degraded);
+  // No failpoint involved: a spool directory that cannot exist (a regular
+  // file sits at its path) makes every unit commit fail, so this holds in
+  // -DSOFT_FAILPOINTS=OFF builds too.
+  const std::string journal =
+      testing::TempDir() + "/soft_chaos_sink_loss.ndjson";
+  const std::string spool = SpoolDirFor(journal);
+  std::filesystem::remove_all(spool);
+  std::ofstream(spool) << "not a directory\n";
 
-  // The sink dies on its third call: the campaign must stop calling it,
-  // latch journal_degraded, and finish with the identical outcome.
-  CampaignOptions lossy_options = ChaosOptions(kBudget);
-  lossy_options.checkpoint_every = 25;
-  int lossy_calls = 0;
-  lossy_options.checkpoint_sink = [&lossy_calls](const CampaignCheckpoint&) {
-    ++lossy_calls;
-    return lossy_calls < 3;
-  };
-  const CampaignResult lossy = RunShardedSoftCampaign(kDialect, lossy_options, 1);
-  EXPECT_EQ(lossy_calls, 3);
-  EXPECT_TRUE(lossy.journal_degraded);
-  EXPECT_EQ(DigestCampaignResult(lossy), DigestCampaignResult(baseline));
+  const CampaignResult reference =
+      RunShardedSoftCampaign(kDialect, ChaosOptions(kBudget), 2);
+  const Result<SpooledRun> lossy =
+      RunSpooledSoftCampaign(journal, kDialect, ChaosOptions(kBudget), 2);
+  ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
+  EXPECT_TRUE(lossy->result.journal_degraded);
+  ASSERT_EQ(lossy->spool_failures.size(), 2u);
+  EXPECT_NE(lossy->spool_failures[0].find("unit "), std::string::npos);
+  EXPECT_EQ(DigestCampaignResult(lossy->result), DigestCampaignResult(reference));
+
+  // Nothing was committed, so the journal vouches for no unit.
+  const Result<UnitResume> resume = LoadUnitResume(journal);
+  ASSERT_TRUE(resume.ok()) << resume.status().ToString();
+  EXPECT_TRUE(resume->completed.empty());
+  std::filesystem::remove(spool);
+  std::filesystem::remove(journal);
 }
 
 }  // namespace

@@ -503,6 +503,31 @@ TEST(FleetNetChaos, EveryNetFaultIsAbsorbedWithABitIdenticalDigest) {
   }
 }
 
+TEST(FleetNetChaos, ALostHeartbeatDoesNotDegradeTheRun) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  // find_bugs virtuoso 4000 --fleet=serve --workers=2 --units=4: each
+  // worker's fifth frame is a heartbeat, and the reset kills its connection.
+  // The fleet absorbs that like any reset, so the journal stays intact.
+  CampaignOptions options;
+  options.max_statements = 4000;
+  options.stop_when_all_bugs_found = true;
+  const CampaignResult reference = RunShardedSoftCampaign(kDialect, options, kUnits);
+
+  FleetOptions fleet;
+  fleet.socket_path = SocketPath("hbreset");
+  fleet.workers = 2;
+  fleet.units = kUnits;
+  ASSERT_TRUE(failpoint::ArmFromSpec("net.conn_reset=after:4:1").ok());
+  const Result<FleetOutcome> outcome = RunFleetCampaign(kDialect, options, fleet);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(DigestCampaignResult(outcome->result), DigestCampaignResult(reference));
+  EXPECT_FALSE(outcome->result.journal_degraded)
+      << "a connection reset the fleet absorbed must not degrade the journal";
+}
+
 }  // namespace
 }  // namespace fleet
 }  // namespace soft

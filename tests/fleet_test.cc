@@ -13,9 +13,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "src/fleet/lease.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/soft/wire.h"
 #include "src/telemetry/journal.h"
 
@@ -373,11 +377,16 @@ TEST(FleetCampaign, StallIsJournaledAndStaysUnackedThroughDegrade) {
   fleet.lease_deadline_ms = 300;
   fleet.doctor_stall_leases = 1;
   fleet.journal_path = journal_path;
+  fleet.metrics_out = journal_path + ".prom";
   const Result<FleetOutcome> outcome =
       RunFleetCampaign(kDialect, SmallCampaign(), fleet);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
   EXPECT_TRUE(outcome->stats.degraded_to_local);
+  // The coordinator counts its own doctor transitions by resulting state.
+  EXPECT_NE(ReadFileOrEmpty(fleet.metrics_out)
+                .find("soft_health_transitions_by_state_total{state=\"stall\"} "),
+            std::string::npos);
   EXPECT_GE(outcome->stats.health_stalls, 1u);
   EXPECT_TRUE(outcome->stats.health_stall_unacked)
       << "degrade-to-local completions must not acknowledge the stall";
@@ -609,6 +618,99 @@ TEST(FleetResume, RejectsAJournalFromADifferentCampaign) {
   EXPECT_NE(resumed.status().message().find("does not match"), std::string::npos)
       << resumed.status().ToString();
   std::remove(journal_path.c_str());
+}
+
+TEST(FleetResume, ResumesAKilledShardedLocalJournal) {
+  const std::string journal_path =
+      testing::TempDir() + "/soft_fleet_local.ndjson";
+  std::remove(journal_path.c_str());
+  const CampaignResult reference = ShardedReference();
+
+  // A local --shards=kUnits campaign (the same unit spool a fleet writes),
+  // killed once a unit is spooled: three shards park at statement 100
+  // while the fourth finishes and commits.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    CampaignOptions options = SmallCampaign();
+    auto first = std::make_shared<std::atomic<bool>>(true);
+    options.progress = [first](int statements) {
+      if (statements == 100 && !first->exchange(false)) {
+        for (;;) {
+          ::pause();
+        }
+      }
+    };
+    RunSpooledSoftCampaign(journal_path, kDialect, options, kUnits);
+    ::_exit(0);
+  }
+  bool killed = false;
+  for (int i = 0; i < 4000 && !killed; ++i) {
+    if (CountSubstring(ReadFileOrEmpty(journal_path), "\"action\":\"complete\"") >= 1) {
+      killed = ::kill(pid, SIGKILL) == 0;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(killed && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+  FleetOptions fleet;
+  fleet.socket_path = SocketPath("localresume");
+  fleet.workers = 2;
+  fleet.units = kUnits;
+  fleet.journal_path = journal_path;
+  fleet.resume = true;
+  const Result<FleetOutcome> resumed =
+      RunFleetCampaign(kDialect, SmallCampaign(), fleet);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stats.units_resumed, 1u);
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference))
+      << "a fleet resume of a local journal must merge the uninterrupted result";
+  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
+}
+
+TEST(FleetResume, FailedSpoolWriteIsReportedNotJournaledAsCommitted) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  const std::string journal_path =
+      testing::TempDir() + "/soft_fleet_spoolfail.ndjson";
+  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
+  const CampaignResult reference = ShardedReference();
+
+  // The first unit's spool rename fails: that unit must not be journaled
+  // complete, and the run must say so instead of exiting clean.
+  FleetOptions fleet;
+  fleet.socket_path = SocketPath("spoolfail1");
+  fleet.workers = 2;
+  fleet.units = kUnits;
+  fleet.journal_path = journal_path;
+  ASSERT_TRUE(failpoint::ArmFromSpec("io.rename=after:0:1").ok());
+  const Result<FleetOutcome> outcome =
+      RunFleetCampaign(kDialect, SmallCampaign(), fleet);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->result.journal_degraded);
+  ASSERT_EQ(outcome->stats.spool_failures.size(), 1u);
+  EXPECT_NE(outcome->stats.spool_failures[0].find("unit "), std::string::npos);
+  EXPECT_EQ(DigestCampaignResult(outcome->result), DigestCampaignResult(reference));
+  EXPECT_EQ(CountSubstring(ReadFileOrEmpty(journal_path), "\"action\":\"complete\""),
+            kUnits - 1);
+
+  // A resume re-runs exactly the uncommitted unit.
+  fleet.socket_path = SocketPath("spoolfail2");
+  fleet.resume = true;
+  const Result<FleetOutcome> resumed =
+      RunFleetCampaign(kDialect, SmallCampaign(), fleet);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stats.units_resumed, static_cast<uint64_t>(kUnits - 1));
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
+  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
 }
 
 // ---------------------------------------------------------------------------

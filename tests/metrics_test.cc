@@ -244,18 +244,6 @@ TEST(MetricsBuilders, FailpointGaugeReflectsCompileState) {
   EXPECT_TRUE(*compiled == 0.0 || *compiled == 1.0);
 }
 
-#ifdef SOFT_TELEMETRY_ENABLED
-TEST(MetricsGlobalHooks, CountGlobalMetricAccumulatesUntilReset) {
-  ResetGlobalMetricsForTest();
-  CountGlobalMetric("soft_probe_total", "probe", {{"site", "test"}}, 2);
-  CountGlobalMetric("soft_probe_total", "probe", {{"site", "test"}}, 3);
-  const MetricsRegistry snapshot = GlobalMetricsSnapshot();
-  EXPECT_EQ(snapshot.CounterValue("soft_probe_total", {{"site", "test"}}), 5u);
-  ResetGlobalMetricsForTest();
-  EXPECT_TRUE(GlobalMetricsSnapshot().empty());
-}
-#endif
-
 // ---------------------------------------------------------------------------
 // Campaign-health doctor (fake clock)
 // ---------------------------------------------------------------------------

@@ -56,14 +56,15 @@ TEST(LikeMatcher, Algebra) {
   EXPECT_EQ(Eval(db, "'a' LIKE NULL"), "NULL");
 }
 
-class DecimalLawTest : public testing::TestWithParam<std::pair<const char*, const char*>> {
-};
+// std::string, not const char*: gtest prints a const char* parameter with its
+// address, and test discovery puts the printed parameter in the test name.
+using DecimalPair = std::pair<std::string, std::string>;
+
+class DecimalLawTest : public testing::TestWithParam<DecimalPair> {};
 
 TEST_P(DecimalLawTest, FieldLawsHoldExactly) {
   Database db;
-  const auto& [a, b] = GetParam();
-  const std::string sa(a);
-  const std::string sb(b);
+  const auto& [sa, sb] = GetParam();
   // Commutativity.
   EXPECT_EQ(Eval(db, sa + " + " + sb), Eval(db, sb + " + " + sa));
   EXPECT_EQ(Eval(db, sa + " * " + sb), Eval(db, sb + " * " + sa));
@@ -76,11 +77,11 @@ TEST_P(DecimalLawTest, FieldLawsHoldExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, DecimalLawTest,
-    testing::Values(std::make_pair("1.5", "2.25"),
-                    std::make_pair("-0.999999999999999999999999", "0.000001"),
-                    std::make_pair("99999999999999999999", "1"),
-                    std::make_pair("123456789.123456789", "-987654321.987654321"),
-                    std::make_pair("0", "0.00001")));
+    testing::Values(DecimalPair{"1.5", "2.25"},
+                    DecimalPair{"-0.999999999999999999999999", "0.000001"},
+                    DecimalPair{"99999999999999999999", "1"},
+                    DecimalPair{"123456789.123456789", "-987654321.987654321"},
+                    DecimalPair{"0", "0.00001"}));
 
 TEST(UnionTypeLattice, UnifiedColumnsHaveOneKind) {
   Database db;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/dialects/dialects.h"
+#include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 
 namespace soft {
@@ -83,6 +85,24 @@ TEST(SoftCampaign, ReportsFalsePositivesSeparately) {
   }
   EXPECT_GT(result.false_positives, 0)
       << "the P3.1 length sweep should trip at least one engine limit";
+}
+
+TEST(SoftCampaign, ProgressCallbackSeesEveryStatementAndChangesNothing) {
+  CampaignOptions options;
+  options.seed = 3;
+  options.max_statements = 900;
+  auto plain_db = MakeDialect("mariadb");
+  const CampaignResult plain = SoftFuzzer().Run(*plain_db, options);
+
+  std::vector<int> seen;
+  options.progress = [&seen](int statements) { seen.push_back(statements); };
+  auto db = MakeDialect("mariadb");
+  const CampaignResult observed = SoftFuzzer().Run(*db, options);
+  ASSERT_EQ(seen.size(), static_cast<size_t>(observed.statements_executed));
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], static_cast<int>(i) + 1);
+  }
+  EXPECT_EQ(DigestCampaignResult(observed), DigestCampaignResult(plain));
 }
 
 }  // namespace

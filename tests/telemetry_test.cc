@@ -8,7 +8,8 @@
 //   * recording is observational: disabling telemetry at runtime changes no
 //     campaign outcome;
 //   * an NDJSON journal replay reconstructs the exact bug set and per-bug
-//     first witnesses.
+//     first witnesses, tolerates a torn tail, and — through the unit spool
+//     (src/soft/unit_spool.h) — resumes to the uninterrupted result.
 //
 // Run under ThreadSanitizer together with the parallel-runner tests:
 // `ctest -R 'Parallel|GoldenPoc|Telemetry'` in a -DSOFT_SANITIZE=thread tree.
@@ -16,7 +17,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -24,9 +27,10 @@
 #include <vector>
 
 #include "src/dialects/dialects.h"
+#include "src/soft/chaos.h"
 #include "src/soft/parallel_runner.h"
-#include "src/soft/resume.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/telemetry.h"
 
@@ -207,30 +211,22 @@ TEST(TelemetryCampaignTest, DisablingTelemetryChangesNoCampaignOutcome) {
   }
 }
 
-TEST(TelemetryNamedLatencyTest, RecordedNamesAppearInSnapshot) {
-  telemetry::RecordNamedLatency("telemetry_test_probe", 1500);
-  telemetry::RecordNamedLatency("telemetry_test_probe", 2500);
-  const auto snapshot = telemetry::NamedLatencySnapshot();
-  ASSERT_TRUE(snapshot.count("telemetry_test_probe"));
-  EXPECT_GE(snapshot.at("telemetry_test_probe").samples, 2u);
-}
-
 #endif  // SOFT_TELEMETRY_ENABLED
 
 class TelemetryMergeTest : public testing::TestWithParam<ShardMode> {};
 
-// The merged snapshot is the shard-index-ordered sum of the run's own shard
-// snapshots — bit-identical, both shard modes, on a single run (histogram
-// contents vary across runs with wall time; the merge must not).
+// The merged snapshot is the shard-index-ordered sum of the shards' own
+// snapshots — bit-identical, both shard modes, over one set of shard results
+// (histogram contents vary across runs with wall time; the merge must not).
 TEST_P(TelemetryMergeTest, MergedTelemetryIsShardIndexOrderedSum) {
-  const CampaignResult sharded = RunShardedSoftCampaign(
-      "postgresql", TestOptions(7, 3000), 4, SoftOptions(), GetParam());
-  ASSERT_EQ(sharded.shard_telemetry.size(), 4u);
+  std::vector<ShardResult> outcomes;
   CampaignTelemetry summed;
-  for (const CampaignTelemetry& shard : sharded.shard_telemetry) {
-    summed.MergeFrom(shard);
+  for (const ShardPlan& plan : PlanShards(TestOptions(7, 3000), 4, GetParam())) {
+    outcomes.push_back(ExecuteShardPlan([] { return std::make_unique<SoftFuzzer>(); },
+                                        [] { return MakeDialect("postgresql"); }, plan));
+    summed.MergeFrom(outcomes.back().result.telemetry);
   }
-  EXPECT_EQ(sharded.telemetry, summed);
+  EXPECT_EQ(MergeShardResults(std::move(outcomes)).telemetry, summed);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, TelemetryMergeTest,
@@ -358,15 +354,21 @@ TEST(TelemetryJournalTest, ReplayRejectsMalformedStreams) {
   }
 }
 
-CampaignCheckpoint TestCheckpoint(int cases, int bugs) {
-  CampaignCheckpoint cp;
-  cp.every = 10;
-  cp.cases_completed = cases;
-  cp.sql_errors = cases / 3;
-  cp.unique_bugs = bugs;
-  cp.rng_fingerprint = 0xABCDull + static_cast<uint64_t>(cases);
-  cp.dedup_digest = 0x1234ull + static_cast<uint64_t>(bugs);
-  return cp;
+telemetry::JournalLeaseEvent TestLease(int unit) {
+  telemetry::JournalLeaseEvent event;
+  event.action = "complete";
+  event.unit = unit;
+  event.cases = 10 * unit;
+  event.unit_digest = 0xABCDull + static_cast<uint64_t>(unit);
+  return event;
+}
+
+void ExpectSameLease(const telemetry::JournalLeaseEvent& got,
+                     const telemetry::JournalLeaseEvent& want) {
+  EXPECT_EQ(got.action, want.action);
+  EXPECT_EQ(got.unit, want.unit);
+  EXPECT_EQ(got.cases, want.cases);
+  EXPECT_EQ(got.unit_digest, want.unit_digest);
 }
 
 TEST(TelemetryJournalTest, CampaignFinishCarriesJournalDegraded) {
@@ -385,35 +387,35 @@ TEST(TelemetryJournalTest, CampaignFinishCarriesJournalDegraded) {
 TEST(TelemetryJournalTest, TornTailIsDroppedNotFatal) {
   const CampaignOptions options = TestOptions(1, 100);
   std::stringstream stream;
-  telemetry::WriteCampaignStart(stream, options, "SOFT", "mariadb", 1);
-  telemetry::WriteCheckpointRecord(stream, TestCheckpoint(10, 1));
-  telemetry::WriteCheckpointRecord(stream, TestCheckpoint(20, 2));
+  telemetry::WriteCampaignStart(stream, options, "SOFT", "mariadb", 2);
+  telemetry::WriteLeaseEvent(stream, TestLease(1));
+  telemetry::WriteLeaseEvent(stream, TestLease(2));
   const std::string full = stream.str();
   ASSERT_EQ(full.back(), '\n');
 
-  // Kill -9 mid-write of the second checkpoint: the record loses its tail.
+  // Kill -9 mid-write of the second record: it loses its tail.
   std::stringstream torn(full.substr(0, full.size() - 7));
   const Result<telemetry::JournalReplay> replayed = telemetry::ReplayJournal(torn);
   ASSERT_TRUE(replayed.ok()) << replayed.status().message();
   EXPECT_TRUE(replayed->torn_tail);
   EXPECT_FALSE(replayed->finished);
-  ASSERT_EQ(replayed->checkpoints.size(), 1u);
-  EXPECT_EQ(replayed->checkpoints[0], TestCheckpoint(10, 1));
+  ASSERT_EQ(replayed->lease_events.size(), 1u);
+  ExpectSameLease(replayed->lease_events[0], TestLease(1));
 
   // A '\n'-terminated but unparseable line is still a hard error — the
   // torn-tail tolerance applies only to the final unterminated record.
-  std::stringstream corrupt(full + "{\"event\":\"checkpoint\"\n");
+  std::stringstream corrupt(full + "{\"event\":\"lease\"\n");
   EXPECT_FALSE(telemetry::ReplayJournal(corrupt).ok());
 }
 
 TEST(TelemetryJournalTest, TruncationAtEveryByteOffsetReplaysIntactPrefix) {
   const CampaignOptions options = TestOptions(1, 100);
   std::stringstream stream;
-  telemetry::WriteCampaignStart(stream, options, "SOFT", "mariadb", 1);
-  std::vector<CampaignCheckpoint> written;
+  telemetry::WriteCampaignStart(stream, options, "SOFT", "mariadb", 3);
+  std::vector<telemetry::JournalLeaseEvent> written;
   for (int i = 1; i <= 3; ++i) {
-    written.push_back(TestCheckpoint(10 * i, i));
-    telemetry::WriteCheckpointRecord(stream, written.back());
+    written.push_back(TestLease(i));
+    telemetry::WriteLeaseEvent(stream, written.back());
   }
   const std::string full = stream.str();
 
@@ -439,10 +441,10 @@ TEST(TelemetryJournalTest, TruncationAtEveryByteOffsetReplaysIntactPrefix) {
     for (const size_t end : line_ends) {
       complete_lines += end <= len ? 1 : 0;
     }
-    // Exactly the fully-written checkpoints survive, in order.
-    ASSERT_EQ(replayed->checkpoints.size(), complete_lines - 1) << "offset " << len;
-    for (size_t i = 0; i < replayed->checkpoints.size(); ++i) {
-      EXPECT_EQ(replayed->checkpoints[i], written[i]) << "offset " << len;
+    // Exactly the fully-written records survive, in order.
+    ASSERT_EQ(replayed->lease_events.size(), complete_lines - 1) << "offset " << len;
+    for (size_t i = 0; i < replayed->lease_events.size(); ++i) {
+      ExpectSameLease(replayed->lease_events[i], written[i]);
     }
     EXPECT_EQ(replayed->torn_tail, full[len - 1] != '\n') << "offset " << len;
     EXPECT_FALSE(replayed->finished);
@@ -461,41 +463,108 @@ TEST(TelemetryJournalTest, ReplayAcceptsChaosMarker) {
 }
 
 TEST(TelemetryJournalTest, ResumeFromTornJournalMatchesUninterruptedRun) {
-  CampaignOptions options = TestOptions(7, 4000);
-  options.checkpoint_every = 500;
-  std::stringstream stream;
-  telemetry::WriteCampaignStart(stream, options, "SOFT", "mariadb", 1);
-  options.checkpoint_sink = [&stream](const CampaignCheckpoint& cp) {
-    telemetry::WriteCheckpointRecord(stream, cp);
-    return stream.good();
-  };
-  const CampaignResult uninterrupted = RunShardedSoftCampaign("mariadb", options, 1);
-  const std::string full = stream.str();
-  ASSERT_GT(full.size(), 40u);
-
-  // The producer dies mid-record: keep the intact prefix plus a torn tail.
   const std::string journal_path =
       "torn_resume_" + std::to_string(::getpid()) + ".ndjson";
+  const Result<SpooledRun> uninterrupted =
+      RunSpooledSoftCampaign(journal_path, "mariadb", TestOptions(7, 4000), 3);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
+  std::string full;
   {
-    std::ofstream out(journal_path, std::ios::trunc);
-    out << full.substr(0, full.size() - 25);
+    std::ifstream in(journal_path);
+    full.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
 
-  const Result<ResumeSpec> spec = LoadResumeSpec(journal_path);
-  std::remove(journal_path.c_str());
-  ASSERT_TRUE(spec.ok()) << spec.status().message();
-  EXPECT_TRUE(spec->has_checkpoint);
-  EXPECT_FALSE(spec->finished);
+  // The producer dies mid-record after two of its three units committed:
+  // keep the intact prefix through the second `complete` record plus a torn
+  // half of the next line.
+  size_t cut = 0;
+  for (int i = 0; i < 2; ++i) {
+    cut = full.find('\n', full.find("\"action\":\"complete\"", cut)) + 1;
+  }
+  const size_t next_end = full.find('\n', cut);
+  {
+    std::ofstream out(journal_path, std::ios::trunc);
+    out << full.substr(0, cut + (next_end - cut) / 2);
+  }
 
-  CampaignOptions resume_base;
-  const Result<CampaignResult> resumed = ResumeSoftCampaign(*spec, resume_base);
+  const Result<UnitResume> resume = LoadUnitResume(journal_path);
+  ASSERT_TRUE(resume.ok()) << resume.status().message();
+  EXPECT_FALSE(resume->finished);
+  EXPECT_EQ(resume->completed.size(), 2u);
+  const Result<SpooledRun> resumed =
+      ResumeSpooledSoftCampaign(journal_path, *resume, CampaignOptions());
   ASSERT_TRUE(resumed.ok()) << resumed.status().message();
-  EXPECT_EQ(resumed->statements_executed, uninterrupted.statements_executed);
-  ASSERT_EQ(resumed->unique_bugs.size(), uninterrupted.unique_bugs.size());
-  for (size_t i = 0; i < resumed->unique_bugs.size(); ++i) {
-    EXPECT_EQ(resumed->unique_bugs[i].crash.bug_id,
-              uninterrupted.unique_bugs[i].crash.bug_id);
-    EXPECT_EQ(resumed->unique_bugs[i].poc_sql, uninterrupted.unique_bugs[i].poc_sql);
+  EXPECT_EQ(resumed->units_resumed, 2);
+  EXPECT_EQ(DigestCampaignResult(resumed->result),
+            DigestCampaignResult(uninterrupted->result));
+
+  // The torn record was dropped before the resume appended: the continued
+  // journal replays cleanly to a finished campaign.
+  const Result<telemetry::JournalReplay> replayed =
+      telemetry::ReplayJournalFile(journal_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+  EXPECT_TRUE(replayed->finished);
+  EXPECT_FALSE(replayed->torn_tail);
+  EXPECT_EQ(replayed->resume_markers, 1);
+  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
+}
+
+TEST(TelemetryJournalTest, CampaignStartRecordsEveryOutcomeKnob) {
+  CampaignOptions options = TestOptions(9, 1200);
+  options.stop_when_all_bugs_found = true;
+  options.statement_limits.deadline_ms = 250;
+  options.logic_oracles = {"eet", "tlp"};
+  const std::string journal_path =
+      "knobs_" + std::to_string(::getpid()) + ".ndjson";
+  {
+    std::ofstream out(journal_path, std::ios::trunc);
+    telemetry::WriteCampaignStart(out, options, "SOFT", "duckdb", 3);
+  }
+  const Result<UnitResume> resume = LoadUnitResume(journal_path);
+  std::remove(journal_path.c_str());
+  ASSERT_TRUE(resume.ok()) << resume.status().message();
+  EXPECT_EQ(resume->dialect, "duckdb");
+  EXPECT_EQ(resume->units, 3);
+  EXPECT_TRUE(CheckResumeMatches(*resume, "duckdb", options, 3).ok());
+
+  // Any knob off is a different campaign.
+  CampaignOptions other = options;
+  other.statement_limits.deadline_ms = 0;
+  const Status mismatch = CheckResumeMatches(*resume, "duckdb", other, 3);
+  EXPECT_NE(mismatch.message().find("does not match"), std::string::npos);
+  EXPECT_FALSE(CheckResumeMatches(*resume, "duckdb", options, 4).ok());
+}
+
+TEST(TelemetryJournalTest, PreSpoolJournalReplaysButResumeRefusesIt) {
+  // A journal written before campaign_start carried every outcome knob,
+  // with one of its statement checkpoints.
+  const std::string legacy =
+      "{\"event\":\"campaign_start\",\"tool\":\"SOFT\",\"dialect\":\"duckdb\","
+      "\"seed\":5,\"budget\":600,\"shards\":1}\n"
+      "{\"event\":\"checkpoint\",\"every\":100,\"shard\":0,\"cases_completed\":100,"
+      "\"sql_errors\":3,\"crashes_observed\":0,\"false_positives\":0,"
+      "\"watchdog_timeouts\":0,\"unique_bugs\":0,\"rng_fingerprint\":1,"
+      "\"dedup_digest\":2}\n";
+  std::stringstream stream(legacy);
+  const Result<telemetry::JournalReplay> replayed = telemetry::ReplayJournal(stream);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+  EXPECT_EQ(replayed->missing_knobs,
+            (std::vector<std::string>{"stop_when_all_bugs_found", "deadline_ms",
+                                      "oracles"}));
+
+  const std::string journal_path =
+      "legacy_" + std::to_string(::getpid()) + ".ndjson";
+  {
+    std::ofstream out(journal_path, std::ios::trunc);
+    out << legacy;
+  }
+  const Result<UnitResume> resume = LoadUnitResume(journal_path);
+  std::remove(journal_path.c_str());
+  ASSERT_FALSE(resume.ok());
+  for (const char* field : {"stop_when_all_bugs_found", "deadline_ms", "oracles"}) {
+    EXPECT_NE(resume.status().message().find(field), std::string::npos)
+        << resume.status().message();
   }
 }
 

@@ -1,5 +1,6 @@
 // Crash-realistic execution harness (docs/ROBUSTNESS.md): forked-worker
-// supervision, the statement watchdog, and checkpoint/resume.
+// supervision, the statement watchdog, and kill -9 resume through the unit
+// spool.
 //
 //  * Every CrashType round-trips through a real signal in a forked worker
 //    back to the exact CrashInfo the simulated path reports.
@@ -10,8 +11,10 @@
 //    deadline; fuel and row budgets kill deterministically.
 //  * Unannounced worker deaths back off and degrade to in-process simulated
 //    execution without losing the campaign.
-//  * A campaign killed with SIGKILL mid-run resumes from its streamed
-//    journal to a bit-identical final result.
+//  * A campaign killed with SIGKILL mid-run — serial, --shards, simulated
+//    or real crashes — resumes from its journal and unit spool to the
+//    bit-identical result of the uninterrupted run with the same shard
+//    count.
 //
 // NOTE: these tests fork. Keep them out of the TSan lane (`ctest -R
 // 'Parallel|GoldenPoc|Telemetry'`); the ASan CI job runs them instead.
@@ -20,8 +23,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -31,11 +36,10 @@
 #include <vector>
 
 #include "src/dialects/dialects.h"
-#include "src/soft/resume.h"
+#include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
+#include "src/soft/unit_spool.h"
 #include "src/soft/worker.h"
-#include "src/telemetry/journal.h"
-#include "src/util/rng.h"
 
 namespace soft {
 namespace {
@@ -81,7 +85,7 @@ std::vector<std::string> CrashMatrixScript() {
 }
 
 // Minimal deterministic Fuzzer executing a fixed statement list; mirrors the
-// counting/dedup/checkpoint conventions of the real execution loops.
+// counting/dedup conventions of the real execution loops.
 class ScriptedFuzzer : public Fuzzer {
  public:
   explicit ScriptedFuzzer(std::vector<std::string> script) : script_(std::move(script)) {}
@@ -89,11 +93,9 @@ class ScriptedFuzzer : public Fuzzer {
 
   CampaignResult Run(Database& db, const CampaignOptions& options) override {
     db.set_statement_limits(options.statement_limits);
-    const Rng rng(options.seed);  // never advanced: a constant, seed-bound cursor
     CampaignResult result;
     result.tool = name();
     result.dialect = db.config().name;
-    uint64_t dedup_digest = kDedupDigestSeed;
     std::set<int> found_ids;
     for (const std::string& sql : script_) {
       if (result.statements_executed >= options.max_statements) {
@@ -110,7 +112,6 @@ class ScriptedFuzzer : public Fuzzer {
           bug.found_by = name();
           bug.statements_until_found = result.statements_executed;
           result.unique_bugs.push_back(std::move(bug));
-          dedup_digest = DedupDigestStep(dedup_digest, r.crash->bug_id);
         }
       } else if (r.status.code() == StatusCode::kTimeout) {
         ++result.watchdog_timeouts;
@@ -118,11 +119,6 @@ class ScriptedFuzzer : public Fuzzer {
         ++result.false_positives;
       } else if (!r.ok()) {
         ++result.sql_errors;
-      }
-      if (options.checkpoint_every > 0 && options.checkpoint_sink &&
-          result.statements_executed % options.checkpoint_every == 0) {
-        options.checkpoint_sink(
-            MakeCheckpoint(options, result, rng.StateFingerprint(), dedup_digest));
       }
     }
     result.functions_triggered = db.coverage().TriggeredFunctionCount();
@@ -441,220 +437,183 @@ TEST(WorkerSupervision, AlarmBackstopKillsHungWorker) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints
+// Kill -9 resume through the unit spool
 // ---------------------------------------------------------------------------
 
-TEST(Checkpoints, RealModeForwardsTheSimulatedCheckpointStream) {
-  // Worker restarts re-emit already-streamed checkpoints; the supervisor must
-  // forward each logical checkpoint exactly once, in order.
-  const std::vector<std::string> script = CrashMatrixScript();
+constexpr char kResumeDialect[] = "duckdb";
 
-  std::vector<CampaignCheckpoint> sim_checkpoints;
-  CampaignOptions sim;
-  sim.max_statements = 100;
-  sim.checkpoint_every = 2;
-  sim.checkpoint_sink = [&sim_checkpoints](const CampaignCheckpoint& cp) {
-    sim_checkpoints.push_back(cp);
-    return true;
-  };
-  ScriptedFuzzer sim_fuzzer(script);
-  auto sim_db = MakeCrashMatrixDb();
-  const CampaignResult sim_result = sim_fuzzer.Run(*sim_db, sim);
-  ASSERT_FALSE(sim_checkpoints.empty());
-
-  std::vector<CampaignCheckpoint> real_checkpoints;
-  CampaignOptions real = sim;
-  real.crash_realism = CrashRealism::kReal;
-  real.checkpoint_sink = [&real_checkpoints](const CampaignCheckpoint& cp) {
-    real_checkpoints.push_back(cp);
-    return true;
-  };
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [&script] { return std::make_unique<ScriptedFuzzer>(script); },
-      [] { return MakeCrashMatrixDb(); }, real);
-
-  EXPECT_EQ(real_checkpoints, sim_checkpoints);
-  ExpectSameCampaign(sim_result, outcome.result);
-}
-
-TEST(Checkpoints, SoftCampaignCheckpointsAreDeterministic) {
-  CampaignOptions options;
-  options.seed = 3;
-  options.max_statements = 900;
-  options.checkpoint_every = 150;
-
-  std::vector<CampaignCheckpoint> first;
-  options.checkpoint_sink = [&first](const CampaignCheckpoint& cp) {
-    first.push_back(cp);
-    return true;
-  };
-  RunShardedSoftCampaign("mariadb", options, 1);
-
-  std::vector<CampaignCheckpoint> second;
-  options.checkpoint_sink = [&second](const CampaignCheckpoint& cp) {
-    second.push_back(cp);
-    return true;
-  };
-  RunShardedSoftCampaign("mariadb", options, 1);
-
-  ASSERT_EQ(first.size(), second.size());
-  EXPECT_GE(first.size(), 5u);
-  EXPECT_EQ(first, second);
-  // Progress is monotone and the cursor fields are populated.
-  for (size_t i = 1; i < first.size(); ++i) {
-    EXPECT_GT(first[i].cases_completed, first[i - 1].cases_completed);
-  }
-  EXPECT_NE(first.back().rng_fingerprint, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Resume
-// ---------------------------------------------------------------------------
-
-TEST(CheckpointResume, Kill9MidCampaignResumesBitIdentical) {
-  const std::string journal_path =
-      testing::TempDir() + "/soft_kill9_journal.ndjson";
-  std::remove(journal_path.c_str());
-
+CampaignOptions ResumeCampaign() {
   CampaignOptions options;
   options.seed = 11;
   options.max_statements = 12000;
-  options.checkpoint_every = 150;
+  return options;
+}
 
-  // Uninterrupted reference.
-  const CampaignResult reference = RunShardedSoftCampaign("duckdb", options, 1);
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
-  // A real campaign process, streaming its journal, killed with SIGKILL.
+// Runs a journaled campaign in a forked process (its own process group, so
+// one kill also takes kReal worker children). `hold_at` > 0 installs a
+// progress callback that lets the first shard reaching that statement run
+// on and parks every later one there, so exactly one unit commits before
+// the kill (shards == 1: none does).
+pid_t ForkJournaledCampaign(const std::string& journal_path,
+                            const CampaignOptions& options, int shards, int hold_at,
+                            int ready_fd = -1) {
   const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    std::ofstream out(journal_path, std::ios::trunc);
-    CampaignOptions child = options;
-    telemetry::WriteCampaignStart(out, child, "SOFT", "duckdb", 1);
-    out.flush();
-    child.checkpoint_sink = [&out](const CampaignCheckpoint& cp) {
-      telemetry::WriteCheckpointRecord(out, cp);
-      out.flush();
-      return out.good();
-    };
-    RunShardedSoftCampaign("duckdb", child, 1);
-    ::_exit(0);
+  if (pid != 0) {
+    return pid;
   }
-  // Kill once at least two checkpoints hit the disk.
-  bool killed = false;
-  for (int i = 0; i < 2000; ++i) {
-    std::ifstream in(journal_path);
-    int checkpoints = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find("\"checkpoint\"") != std::string::npos) {
-        ++checkpoints;
+  ::setpgid(0, 0);
+  CampaignOptions child = options;
+  auto first = std::make_shared<std::atomic<bool>>(shards > 1);
+  if (hold_at > 0) {
+    child.progress = [first, hold_at, ready_fd](int statements) {
+      if (statements != hold_at || first->exchange(false)) {
+        return;
       }
-    }
-    if (checkpoints >= 2) {
-      ::kill(pid, SIGKILL);
-      killed = true;
+      if (ready_fd >= 0) {
+        static_cast<void>(::write(ready_fd, "x", 1));
+      }
+      for (;;) {
+        ::pause();
+      }
+    };
+  }
+  RunSpooledSoftCampaign(journal_path, kResumeDialect, child, shards);
+  ::_exit(0);
+}
+
+// SIGKILLs the campaign's process group once its journal holds a `lease
+// complete` record. False when the campaign finished first.
+bool KillOnceAUnitCommits(pid_t pid, const std::string& journal_path) {
+  bool killed = false;
+  for (int i = 0; i < 6000 && !killed; ++i) {
+    if (ReadFileOrEmpty(journal_path).find("\"action\":\"complete\"") !=
+        std::string::npos) {
+      killed = ::kill(-pid, SIGKILL) == 0;
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(killed) << "campaign finished before it could be killed";
+  return killed && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+}
+
+Result<SpooledRun> ResumeJournal(const std::string& journal_path,
+                                 const CampaignOptions& local = CampaignOptions()) {
+  const Result<UnitResume> resume = LoadUnitResume(journal_path);
+  if (!resume.ok()) {
+    return resume.status();
+  }
+  return ResumeSpooledSoftCampaign(journal_path, *resume, local);
+}
+
+void RemoveJournal(const std::string& journal_path) {
+  std::filesystem::remove(journal_path);
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
+}
+
+TEST(SpoolResume, SerialKill9ResumesBitIdentical) {
+  const std::string journal_path = testing::TempDir() + "/soft_kill9_serial.ndjson";
+  RemoveJournal(journal_path);
+  const CampaignResult reference =
+      RunShardedSoftCampaign(kResumeDialect, ResumeCampaign(), 1);
+
+  // The serial run is one unit: killed at statement 300, it has committed
+  // nothing, and the resume re-runs the whole unit.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t pid =
+      ForkJournaledCampaign(journal_path, ResumeCampaign(), 1, 300, ready[1]);
+  ASSERT_GE(pid, 0);
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1) << "campaign never reached statement 300";
+  ::close(ready[0]);
+  ::kill(-pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  // Resume from the torn journal: verified replay, bit-identical result.
-  const Result<ResumeSpec> spec = LoadResumeSpec(journal_path);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_FALSE(spec->finished);
-  ASSERT_TRUE(spec->has_checkpoint);
-  EXPECT_GE(spec->last_checkpoint.cases_completed, 300);
-
-  CampaignOptions base;  // knobs the journal does not record
-  const Result<CampaignResult> resumed = ResumeSoftCampaign(*spec, base);
+  const Result<SpooledRun> resumed = ResumeJournal(journal_path);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameCampaign(reference, *resumed);
-  std::remove(journal_path.c_str());
+  EXPECT_EQ(resumed->units_resumed, 0);
+  ExpectSameCampaign(reference, resumed->result);
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
+  RemoveJournal(journal_path);
 }
 
-TEST(CheckpointResume, VerificationRejectsForeignJournal) {
-  // A journal whose checkpoint fingerprint does not belong to its seed: the
-  // replay must fail loudly instead of producing a different campaign.
-  const std::string journal_path =
-      testing::TempDir() + "/soft_foreign_journal.ndjson";
-  {
-    std::ofstream out(journal_path, std::ios::trunc);
-    CampaignOptions options;
-    options.seed = 5;
-    options.max_statements = 600;
-    options.checkpoint_every = 100;
-    telemetry::WriteCampaignStart(out, options, "SOFT", "duckdb", 1);
-    CampaignCheckpoint cp;
-    cp.every = 100;
-    cp.cases_completed = 100;
-    cp.rng_fingerprint = 0xDEADBEEF;  // not this campaign's cursor
-    cp.dedup_digest = 0xDEADBEEF;
-    telemetry::WriteCheckpointRecord(out, cp);
-  }
-  const Result<ResumeSpec> spec = LoadResumeSpec(journal_path);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  CampaignOptions base;
-  const Result<CampaignResult> resumed = ResumeSoftCampaign(*spec, base);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_NE(resumed.status().message().find("diverged"), std::string::npos)
-      << resumed.status().ToString();
-  std::remove(journal_path.c_str());
+TEST(SpoolResume, ShardedKill9ResumesSpooledUnits) {
+  const std::string journal_path = testing::TempDir() + "/soft_kill9_shards.ndjson";
+  RemoveJournal(journal_path);
+  const CampaignResult reference =
+      RunShardedSoftCampaign(kResumeDialect, ResumeCampaign(), 4);
+
+  // Three shards park at statement 200; the fourth finishes and commits.
+  const pid_t pid = ForkJournaledCampaign(journal_path, ResumeCampaign(), 4, 200);
+  ASSERT_GE(pid, 0);
+  ASSERT_TRUE(KillOnceAUnitCommits(pid, journal_path));
+
+  const Result<SpooledRun> resumed = ResumeJournal(journal_path);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->units_resumed, 1);
+  EXPECT_EQ(resumed->units_spool_diverged, 0);
+  ExpectSameCampaign(reference, resumed->result);
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
+  RemoveJournal(journal_path);
 }
 
-TEST(CheckpointResume, DivergenceReportNamesTheDivergedFields) {
-  // When the verification checkpoint mismatches, the error must say *which*
-  // fields diverged and both values — not just "diverged".
-  const std::string journal_path =
-      testing::TempDir() + "/soft_divergent_journal.ndjson";
-  {
-    std::ofstream out(journal_path, std::ios::trunc);
-    CampaignOptions options;
-    options.seed = 5;
-    options.max_statements = 600;
-    options.checkpoint_every = 100;
-    telemetry::WriteCampaignStart(out, options, "SOFT", "duckdb", 1);
-    CampaignCheckpoint cp;
-    cp.every = 100;
-    cp.cases_completed = 100;
-    cp.rng_fingerprint = 0xDEADBEEF;  // not this campaign's cursor
-    cp.dedup_digest = 0xDEADBEEF;
-    telemetry::WriteCheckpointRecord(out, cp);
-  }
-  const Result<ResumeSpec> spec = LoadResumeSpec(journal_path);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  CampaignOptions base;
-  const Result<CampaignResult> resumed = ResumeSoftCampaign(*spec, base);
-  ASSERT_FALSE(resumed.ok());
-  const std::string& message = resumed.status().message();
-  EXPECT_NE(message.find("rng_fingerprint"), std::string::npos) << message;
-  EXPECT_NE(message.find("dedup_digest"), std::string::npos) << message;
-  EXPECT_NE(message.find("journal=" + std::to_string(0xDEADBEEFull)),
-            std::string::npos)
-      << message;
-  EXPECT_NE(message.find("replay="), std::string::npos) << message;
-  std::remove(journal_path.c_str());
+TEST(SpoolResume, RealCrashShardedKill9ResumesBitIdentical) {
+  const std::string journal_path = testing::TempDir() + "/soft_kill9_real.ndjson";
+  RemoveJournal(journal_path);
+  // Real crashes reproduce the simulated campaign bit for bit. A smaller
+  // budget: every real crash forks a worker that replays from case 0.
+  CampaignOptions sim = ResumeCampaign();
+  sim.max_statements = 4000;
+  const CampaignResult reference = RunShardedSoftCampaign(kResumeDialect, sim, 2);
+
+  CampaignOptions real = sim;
+  real.crash_realism = CrashRealism::kReal;
+  const pid_t pid = ForkJournaledCampaign(journal_path, real, 2, /*hold_at=*/0);
+  ASSERT_GE(pid, 0);
+  // Forked real-crash children do not report progress, so nothing holds the
+  // second shard back: when it also finished before the kill landed, the
+  // resume re-admits both units, which is still worth asserting.
+  const bool killed = KillOnceAUnitCommits(pid, journal_path);
+
+  const Result<SpooledRun> resumed = ResumeJournal(journal_path, real);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_GE(resumed->units_resumed, killed ? 1 : 2);
+  ExpectSameCampaign(reference, resumed->result);
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
+  RemoveJournal(journal_path);
 }
 
-TEST(CheckpointResume, MultiShardJournalsAreRejected) {
-  const std::string journal_path =
-      testing::TempDir() + "/soft_sharded_journal.ndjson";
-  {
-    std::ofstream out(journal_path, std::ios::trunc);
-    CampaignOptions options;
-    options.seed = 5;
-    options.max_statements = 600;
-    telemetry::WriteCampaignStart(out, options, "SOFT", "duckdb", 4);
-  }
-  const Result<ResumeSpec> spec = LoadResumeSpec(journal_path);
-  EXPECT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("single-shard"), std::string::npos)
-      << spec.status().ToString();
-  std::remove(journal_path.c_str());
+TEST(SpoolResume, CorruptSpooledUnitIsDistrustedAndRerun) {
+  const std::string journal_path = testing::TempDir() + "/soft_spool_corrupt.ndjson";
+  RemoveJournal(journal_path);
+  const Result<SpooledRun> run =
+      RunSpooledSoftCampaign(journal_path, kResumeDialect, ResumeCampaign(), 3);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::ofstream(SpoolDirFor(journal_path) + "/unit_1.wire", std::ios::trunc)
+      << "RES not what the digest promised\n";
+
+  const Result<UnitResume> resume = LoadUnitResume(journal_path);
+  ASSERT_TRUE(resume.ok()) << resume.status().ToString();
+  EXPECT_TRUE(resume->finished);
+  const Result<SpooledRun> resumed =
+      ResumeSpooledSoftCampaign(journal_path, *resume, CampaignOptions());
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->units_resumed, 2);
+  EXPECT_EQ(resumed->units_spool_diverged, 1);
+  EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(run->result));
+  RemoveJournal(journal_path);
 }
 
 // ---------------------------------------------------------------------------
