@@ -2,6 +2,8 @@
 
 #ifdef SOFT_FAILPOINTS_ENABLED
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -49,7 +51,14 @@ struct Registry {
 };
 
 Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives exit hooks
+  // Leaked: outlives exit hooks. The fork handlers hold `mu` across fork(),
+  // so a worker forked while a sibling thread evaluates a site does not
+  // inherit the mutex locked and hang at its own first site.
+  static Registry* registry = [] {
+    ::pthread_atfork([] { GetRegistry().mu.lock(); }, [] { GetRegistry().mu.unlock(); },
+                     [] { GetRegistry().mu.unlock(); });
+    return new Registry();
+  }();
   return *registry;
 }
 

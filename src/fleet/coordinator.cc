@@ -259,7 +259,7 @@ class Coordinator {
           ::close(conn.fd);
         }
       }
-      ::_exit(RunFleetWorker(w));
+      ::_exit(RunFleetWorker(w, pool_));
     }
     if (pid > 0) {
       children_.insert(pid);
@@ -308,6 +308,7 @@ class Coordinator {
     grant.options = options_;
     grant.heartbeat_every = fleet_.heartbeat_every;
     grant.campaign_base_ns = campaign_base_ns_;
+    grant.pool_digest = pool_->digest;
     return grant;
   }
 
@@ -1001,7 +1002,7 @@ class Coordinator {
       }
       const ShardPlan plan = GrantFor(view.unit).Plan();
       ShardResult outcome = ExecuteShardPlan(
-          [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
+          [this] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool_); },
           [this] { return MakeDialect(dialect_); }, plan, campaign_base_ns_);
       table_->ForceComplete(view.unit, -1);
       ++stats_.units_run_locally;
@@ -1012,6 +1013,9 @@ class Coordinator {
   const std::string dialect_;
   const CampaignOptions options_;
   const FleetOptions fleet_;
+  // The campaign's case pool, built once before any worker forks: forked
+  // workers inherit it, the degrade path runs it, GRANT carries its digest.
+  std::shared_ptr<const CasePool> pool_;
   int units_ = 0;
   uint64_t lease_ns_ = 0;
   uint64_t heartbeat_ns_ = 0;
@@ -1039,9 +1043,6 @@ class Coordinator {
 };
 
 Result<FleetOutcome> Coordinator::Run() {
-  if (MakeDialect(dialect_) == nullptr) {
-    return InvalidArgument("unknown dialect '" + dialect_ + "'");
-  }
   if (options_.crash_realism != CrashRealism::kSimulated) {
     return InvalidArgument(
         "fleet campaigns run simulated crash realization (workers are already "
@@ -1054,6 +1055,10 @@ Result<FleetOutcome> Coordinator::Run() {
   }
   if (fleet_.resume && fleet_.journal_path.empty()) {
     return InvalidArgument("fleet: resume needs a journal_path");
+  }
+  pool_ = BuildCasePool(dialect_, options_);
+  if (pool_ == nullptr) {
+    return InvalidArgument("unknown dialect '" + dialect_ + "'");
   }
 
   io::IgnoreSigpipe();

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -139,7 +140,8 @@ std::string Grant::Encode() const {
          std::to_string(options.statement_limits.deadline_ms) + " " +
          std::to_string(options.trace_sample) + " " + std::to_string(heartbeat_every) +
          " " + std::to_string(campaign_base_ns) + " " +
-         wire::HexEncode(Join(options.logic_oracles, ","));
+         wire::HexEncode(Join(options.logic_oracles, ",")) + " " +
+         std::to_string(pool_digest);
 }
 
 bool Grant::Parse(const std::string& line, Grant& grant) {
@@ -149,7 +151,8 @@ bool Grant::Parse(const std::string& line, Grant& grant) {
   if (!(in >> tag >> grant.unit >> grant.units >> grant.options.seed >>
         grant.options.max_statements >> dialect_hex >> stop_all >>
         grant.options.statement_limits.deadline_ms >> grant.options.trace_sample >>
-        grant.heartbeat_every >> grant.campaign_base_ns >> oracles_hex)) {
+        grant.heartbeat_every >> grant.campaign_base_ns >> oracles_hex >>
+        grant.pool_digest)) {
     return false;
   }
   grant.dialect = wire::HexDecode(dialect_hex);
@@ -175,7 +178,8 @@ ShardPlan Grant::Plan() const {
   return plan;
 }
 
-int RunFleetWorker(const FleetWorkerOptions& options) {
+int RunFleetWorker(const FleetWorkerOptions& options,
+                   std::shared_ptr<const CasePool> pool) {
   // A dying coordinator must surface as clean EPIPE write errors, never as
   // SIGPIPE process death — the reconnect ladder depends on it.
   io::IgnoreSigpipe();
@@ -264,6 +268,23 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
         ::close(fd);
         return 1;
       }
+      ShardPlan plan = grant.Plan();
+      if (pool == nullptr || !pool->Matches(grant.dialect, plan.options, SoftOptions())) {
+        pool = BuildCasePool(grant.dialect, plan.options);
+      }
+      if (pool == nullptr || pool->digest != grant.pool_digest) {
+        // Executing another pool would merge a silently divergent unit.
+        const std::string why =
+            pool == nullptr ? " (no pool: unknown dialect '" + grant.dialect + "')" : "";
+        std::fprintf(stderr,
+                     "fleet worker: refusing unit %d: coordinator's case pool "
+                     "digest 0x%016llx, ours 0x%016llx%s\n",
+                     grant.unit, static_cast<unsigned long long>(grant.pool_digest),
+                     static_cast<unsigned long long>(pool == nullptr ? 0 : pool->digest),
+                     why.c_str());
+        ::close(fd);
+        return 4;
+      }
 
       // A redelivered GRANT for the unit we already ran: the coordinator
       // never saw (or lost) the result. Resend the cached block verbatim —
@@ -290,7 +311,6 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
       const bool partition_here =
           options.partition_at_unit == ordinal && !partition_done;
 
-      ShardPlan plan = grant.Plan();
       // Heartbeats: the grant acknowledgement, then every heartbeat_every
       // executed statements. A failed send only stops this unit's heartbeats
       // (the connection is gone); the finished result is delivered over the
@@ -339,7 +359,7 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
 
       const std::string dialect = grant.dialect;
       ShardResult outcome = ExecuteShardPlan(
-          [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
+          [pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
           [dialect] { return MakeDialect(dialect); }, plan, grant.campaign_base_ns);
 
       // Cache, then deliver. The cache is the at-least-once side of the

@@ -12,6 +12,7 @@
 //   coord  → worker  GRANT <unit> <units> <seed> <budget> <dialect-hex>
 //                          <stop_all> <timeout_ms> <trace_sample>
 //                          <heartbeat_every> <campaign_base_ns> <oracles-hex>
+//                          <pool_digest>
 //            ... or  FIN                      (campaign done — exit 0)
 //   worker → coord   HB <unit> <cases>        (every heartbeat_every cases,
 //                                              throttled from the campaign's
@@ -30,7 +31,11 @@
 // executes as one case-partition shard via ExecuteShardPlan: shard_index =
 // unit, shard_count = units, base seed, full budget — exactly the plan a
 // `--shards=units` campaign would run, which is what makes the coordinator's
-// merge bit-identical to that sharded run at any worker count.
+// merge bit-identical to that sharded run at any worker count. A worker
+// keeps one case pool across units (a forked worker inherits the
+// coordinator's, an attached one builds its own at its first GRANT) and
+// refuses a GRANT whose `pool_digest` it cannot reproduce: it sends nothing,
+// not even the grant acknowledgement, and exits 4.
 //
 // Surviving the network: the WELCOME token names a *session* that outlives
 // any one connection. On socket loss the worker reconnects with bounded
@@ -52,9 +57,11 @@
 #define SRC_FLEET_WORKER_CLIENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/soft/parallel_runner.h"
+#include "src/soft/soft_fuzzer.h"
 
 namespace soft {
 namespace fleet {
@@ -70,6 +77,7 @@ struct Grant {
   CampaignOptions options;
   int heartbeat_every = 0;
   uint64_t campaign_base_ns = 0;
+  uint64_t pool_digest = 0;  // CasePool::digest of the coordinator's pool
 
   std::string Encode() const;
   static bool Parse(const std::string& line, Grant& grant);
@@ -106,9 +114,12 @@ struct FleetWorkerOptions {
 
 // Runs the worker loop until FIN (returns 0), connect/reconnect attempts
 // run out (returns 3), a malformed grant/WELCOME arrives (returns 1), or
-// the coordinator refuses the protocol version (returns 4). Installs
-// io::IgnoreSigpipe so a dying coordinator surfaces as clean write errors.
-int RunFleetWorker(const FleetWorkerOptions& options);
+// the coordinator refuses the protocol version or the worker a GRANT it
+// cannot reproduce (returns 4). `pool` is the forking coordinator's case
+// pool; null builds one at the first GRANT. Installs io::IgnoreSigpipe so
+// a dying coordinator surfaces as clean write errors.
+int RunFleetWorker(const FleetWorkerOptions& options,
+                   std::shared_ptr<const CasePool> pool = nullptr);
 
 }  // namespace fleet
 }  // namespace soft

@@ -21,9 +21,121 @@ bool StatementIsSelect(const std::string& sql) {
   return parsed.ok() && parsed->is_select();
 }
 
+// Oracles need the simulated engine: a forked kReal worker cannot host the
+// differential siblings (CampaignOptions::logic_oracles).
+bool LogicMode(const CampaignOptions& campaign) {
+  return !campaign.logic_oracles.empty() &&
+         campaign.crash_realism == CrashRealism::kSimulated;
+}
+
+uint64_t FnvFold(uint64_t digest, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    digest = (digest ^ c) * 0x100000001B3ull;
+  }
+  return (digest ^ 0xFF) * 0x100000001B3ull;  // separator: fields stay apart
+}
+
 }  // namespace
 
-SoftFuzzer::SoftFuzzer(SoftOptions options) : soft_options_(std::move(options)) {}
+bool CasePool::Matches(const std::string& dialect_name, const CampaignOptions& campaign,
+                       const SoftOptions& soft_options) const {
+  return dialect == dialect_name && seed == campaign.seed &&
+         logic_mode == LogicMode(campaign) && options == soft_options;
+}
+
+std::shared_ptr<const CasePool> BuildCasePool(const Database& db,
+                                              const CampaignOptions& campaign,
+                                              const SoftOptions& soft_options) {
+  auto pool = std::make_shared<CasePool>();
+  pool->dialect = db.config().name;
+  pool->seed = campaign.seed;
+  pool->logic_mode = LogicMode(campaign);
+  pool->options = soft_options;
+
+  // Step 1: function-expression collection (documentation + suite).
+  const std::vector<std::string> suite = SeedSuiteFor(pool->dialect);
+  FunctionCorpus corpus = CollectCorpus(db, suite);
+  pool->prerequisites = std::move(corpus.prerequisites);
+
+  // Step 2: pattern-based generation.
+  PatternEngine engine(db, campaign.seed, soft_options.patterns);
+  if (soft_options.extremes_only_pool) {
+    engine.set_pool(GenerateExtremesOnlyPool());
+  }
+  std::vector<GeneratedCase> cases;
+  // In logic mode the seeded wrong-result corpus's PoCs lead the case list,
+  // so even small budgets exercise every LogicBugSpec (the injectable
+  // ground-truth analogue of the crash corpus-replay prefix below).
+  if (pool->logic_mode) {
+    for (const LogicBugSpec& spec : db.faults().AllLogicBugs()) {
+      Result<std::string> poc = BuildLogicPocSql(db, spec);
+      if (poc.ok()) {
+        cases.push_back(GeneratedCase{std::move(poc).value(), "logic-seed"});
+      }
+    }
+  }
+  // The suite's own queries and every collected expression run first (the
+  // corpus replay: SOFT validates each harvested function expression before
+  // mutating it), warming function-trigger coverage across the catalog.
+  for (const std::string& seed : suite) {
+    cases.push_back(GeneratedCase{seed, "seed"});
+  }
+  for (const std::string& expr : corpus.expressions) {
+    cases.push_back(GeneratedCase{"SELECT " + expr, "seed"});
+  }
+  for (const std::string& expr : corpus.expressions) {
+    if (soft_options.only_patterns.empty()) {
+      engine.GenerateAll(expr, corpus.expressions, cases);
+    } else {
+      for (const std::string& pattern : soft_options.only_patterns) {
+        engine.GenerateOne(pattern, expr, corpus.expressions, cases);
+      }
+    }
+  }
+  // Deduplicate by statement text (the patterns overlap on simple seeds).
+  std::set<std::string> seen;
+  pool->cases.reserve(cases.size());
+  for (GeneratedCase& test_case : cases) {
+    if (seen.insert(test_case.sql).second) {
+      pool->cases.push_back(std::move(test_case));
+    }
+  }
+  // Keep the corpus-replay prefix in place; shuffle only the generated tail
+  // so the budget samples patterns and seeds uniformly (Fisher-Yates with
+  // the campaign RNG).
+  std::vector<GeneratedCase>& order = pool->cases;
+  size_t first_generated = 0;
+  while (first_generated < order.size() &&
+         (order[first_generated].pattern == "seed" ||
+          order[first_generated].pattern == "logic-seed")) {
+    ++first_generated;
+  }
+  Rng rng(campaign.seed);
+  for (size_t i = order.size(); i > first_generated + 1; --i) {
+    const size_t j = first_generated + rng.NextBelow(i - first_generated);
+    std::swap(order[i - 1], order[j]);
+  }
+
+  uint64_t digest = 0xCBF29CE484222325ull;
+  for (const std::string& prereq : pool->prerequisites) {
+    digest = FnvFold(digest, prereq);
+  }
+  for (const GeneratedCase& test_case : order) {
+    digest = FnvFold(FnvFold(digest, test_case.pattern), test_case.sql);
+  }
+  pool->digest = digest;
+  return pool;
+}
+
+std::shared_ptr<const CasePool> BuildCasePool(const std::string& dialect,
+                                              const CampaignOptions& campaign,
+                                              const SoftOptions& soft_options) {
+  const std::unique_ptr<Database> db = MakeDialect(dialect);
+  return db == nullptr ? nullptr : BuildCasePool(*db, campaign, soft_options);
+}
+
+SoftFuzzer::SoftFuzzer(SoftOptions options, std::shared_ptr<const CasePool> pool)
+    : soft_options_(std::move(options)), pool_(std::move(pool)) {}
 
 CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
   CampaignResult result;
@@ -43,20 +155,20 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
                                            CrashRealism::kReal);
 
   const size_t expected_bugs = db.faults().bug_count();
-  Rng rng(options.seed);
   db.set_statement_limits(options.statement_limits);
 
-  // Step 1: function-expression collection (documentation + suite).
-  const std::vector<std::string> suite = SeedSuiteFor(db.config().name);
-  const FunctionCorpus corpus = CollectCorpus(db, suite);
+  // Steps 1 and 2: the executor's shared pool, or one built here.
+  std::shared_ptr<const CasePool> pool = pool_;
+  if (pool == nullptr || !pool->Matches(result.dialect, options, soft_options_)) {
+    pool = BuildCasePool(db, options, soft_options_);
+  }
+  const std::vector<GeneratedCase>& cases = pool->cases;
 
   // Logic-bug oracle mode (CampaignOptions::logic_oracles). Oracles exist
   // before the prerequisites run so the differential siblings replay them and
   // start in lockstep with the campaign database.
-  const bool logic_mode = !options.logic_oracles.empty() &&
-                          options.crash_realism == CrashRealism::kSimulated;
   std::vector<std::unique_ptr<LogicOracle>> oracles;
-  if (logic_mode) {
+  if (pool->logic_mode) {
     oracles = MakeLogicOracles(options.logic_oracles, result.dialect);
   }
   const auto observe_side_effect = [&](const std::string& sql) {
@@ -66,11 +178,11 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
   };
 
   // Prerequisites: tables the suite queries depend on (Finding 4).
-  for (const std::string& prereq : corpus.prerequisites) {
+  for (const std::string& prereq : pool->prerequisites) {
     db.Execute(prereq);
     observe_side_effect(prereq);
   }
-  if (logic_mode) {
+  if (pool->logic_mode) {
     for (const std::string& prereq : LogicOraclePrerequisites()) {
       db.Execute(prereq);
       observe_side_effect(prereq);
@@ -81,74 +193,11 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     db.set_logic_faults_enabled(true);
   }
 
-  // Step 2: pattern-based generation.
-  PatternEngine engine(db, options.seed, soft_options_.patterns);
-  if (soft_options_.extremes_only_pool) {
-    engine.set_pool(GenerateExtremesOnlyPool());
-  }
-  std::vector<GeneratedCase> cases;
-  // In logic mode the seeded wrong-result corpus's PoCs lead the case list,
-  // so even small budgets exercise every LogicBugSpec (the injectable
-  // ground-truth analogue of the crash corpus-replay prefix below).
-  if (logic_mode) {
-    for (const LogicBugSpec& spec : db.faults().AllLogicBugs()) {
-      Result<std::string> poc = BuildLogicPocSql(db, spec);
-      if (poc.ok()) {
-        cases.push_back(GeneratedCase{std::move(poc).value(), "logic-seed"});
-      }
-    }
-  }
-  // The suite's own queries and every collected expression run first (the
-  // corpus replay: SOFT validates each harvested function expression before
-  // mutating it), warming function-trigger coverage across the catalog.
-  for (const std::string& seed : suite) {
-    cases.push_back(GeneratedCase{seed, "seed"});
-  }
-  for (const std::string& expr : corpus.expressions) {
-    cases.push_back(GeneratedCase{"SELECT " + expr, "seed"});
-  }
-  for (const std::string& expr : corpus.expressions) {
-    if (soft_options_.only_patterns.empty()) {
-      engine.GenerateAll(expr, corpus.expressions, cases);
-    } else {
-      for (const std::string& pattern : soft_options_.only_patterns) {
-        engine.GenerateOne(pattern, expr, corpus.expressions, cases);
-      }
-    }
-  }
-  // Deduplicate by statement text (the patterns overlap on simple seeds),
-  // then shuffle so the statement budget samples all patterns and seeds
-  // uniformly (Fisher-Yates with the campaign RNG).
-  {
-    std::set<std::string> seen;
-    std::vector<GeneratedCase> unique_cases;
-    unique_cases.reserve(cases.size());
-    for (GeneratedCase& test_case : cases) {
-      if (seen.insert(test_case.sql).second) {
-        unique_cases.push_back(std::move(test_case));
-      }
-    }
-    cases = std::move(unique_cases);
-  }
-  // Keep the corpus-replay prefix in place; shuffle only the generated tail
-  // so the budget samples patterns and seeds uniformly.
-  size_t first_generated = 0;
-  while (first_generated < cases.size() &&
-         (cases[first_generated].pattern == "seed" ||
-          cases[first_generated].pattern == "logic-seed")) {
-    ++first_generated;
-  }
-  for (size_t i = cases.size(); i > first_generated + 1; --i) {
-    const size_t j = first_generated + rng.NextBelow(i - first_generated);
-    std::swap(cases[i - 1], cases[j]);
-  }
-
   // Per-pattern pool census (aggregated locally so the hook fires once per
-  // pattern, not once per case). In partition-sharded runs every shard
-  // generates this full pool, so merged `generated` counts are K× the
-  // serial pool — the partition mode's redundant-generation cost, made
-  // visible.
-  if (telemetry::CollectorInstalled()) {
+  // pattern, not once per case). Counted once per campaign: a partition
+  // shard other than 0 (a fleet unit other than 0) executes the same pool,
+  // so merged `generated` equals the pool at any shard count.
+  if (options.shard_index == 0 && telemetry::CollectorInstalled()) {
     std::map<std::string, uint64_t> pool_census;
     for (const GeneratedCase& test_case : cases) {
       ++pool_census[test_case.pattern];
@@ -310,9 +359,15 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,
                                       const CampaignOptions& options, int shards,
                                       SoftOptions soft_options, ShardMode mode) {
+  // Partition shards share the campaign's pool; split-budget shards each
+  // draw their own seed, so each builds its own.
+  std::shared_ptr<const CasePool> pool;
+  if (mode == ShardMode::kPartitionCases) {
+    pool = BuildCasePool(dialect, options, soft_options);
+  }
   return RunShardedCampaign(
-      [soft_options] { return std::make_unique<SoftFuzzer>(soft_options); }, dialect,
-      options, shards, mode);
+      [soft_options, pool] { return std::make_unique<SoftFuzzer>(soft_options, pool); },
+      dialect, options, shards, mode);
 }
 
 }  // namespace soft

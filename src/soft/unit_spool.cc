@@ -74,10 +74,13 @@ std::string DescribeCampaign(const std::string& dialect, const CampaignOptions& 
 Result<SpooledRun> RunUnits(std::ofstream& journal, const std::string& journal_path,
                             const std::string& dialect, const CampaignOptions& options,
                             int units, const UnitResume* resume) {
-  if (MakeDialect(dialect) == nullptr) {
+  journal.flush();  // the header must survive a kill before the first commit
+  const telemetry::WallTimer timer;
+  // Built once: every unit's thread (and its kReal children) runs this pool.
+  std::shared_ptr<const CasePool> pool = BuildCasePool(dialect, options);
+  if (pool == nullptr) {
     return InvalidArgument("unknown dialect '" + dialect + "'");
   }
-  journal.flush();  // the header must survive a kill before the first commit
   UnitSpool spool(SpoolDirFor(journal_path), [&journal](const std::string& line) {
     journal << line << std::flush;
     const bool written = journal.good();
@@ -88,10 +91,10 @@ Result<SpooledRun> RunUnits(std::ofstream& journal, const std::string& journal_p
   if (resume != nullptr) {
     run.units_resumed = spool.Admit(*resume, &run.units_spool_diverged);
   }
-  ParallelCampaignRunner runner([] { return std::make_unique<SoftFuzzer>(); },
-                                [&dialect] { return MakeDialect(dialect); });
+  ParallelCampaignRunner runner(
+      [pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
+      [&dialect] { return MakeDialect(dialect); });
   runner.set_unit_spool(&spool);
-  const telemetry::WallTimer timer;
   run.result = runner.Run(options, units, ShardMode::kPartitionCases);
   run.spool_failures = spool.failures();
   telemetry::WriteCampaignTail(journal, run.result, timer.ElapsedNs());

@@ -138,7 +138,9 @@ class LineBuffer {
 // (dropped silently), larger is a loss (the connection is condemned and the
 // session resumes over a new one).
 
-inline constexpr uint8_t kFrameProtocolVersion = 1;
+// v2: GRANT carries the case pool digest (src/fleet/worker_client.h); a v1
+// worker would ignore it and execute whatever pool it builds.
+inline constexpr uint8_t kFrameProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 16;
 // Payload bound: a unit result line tops out in the tens of KB; anything
 // claiming more is corruption, not data, and is rejected before allocation.

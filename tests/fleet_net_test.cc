@@ -8,6 +8,7 @@
 // These tests fork and bind sockets — keep them out of the TSan lane
 // (`ctest -R 'Parallel|GoldenPoc|Telemetry|LogicOracle'`); the asan-fleet-net
 // CI lane runs `ctest -R 'Fleet'`.
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -317,6 +318,106 @@ TEST(FleetHandshake, RefusesAForeignProtocolVersionWithAFramedError) {
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 40) << "probe child exit code";
+}
+
+// Plays the coordinator for one forked RunFleetWorker: accepts it, answers
+// its HELLO, answers its REQ with `grant`, then collects every line the
+// worker sends until it hangs up, sends a UNIT (it is then killed) or stays
+// silent for 10 s. Returns the worker's wait status.
+int GrantToForkedWorker(const char* tag, const Grant& grant,
+                        std::vector<std::string>& received) {
+  Endpoint endpoint;
+  endpoint.socket_path = SocketPath(tag);
+  const Result<int> listener = ListenOn(endpoint, nullptr);
+  if (!listener.ok()) {
+    ADD_FAILURE() << listener.status().ToString();
+    return -1;
+  }
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::close(*listener);
+    FleetWorkerOptions worker;
+    worker.socket_path = endpoint.socket_path;
+    ::_exit(RunFleetWorker(worker));
+  }
+  pollfd accept_poll{*listener, POLLIN, 0};
+  const int fd = ::poll(&accept_poll, 1, 10000) == 1 ? ::accept(*listener, nullptr, nullptr)
+                                                      : -1;
+  ::close(*listener);
+  ::unlink(endpoint.socket_path.c_str());
+  uint32_t seq = 0;
+  std::string held;
+  wire::FramedWriter writer(fd, &seq, &held);
+  wire::FrameDecoder decoder;
+  const auto next_line = [&](std::string& line) {
+    for (;;) {
+      wire::Frame frame;
+      const wire::FrameStatus status = decoder.Next(frame);
+      if (status == wire::FrameStatus::kFrame) {
+        line = frame.payload;
+        return true;
+      }
+      pollfd p{fd, POLLIN, 0};
+      char chunk[4096];
+      const ssize_t got =
+          status == wire::FrameStatus::kBad || ::poll(&p, 1, 10000) != 1
+              ? -1
+              : ::read(fd, chunk, sizeof(chunk));
+      if (got <= 0) {
+        return false;
+      }
+      decoder.Append(chunk, static_cast<size_t>(got));
+    }
+  };
+  std::string line;
+  bool executed = false;
+  if (fd >= 0 && next_line(line) && line.rfind("HELLO ", 0) == 0 &&
+      writer.WriteLine("WELCOME " + std::to_string(int{wire::kFrameProtocolVersion}) +
+                       " test-token 0")
+          .ok() &&
+      next_line(line) && line == "REQ" && writer.WriteLine(grant.Encode()).ok()) {
+    while (next_line(line)) {
+      received.push_back(line);
+      if (line.rfind("UNIT ", 0) == 0) {
+        executed = true;  // nothing left to observe
+        break;
+      }
+    }
+  }
+  if (fd >= 0) {
+    ::close(fd);  // a silent worker sees EOF, finds no listener, gives up
+  }
+  if (executed) {
+    ::kill(child, SIGKILL);
+  }
+  int wstatus = 0;
+  ::waitpid(child, &wstatus, 0);
+  return wstatus;
+}
+
+TEST(FleetHandshake, WorkerRefusesAGrantItCannotReproduce) {
+  Grant grant;
+  grant.unit = 0;
+  grant.units = 2;
+  grant.options = SmallCampaign();
+  grant.heartbeat_every = 50;
+
+  // A dialect the worker cannot build: no case pool, so no unit either.
+  grant.dialect = "no-such-dbms";
+  std::vector<std::string> received;
+  int wstatus = GrantToForkedWorker("unknown", grant, received);
+  EXPECT_TRUE(received.empty()) << "no UNIT, not even the grant ack; got " << received.front();
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "the worker must exit on its own";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 4);
+
+  // A known dialect whose pool digest is not the one the worker builds.
+  grant.dialect = kDialect;
+  grant.pool_digest = BuildCasePool(kDialect, grant.Plan().options)->digest ^ 1;
+  received.clear();
+  wstatus = GrantToForkedWorker("digest", grant, received);
+  EXPECT_TRUE(received.empty()) << "no UNIT, not even the grant ack; got " << received.front();
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "the worker must exit on its own";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 4);
 }
 
 // ---------------------------------------------------------------------------

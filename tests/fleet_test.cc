@@ -1,13 +1,14 @@
 // Fleet campaign service (src/fleet/, docs/ROBUSTNESS.md): lease-table
 // state machine under a fake clock, wire result-block round-trips, and real
 // forked-worker socket campaigns — digest parity with the sharded/serial
-// reference at any worker count, across chaos-killed and hung workers,
-// through the degrade-to-local ladder, and across a coordinator kill -9
-// followed by --resume.
+// reference at any worker count, with attached (not forked) workers, across
+// chaos-killed and hung workers, through the degrade-to-local ladder, and
+// across a coordinator kill -9 followed by --resume.
 //
 // These tests fork and bind Unix sockets — keep the suite names out of the
-// TSan lane regex ('Parallel|GoldenPoc|Telemetry|LogicOracle|GoldenLogic');
-// the asan-fleet CI lane runs `ctest -R 'Fleet'`.
+// TSan lane regex
+// ('Parallel|GoldenPoc|Telemetry|LogicOracle|GoldenLogic|CasePool'); the
+// asan-fleet CI lane runs `ctest -R 'Fleet'`.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -27,6 +28,7 @@
 #include "src/failpoint/failpoint.h"
 #include "src/fleet/coordinator.h"
 #include "src/fleet/lease.h"
+#include "src/fleet/worker_client.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/unit_spool.h"
@@ -213,6 +215,13 @@ TEST(FleetCampaign, DigestMatchesShardedReferenceAtAnyWorkerCount) {
   const CampaignResult reference = ShardedReference();
   const CampaignResult serial =
       RunShardedSoftCampaign(kDialect, SmallCampaign(), 1);
+  const auto generated = [](const CampaignResult& result) {
+    uint64_t total = 0;
+    for (const auto& [pattern, counters] : result.telemetry.patterns) {
+      total += counters.generated;
+    }
+    return total;
+  };
   for (const int workers : {1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     FleetOptions fleet;
@@ -227,6 +236,8 @@ TEST(FleetCampaign, DigestMatchesShardedReferenceAtAnyWorkerCount) {
     // The bug inventory is additionally invariant against the *serial* run —
     // the partition changes witnesses, never which bugs exist.
     EXPECT_EQ(DigestBugInventory(outcome->result), DigestBugInventory(serial));
+    // The units share one pool and unit 0 alone counts its census.
+    EXPECT_EQ(generated(outcome->result), generated(serial));
     EXPECT_EQ(outcome->stats.units_completed, kUnits);
     EXPECT_GE(outcome->stats.heartbeats, kUnits)
         << "every unit must at least acknowledge its grant";
@@ -286,6 +297,41 @@ TEST(FleetCampaign, DegradesToLocalExecutionWhenThePoolNeverForms) {
   EXPECT_EQ(DigestCampaignResult(outcome->result),
             DigestCampaignResult(reference))
       << "the degrade ladder runs the identical unit plans in-process";
+}
+
+TEST(FleetCampaign, AttachedWorkersMatchTheShardedDigest) {
+  // The coordinator forks nothing. Two workers it did not fork attach, so
+  // each builds its own case pool at its first GRANT and checks its digest.
+  const CampaignResult reference = ShardedReference();
+  FleetOptions fleet;
+  fleet.socket_path = SocketPath("attach");
+  fleet.workers = 0;
+  fleet.units = kUnits;
+  std::vector<pid_t> attached;
+  for (int i = 0; i < 2; ++i) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      FleetWorkerOptions worker;
+      worker.socket_path = fleet.socket_path;
+      worker.connect_attempts = 400;  // the coordinator binds after its pool build
+      worker.backoff_max_ms = 25;
+      ::_exit(RunFleetWorker(worker));
+    }
+    attached.push_back(pid);
+  }
+  const Result<FleetOutcome> outcome =
+      RunFleetCampaign(kDialect, SmallCampaign(), fleet);
+  for (const pid_t pid : attached) {
+    int wstatus = 0;
+    EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    EXPECT_TRUE(WIFEXITED(wstatus)) << "attached worker died: " << wstatus;
+  }
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->stats.workers_spawned, 0u);
+  EXPECT_EQ(outcome->stats.units_run_locally, 0u);
+  EXPECT_FALSE(outcome->stats.degraded_to_local);
+  EXPECT_EQ(DigestCampaignResult(outcome->result), DigestCampaignResult(reference));
 }
 
 TEST(FleetCampaign, RejectsRealCrashModeAndUnknownDialects) {

@@ -105,5 +105,42 @@ TEST(SoftCampaign, ProgressCallbackSeesEveryStatementAndChangesNothing) {
   EXPECT_EQ(DigestCampaignResult(observed), DigestCampaignResult(plain));
 }
 
+// One pool read concurrently by every shard thread (this suite runs in the
+// TSan lane) merges bit-identically to shards that each build their own, and
+// a pool whose key does not match the campaign is ignored.
+TEST(CasePool, ShardThreadsShareOnePoolBitIdentically) {
+  CampaignOptions options;
+  options.seed = 7;
+  options.max_statements = 3000;
+  const std::shared_ptr<const CasePool> pool = BuildCasePool("duckdb", options);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(BuildCasePool("duckdb", options)->digest, pool->digest);
+  EXPECT_EQ(BuildCasePool("no-such-dbms", options), nullptr);
+  CampaignOptions other_seed = options;
+  other_seed.seed = 8;
+  const std::shared_ptr<const CasePool> stale = BuildCasePool("duckdb", other_seed);
+  EXPECT_NE(stale->digest, pool->digest);
+  EXPECT_FALSE(stale->Matches("duckdb", options, SoftOptions()));
+  CampaignOptions logic = options;
+  logic.logic_oracles = {"eet"};
+  EXPECT_FALSE(pool->Matches("duckdb", logic, SoftOptions()));
+  SoftOptions only_p12;
+  only_p12.only_patterns = {"P1.2"};
+  EXPECT_FALSE(pool->Matches("duckdb", options, only_p12));
+
+  const auto make_db = [] { return MakeDialect("duckdb"); };
+  const CampaignResult own =
+      ParallelCampaignRunner([] { return std::make_unique<SoftFuzzer>(); }, make_db)
+          .RunSerial(options, 4, ShardMode::kPartitionCases);
+  for (const std::shared_ptr<const CasePool>& given : {pool, stale}) {
+    const CampaignResult shared =
+        ParallelCampaignRunner(
+            [given] { return std::make_unique<SoftFuzzer>(SoftOptions(), given); },
+            make_db)
+            .Run(options, 4, ShardMode::kPartitionCases);
+    EXPECT_EQ(DigestCampaignResult(shared), DigestCampaignResult(own));
+  }
+}
+
 }  // namespace
 }  // namespace soft

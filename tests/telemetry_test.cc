@@ -2,9 +2,9 @@
 //
 //   * a K-shard merged CampaignTelemetry is bit-identical to summing the
 //     run's own shard snapshots in shard index order — for both shard modes;
-//   * partition-sharded pattern counters match the serial campaign's, except
-//     `generated`, which is exactly K× the serial pool (each shard generates
-//     the full pool);
+//   * partition-sharded pattern counters match the serial campaign's,
+//     `generated` included: the shards share one pool and shard 0 alone
+//     counts its census;
 //   * recording is observational: disabling telemetry at runtime changes no
 //     campaign outcome;
 //   * an NDJSON journal replay reconstructs the exact bug set and per-bug
@@ -151,8 +151,9 @@ TEST(TelemetryCampaignTest, CountersReconcileWithCampaignResult) {
   EXPECT_GE(t.stage_latency[1].samples, t.stage_latency[2].samples);
 }
 
-// Partition-sharded counters match the serial campaign's except `generated`:
-// every shard generates the full pool, so merged generation is exactly K×.
+// Partition-sharded counters match the serial campaign's. The shards share
+// one pool and only shard 0 counts its census, so merged `generated` is the
+// pool, not K× it.
 TEST(TelemetryCampaignTest, PartitionShardCountersMatchSerialExceptGenerated) {
   const CampaignOptions options = TestOptions(11, 4000);
   const int kShards = 4;
@@ -171,7 +172,7 @@ TEST(TelemetryCampaignTest, PartitionShardCountersMatchSerialExceptGenerated) {
     EXPECT_EQ(merged.crashes, counters.crashes) << pattern;
     EXPECT_EQ(merged.sql_errors, counters.sql_errors) << pattern;
     EXPECT_EQ(merged.false_positives, counters.false_positives) << pattern;
-    EXPECT_EQ(merged.generated, counters.generated * kShards) << pattern;
+    EXPECT_EQ(merged.generated, counters.generated) << pattern;
   }
   // Shard-local dedup can witness one bug in several shards, so the merged
   // first-witness count is bounded below by the global unique-bug count.
