@@ -84,11 +84,6 @@ int RunBench(int budget, uint64_t seed) {
                          BugIds(dark) == BugIds(lit);
   std::printf("\nrecording off vs on (%s): campaign outcomes %s\n", probe.c_str(),
               identical ? "identical" : "DIVERGED");
-#ifdef SOFT_TELEMETRY_ENABLED
-  std::printf("telemetry hooks: compiled in (SOFT_TELEMETRY=ON)\n");
-#else
-  std::printf("telemetry hooks: compiled out (SOFT_TELEMETRY=OFF)\n");
-#endif
 
   // Metrics-registry overhead point: how long it takes to fold one finished
   // campaign's telemetry into the typed registry and render the Prometheus

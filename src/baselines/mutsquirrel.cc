@@ -84,14 +84,8 @@ void SwapFunctions(SelectStmt& sel, Rng& rng, const FunctionRegistry& registry,
 }  // namespace
 
 CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
-  CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/true);
   Rng rng(options.seed ^ 0x535155ull);
-  std::set<int> found_ids;
-  ApplyCampaignLimits(db, options);
 
   const std::vector<std::string> suite = SeedSuiteFor(db.config().name);
   // Parse the SELECT seeds once; run DDL/DML seeds as prerequisites. Record
@@ -115,10 +109,10 @@ CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
     }
   }
   if (seeds.empty()) {
-    return result;
+    return recorder.Finish();
   }
 
-  while (result.statements_executed < options.max_statements) {
+  while (recorder.result().statements_executed < options.max_statements) {
     const std::unique_ptr<SelectStmt>& seed = seeds[rng.NextBelow(seeds.size())];
     std::unique_ptr<SelectStmt> mutant = seed->Clone();
 
@@ -132,12 +126,11 @@ CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
     if (rng.NextBool(0.3) && mutant->limit == std::nullopt) {
       mutant->limit = static_cast<int64_t>(1 + rng.NextBelow(5));
     }
-    ExecuteAndRecord(db, mutant->ToSql(), name(), result, found_ids);
+    recorder.Execute(mutant->ToSql(), name());
+    recorder.Close();
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
-  return result;
+  return recorder.Finish();
 }
 
 }  // namespace soft

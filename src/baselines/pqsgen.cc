@@ -7,8 +7,6 @@
 // trademark random literals (including NULLs in condition functions).
 #include "src/baselines/baselines.h"
 
-#include <set>
-
 #include "src/baselines/baseline_util.h"
 
 namespace soft {
@@ -25,14 +23,8 @@ constexpr const char* kModeledFunctions[] = {
 }  // namespace
 
 CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
-  CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/true);
   Rng rng(options.seed ^ 0x505153ull);
-  std::set<int> found_ids;
-  ApplyCampaignLimits(db, options);
 
   db.Execute("DROP TABLE IF EXISTS t_pqs");
   db.Execute("CREATE TABLE t_pqs (a INT, b STRING, c DOUBLE)");
@@ -57,7 +49,7 @@ CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
     }
   }
 
-  while (result.statements_executed < options.max_statements) {
+  while (recorder.result().statements_executed < options.max_statements) {
     const std::string& fn = pool[rng.NextBelow(pool.size())];
     std::string call;
     std::string rhs;
@@ -87,14 +79,13 @@ CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
     } else {
       sql = "SELECT " + call;
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids);
+    recorder.Execute(sql, name());
+    recorder.Close();
     // The pivot-containment logic oracle itself finds no crash bugs by
     // construction; crash detection above is what counts here.
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
-  return result;
+  return recorder.Finish();
 }
 
 }  // namespace soft

@@ -8,8 +8,6 @@
 // which is exactly why it misses boundary-argument bugs (Section 7.5).
 #include "src/baselines/baselines.h"
 
-#include <set>
-
 #include "src/baselines/baseline_util.h"
 #include "src/sqlparser/parser.h"
 
@@ -66,14 +64,8 @@ void MaybeNest(Expr& e, Rng& rng, const FunctionRegistry& registry, int depth) {
 }  // namespace
 
 CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
-  CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/true);
   Rng rng(options.seed ^ 0x536d697468ull);
-  std::set<int> found_ids;
-  ApplyCampaignLimits(db, options);
 
   // Its own scratch table for FROM-clause clutter.
   db.Execute("CREATE TABLE t_rs (x INT, s STRING)");
@@ -112,10 +104,10 @@ CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
     }
   }
   if (catalog.empty()) {
-    return result;
+    return recorder.Finish();
   }
 
-  while (result.statements_executed < options.max_statements) {
+  while (recorder.result().statements_executed < options.max_statements) {
     const FunctionDef* def = catalog[rng.NextBelow(catalog.size())];
     Result<ExprPtr> tmpl = ParseExpression(def->example);
     if (!tmpl.ok()) {
@@ -136,12 +128,11 @@ CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
         sql += " LIMIT " + std::to_string(1 + rng.NextBelow(3));
       }
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids);
+    recorder.Execute(sql, name());
+    recorder.Close();
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
-  return result;
+  return recorder.Finish();
 }
 
 }  // namespace soft

@@ -434,6 +434,10 @@ class Coordinator {
   void Merge(int unit, ShardResult outcome) {
     statements_merged_ += static_cast<uint64_t>(outcome.result.statements_executed);
     bugs_merged_ += outcome.result.unique_bugs.size();
+    watchdog_merged_ += static_cast<uint64_t>(outcome.result.watchdog_timeouts);
+    // Sums and maxima do not depend on order, so this running snapshot
+    // equals the one MergeShardResults builds from all units at the end.
+    telemetry_merged_.MergeFrom(outcome.result.telemetry);
     results_[unit] = std::move(outcome);
     ++stats_.units_completed;
   }
@@ -753,16 +757,10 @@ class Coordinator {
     reg.Counter("soft_statements_total",
                 "Statements executed across merged units", dialect_labels,
                 statements_merged_);
-    uint64_t watchdog = 0;
-    for (const std::optional<ShardResult>& outcome : results_) {
-      if (outcome.has_value()) {
-        watchdog += static_cast<uint64_t>(outcome->result.watchdog_timeouts);
-      }
-    }
     reg.Counter("soft_watchdog_timeouts_total",
                 "Statement-watchdog deadline kills across merged units",
-                dialect_labels, watchdog);
-    telemetry::AddTelemetryMetrics(reg, MergedTelemetry());
+                dialect_labels, watchdog_merged_);
+    telemetry::AddTelemetryMetrics(reg, telemetry_merged_);
     telemetry::AddFailpointMetrics(reg);
     return reg;
   }
@@ -790,16 +788,6 @@ class Coordinator {
       conn.close_after_flush = true;
       FlushStatus(conn);
     }
-  }
-
-  telemetry::CampaignTelemetry MergedTelemetry() const {
-    telemetry::CampaignTelemetry merged;
-    for (const std::optional<ShardResult>& outcome : results_) {
-      if (outcome.has_value()) {
-        merged.MergeFrom(outcome->result.telemetry);
-      }
-    }
-    return merged;
   }
 
   // --- campaign-health doctor ------------------------------------------------
@@ -929,16 +917,16 @@ class Coordinator {
           ",\"reclaimed\":" + (view.reclaimed ? std::string("true") : "false") +
           "}");
     }
-    // Per-pattern telemetry of the units merged so far (deterministic sums;
-    // empty under -DSOFT_TELEMETRY=OFF).
-    for (const auto& [pattern, counters] : MergedTelemetry().patterns) {
-      lines.push_back(
-          "{\"event\":\"fleet_pattern\",\"pattern\":\"" + EscapeJson(pattern) +
-          "\",\"executed\":" + std::to_string(counters.executed) +
-          ",\"crashes\":" + std::to_string(counters.crashes) +
-          ",\"bugs_deduped\":" + std::to_string(counters.bugs_deduped) +
-          ",\"logic_checks\":" + std::to_string(counters.logic_checks) +
-          ",\"logic_bugs\":" + std::to_string(counters.logic_bugs) + "}");
+    // Per-pattern telemetry of the units merged so far (deterministic sums).
+    for (const auto& [pattern, counters] : telemetry_merged_.patterns) {
+      std::string line =
+          "{\"event\":\"fleet_pattern\",\"pattern\":\"" + EscapeJson(pattern) + "\"";
+      for (const telemetry::PatternCounterField& field :
+           telemetry::kPatternCounterFields) {
+        line.append(",\"").append(field.key).append("\":");
+        line += std::to_string(counters.*field.member);
+      }
+      lines.push_back(line + "}");
     }
     for (const std::string& line : ring_) {
       std::string stripped = line;
@@ -1029,6 +1017,8 @@ class Coordinator {
   std::map<std::string, uint64_t> transitions_by_state_;  // doctor, by new state
   uint64_t statements_merged_ = 0;  // cumulative, updated at unit commit
   uint64_t bugs_merged_ = 0;
+  uint64_t watchdog_merged_ = 0;
+  telemetry::CampaignTelemetry telemetry_merged_;  // STATUS and METRICS read it
   bool stall_unacked_ = false;      // set on stall, cleared by worker commits
   uint64_t next_metrics_ns_ = 0;    // next --metrics-out snapshot due
   std::vector<std::optional<ShardResult>> results_;

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -47,11 +49,12 @@ struct CampaignOptions {
   // fuel/row kills surface as kResourceExhausted (false positives).
   StatementLimits statement_limits;
 
-  // Per-statement progress callback: SoftFuzzer::Run calls it after every
-  // executed statement with the statements executed so far. Strictly
-  // observational — it has no way to stop or degrade the campaign. Fleet
-  // workers throttle it into heartbeats. A kReal shard runs its campaign in
-  // forked children, which do not forward it.
+  // Per-statement progress callback: every fuzzer's Run calls it (through
+  // CampaignRecorder::Close) after each executed statement with the
+  // statements executed so far. Strictly observational — it has no way to
+  // stop or degrade the campaign. Fleet workers throttle it into
+  // heartbeats. A kReal shard runs its campaign in forked children, which
+  // do not forward it.
   std::function<void(int statements_executed)> progress;
 
   // Span tracing (src/telemetry/trace.h): 0 disables tracing (the default —
@@ -149,8 +152,8 @@ struct CampaignResult {
 
   // Observability snapshot (src/telemetry): stage-latency histograms and
   // per-pattern counters recorded during this campaign. Merged sharded
-  // campaigns carry the deterministic shard-index-ordered sum. Empty in
-  // -DSOFT_TELEMETRY=OFF builds or under telemetry::SetRuntimeEnabled(false).
+  // campaigns carry the deterministic shard-index-ordered sum. Empty under
+  // telemetry::SetRuntimeEnabled(false).
   telemetry::CampaignTelemetry telemetry;
 
   // Causal span trace (src/telemetry/trace.h). Empty unless
@@ -165,6 +168,69 @@ struct CampaignResult {
   // ordered (src/telemetry/trace.h). Exported as `crash_flight` journal
   // events. Empty for simulated campaigns.
   std::vector<trace::CrashFlightRecord> crash_flights;
+};
+
+// The one statement-recording path of every fuzzer, SOFT and the baselines.
+// Constructed at the top of a Run, it owns the campaign's result, applies
+// the statement limits to the database, and installs the telemetry
+// collector (for the engine's stage timers), the statement tracer and the
+// flight recorder for the campaign's lifetime. Each campaign statement goes
+// through Execute, which runs it and folds its outcome into the result
+// totals, the per-pattern counters and the first-witness dedup, then Close,
+// which ends its span and flight entry. A caller may examine the open
+// statement in between (SOFT's logic oracles). Per-pattern counters and
+// wall stamps are written only while the collector is installed, so
+// telemetry::SetRuntimeEnabled(false) leaves the result's telemetry empty.
+class CampaignRecorder {
+ public:
+  // `on_the_fly`: the fuzzer generates each statement as it runs it, so
+  // every executed statement also counts as generated (the baselines). A
+  // pool-driven fuzzer reports its pool through CountGenerated instead.
+  CampaignRecorder(std::string tool, Database& db, const CampaignOptions& options,
+                   bool on_the_fly);
+
+  CampaignResult& result() { return result_; }
+  // True when per-pattern counters are being written.
+  bool recording() const { return collector_.installed(); }
+
+  // Adds `n` cases to `pattern`'s generation census.
+  void CountGenerated(const std::string& pattern, uint64_t n);
+
+  // Runs `sql` as the campaign's next statement, attributed to `pattern`
+  // (the SOFT pattern or the baseline's tool name), and folds its outcome
+  // in. The statement stays open until Close.
+  StatementResult Execute(const std::string& sql, const std::string& pattern);
+
+  // Folds one in-scope logic-oracle examination of the open statement. A
+  // divergence is `attributed` when the statement hit a recorded fault (a
+  // logic bug); otherwise it is a false positive.
+  void CountLogicCheck(bool divergence, bool attributed);
+
+  // Ends the open statement's span and flight entry and reports progress.
+  void Close();
+
+  // Snapshots the database's coverage into the result and hands it over.
+  CampaignResult Finish();
+
+ private:
+  void Count(uint64_t telemetry::PatternCounters::*member) {
+    if (counters_ != nullptr) {
+      ++(counters_->*member);
+    }
+  }
+
+  Database& db_;
+  const CampaignOptions& options_;
+  const bool on_the_fly_;
+  CampaignResult result_;
+  const telemetry::ScopedCollector collector_;
+  const trace::ScopedStatementTracer tracer_;
+  const trace::ScopedFlightRecorder flight_;
+  const uint64_t start_ns_;
+  std::set<int> found_ids_;
+  // The open statement's pattern counters; null while not recording.
+  telemetry::PatternCounters* counters_ = nullptr;
+  std::string_view outcome_ = "ok";
 };
 
 // Common interface so the comparison benches can run the four tools

@@ -13,6 +13,7 @@
 #include "src/failpoint/failpoint.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/unit_spool.h"
+#include "src/util/fnv.h"
 #include "src/util/io.h"
 
 namespace soft {
@@ -20,17 +21,9 @@ namespace {
 
 constexpr int kDefaultBudget = 600;
 
-// FNV-1a over a byte string.
-uint64_t FnvFold(uint64_t digest, const std::string& bytes) {
-  for (const unsigned char c : bytes) {
-    digest ^= c;
-    digest *= 0x100000001B3ull;
-  }
-  return digest;
-}
-
-uint64_t FnvFoldInt(uint64_t digest, int64_t v) {
-  return FnvFold(digest, std::to_string(v));
+// Integers enter the outcome digests as their decimal text.
+uint64_t FnvMixInt(uint64_t digest, int64_t v) {
+  return FnvMix(digest, std::to_string(v));
 }
 
 // The last statement of a site's driver script is the one expected to take
@@ -422,37 +415,37 @@ uint64_t DigestCampaignResult(const CampaignResult& result) {
   // latencies) and journal_degraded (which is exactly what degrade-class
   // injections change) are excluded, mirroring the bit-identical-merge
   // tests' comparison set.
-  uint64_t d = 0xCBF29CE484222325ull;
-  d = FnvFold(d, result.tool);
-  d = FnvFold(d, result.dialect);
-  d = FnvFoldInt(d, result.statements_executed);
-  d = FnvFoldInt(d, result.sql_errors);
-  d = FnvFoldInt(d, result.crashes_observed);
-  d = FnvFoldInt(d, result.false_positives);
-  d = FnvFoldInt(d, result.watchdog_timeouts);
-  d = FnvFoldInt(d, static_cast<int64_t>(result.functions_triggered));
-  d = FnvFoldInt(d, static_cast<int64_t>(result.branches_covered));
-  d = FnvFoldInt(d, result.shards);
+  uint64_t d = kFnvOffsetBasis;
+  d = FnvMix(d, result.tool);
+  d = FnvMix(d, result.dialect);
+  d = FnvMixInt(d, result.statements_executed);
+  d = FnvMixInt(d, result.sql_errors);
+  d = FnvMixInt(d, result.crashes_observed);
+  d = FnvMixInt(d, result.false_positives);
+  d = FnvMixInt(d, result.watchdog_timeouts);
+  d = FnvMixInt(d, static_cast<int64_t>(result.functions_triggered));
+  d = FnvMixInt(d, static_cast<int64_t>(result.branches_covered));
+  d = FnvMixInt(d, result.shards);
   for (const int n : result.shard_statements) {
-    d = FnvFoldInt(d, n);
+    d = FnvMixInt(d, n);
   }
   for (const FoundBug& bug : result.unique_bugs) {
-    d = FnvFoldInt(d, bug.crash.bug_id);
-    d = FnvFold(d, bug.found_by);
-    d = FnvFold(d, bug.poc_sql);
-    d = FnvFoldInt(d, bug.statements_until_found);
-    d = FnvFoldInt(d, bug.shard);
+    d = FnvMixInt(d, bug.crash.bug_id);
+    d = FnvMix(d, bug.found_by);
+    d = FnvMix(d, bug.poc_sql);
+    d = FnvMixInt(d, bug.statements_until_found);
+    d = FnvMixInt(d, bug.shard);
   }
   // Wrong-result outcome: counters plus shard-invariant bug identity, so a
   // logic campaign's digest also moves when an oracle regresses.
-  d = FnvFoldInt(d, result.logic_checks);
-  d = FnvFoldInt(d, result.logic_divergences);
-  d = FnvFoldInt(d, result.logic_false_positives);
+  d = FnvMixInt(d, result.logic_checks);
+  d = FnvMixInt(d, result.logic_divergences);
+  d = FnvMixInt(d, result.logic_false_positives);
   for (const FoundLogicBug& bug : result.logic_bugs) {
-    d = FnvFoldInt(d, bug.info.bug_id);
-    d = FnvFold(d, bug.oracle);
-    d = FnvFold(d, bug.poc_sql);
-    d = FnvFoldInt(d, bug.case_index);
+    d = FnvMixInt(d, bug.info.bug_id);
+    d = FnvMix(d, bug.oracle);
+    d = FnvMix(d, bug.poc_sql);
+    d = FnvMixInt(d, bug.case_index);
   }
   return d;
 }
@@ -470,30 +463,30 @@ uint64_t DigestBugInventory(const CampaignResult& result) {
     logic_ids.push_back(bug.info.bug_id);
   }
   std::sort(logic_ids.begin(), logic_ids.end());
-  uint64_t d = 0xCBF29CE484222325ull;
-  d = FnvFold(d, result.dialect);
-  d = FnvFoldInt(d, static_cast<int64_t>(crash_ids.size()));
+  uint64_t d = kFnvOffsetBasis;
+  d = FnvMix(d, result.dialect);
+  d = FnvMixInt(d, static_cast<int64_t>(crash_ids.size()));
   for (const int64_t id : crash_ids) {
-    d = FnvFoldInt(d, id);
+    d = FnvMixInt(d, id);
   }
-  d = FnvFoldInt(d, static_cast<int64_t>(logic_ids.size()));
+  d = FnvMixInt(d, static_cast<int64_t>(logic_ids.size()));
   for (const int64_t id : logic_ids) {
-    d = FnvFoldInt(d, id);
+    d = FnvMixInt(d, id);
   }
   return d;
 }
 
 uint64_t DigestLogicOutcome(const CampaignResult& result) {
-  uint64_t d = 0xCBF29CE484222325ull;
-  d = FnvFold(d, result.dialect);
-  d = FnvFoldInt(d, result.logic_checks);
-  d = FnvFoldInt(d, result.logic_divergences);
-  d = FnvFoldInt(d, result.logic_false_positives);
+  uint64_t d = kFnvOffsetBasis;
+  d = FnvMix(d, result.dialect);
+  d = FnvMixInt(d, result.logic_checks);
+  d = FnvMixInt(d, result.logic_divergences);
+  d = FnvMixInt(d, result.logic_false_positives);
   for (const FoundLogicBug& bug : result.logic_bugs) {
-    d = FnvFoldInt(d, bug.info.bug_id);
-    d = FnvFold(d, bug.oracle);
-    d = FnvFold(d, bug.poc_sql);
-    d = FnvFoldInt(d, bug.case_index);
+    d = FnvMixInt(d, bug.info.bug_id);
+    d = FnvMix(d, bug.oracle);
+    d = FnvMix(d, bug.poc_sql);
+    d = FnvMixInt(d, bug.case_index);
   }
   return d;
 }

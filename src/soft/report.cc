@@ -29,13 +29,19 @@ std::string RenderTelemetrySection(const telemetry::CampaignTelemetry& telemetry
            " | " + FormatUs(h.QuantileUs(0.99)) + " | " +
            FormatUs(static_cast<double>(h.max_ns) / 1000.0) + " |\n";
   }
-  out += "\n| pattern | generated | executed | crashes | bugs | sql errors | "
-         "false positives |\n|---|---|---|---|---|---|---|\n";
+  out += "\n| pattern |";
+  std::string rule = "\n|---|";
+  for (const telemetry::PatternCounterField& field : telemetry::kPatternCounterFields) {
+    out.append(" ").append(field.key).append(" |");
+    rule += "---|";
+  }
+  out += rule + "\n";
   for (const auto& [pattern, c] : telemetry.patterns) {
-    out += "| " + pattern + " | " + std::to_string(c.generated) + " | " +
-           std::to_string(c.executed) + " | " + std::to_string(c.crashes) + " | " +
-           std::to_string(c.bugs_deduped) + " | " + std::to_string(c.sql_errors) +
-           " | " + std::to_string(c.false_positives) + " |\n";
+    out += "| " + pattern + " |";
+    for (const telemetry::PatternCounterField& field : telemetry::kPatternCounterFields) {
+      out += " " + std::to_string(c.*field.member) + " |";
+    }
+    out += "\n";
   }
   out += "\n";
   return out;

@@ -10,7 +10,7 @@
 #include "src/soft/parallel_runner.h"
 #include "src/soft/seeds.h"
 #include "src/sqlparser/parser.h"
-#include "src/telemetry/telemetry.h"
+#include "src/util/fnv.h"
 #include "src/util/rng.h"
 
 namespace soft {
@@ -28,11 +28,8 @@ bool LogicMode(const CampaignOptions& campaign) {
          campaign.crash_realism == CrashRealism::kSimulated;
 }
 
-uint64_t FnvFold(uint64_t digest, const std::string& bytes) {
-  for (const unsigned char c : bytes) {
-    digest = (digest ^ c) * 0x100000001B3ull;
-  }
-  return (digest ^ 0xFF) * 0x100000001B3ull;  // separator: fields stay apart
+uint64_t FnvField(uint64_t digest, const std::string& bytes) {
+  return FnvMixByte(FnvMix(digest, bytes), 0xFF);  // separator: fields stay apart
 }
 
 }  // namespace
@@ -116,12 +113,12 @@ std::shared_ptr<const CasePool> BuildCasePool(const Database& db,
     std::swap(order[i - 1], order[j]);
   }
 
-  uint64_t digest = 0xCBF29CE484222325ull;
+  uint64_t digest = kFnvOffsetBasis;
   for (const std::string& prereq : pool->prerequisites) {
-    digest = FnvFold(digest, prereq);
+    digest = FnvField(digest, prereq);
   }
   for (const GeneratedCase& test_case : order) {
-    digest = FnvFold(FnvFold(digest, test_case.pattern), test_case.sql);
+    digest = FnvField(FnvField(digest, test_case.pattern), test_case.sql);
   }
   pool->digest = digest;
   return pool;
@@ -138,24 +135,13 @@ SoftFuzzer::SoftFuzzer(SoftOptions options, std::shared_ptr<const CasePool> pool
     : soft_options_(std::move(options)), pool_(std::move(pool)) {}
 
 CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
-  CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  // Campaign-scoped telemetry: stage latencies recorded by the engine and
-  // the per-pattern counters below land in result.telemetry. Observational
-  // only — no RNG draw or control-flow decision reads telemetry state, so
-  // results are bit-identical with recording on or off.
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  // Span tracer (opt-in via trace_sample) and crash flight recorder (kReal
-  // campaigns only) — both strictly observational, like the collector.
-  const trace::ScopedStatementTracer tracer(
-      options.trace_sample > 0 ? &result.trace : nullptr, result.dialect,
-      options.shard_index, options.trace_sample);
-  const trace::ScopedFlightRecorder flight(options.crash_realism ==
-                                           CrashRealism::kReal);
-
+  // Stage latencies recorded by the engine and the per-pattern counters land
+  // in the recorder's result. Observational only — no RNG draw or
+  // control-flow decision reads telemetry state, so results are
+  // bit-identical with recording on or off.
+  CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/false);
+  CampaignResult& result = recorder.result();
   const size_t expected_bugs = db.faults().bug_count();
-  db.set_statement_limits(options.statement_limits);
 
   // Steps 1 and 2: the executor's shared pool, or one built here.
   std::shared_ptr<const CasePool> pool = pool_;
@@ -193,17 +179,16 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     db.set_logic_faults_enabled(true);
   }
 
-  // Per-pattern pool census (aggregated locally so the hook fires once per
-  // pattern, not once per case). Counted once per campaign: a partition
-  // shard other than 0 (a fleet unit other than 0) executes the same pool,
-  // so merged `generated` equals the pool at any shard count.
-  if (options.shard_index == 0 && telemetry::CollectorInstalled()) {
+  // Per-pattern pool census, counted once per campaign: a partition shard
+  // other than 0 (a fleet unit other than 0) executes the same pool, so
+  // merged `generated` equals the pool at any shard count.
+  if (options.shard_index == 0 && recorder.recording()) {
     std::map<std::string, uint64_t> pool_census;
     for (const GeneratedCase& test_case : cases) {
       ++pool_census[test_case.pattern];
     }
     for (const auto& [pattern, count] : pool_census) {
-      telemetry::CountGenerated(pattern, count);
+      recorder.CountGenerated(pattern, count);
     }
   }
 
@@ -221,66 +206,20 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
   const size_t budget = options.max_statements > 0
                             ? static_cast<size_t>(options.max_statements)
                             : size_t{0};
-  std::set<int> found_ids;
   std::set<int> logic_found_ids;
   for (size_t case_index = shard_index;
        case_index < cases.size() && case_index < budget; case_index += shard_count) {
     const GeneratedCase& test_case = cases[case_index];
-    ++result.statements_executed;
-    telemetry::CountExecuted(test_case.pattern);
-    // Flight ring entry and (sampled) statement span open before Execute:
-    // a real-signal crash inside Execute leaves exactly this context for the
-    // announcement to flush.
-    trace::FlightBeginStatement(result.statements_executed, test_case.pattern,
-                                test_case.sql);
-    trace::BeginStatement(result.statements_executed, test_case.pattern);
-    const StatementResult r = db.Execute(test_case.sql);
-    bool stop = false;
-    std::string_view outcome = "ok";
-    if (r.crashed()) {
-      outcome = "crash";
-      ++result.crashes_observed;
-      telemetry::CountCrash(test_case.pattern);
-      trace::AnnotateStatement("bug_id", std::to_string(r.crash->bug_id));
-      if (found_ids.insert(r.crash->bug_id).second) {
-        telemetry::CountBugDeduped(test_case.pattern);
-        trace::AnnotateStatement("first_witness", "1");
-        FoundBug bug;
-        bug.crash = *r.crash;
-        bug.poc_sql = test_case.sql;
-        bug.found_by = test_case.pattern;
-        bug.statements_until_found = result.statements_executed;
-        bug.found_wall_ns =
-            static_cast<int64_t>(telemetry::WallSinceCollectorStartNs());
-        bug.wall_recorded = telemetry::CollectorInstalled();
-        result.unique_bugs.push_back(std::move(bug));
-      }
-      stop = options.stop_when_all_bugs_found && found_ids.size() >= expected_bugs;
-    } else if (r.status.code() == StatusCode::kTimeout) {
-      // The statement watchdog killed the query at its deadline: a clean
-      // termination, counted separately from crashes and false positives.
-      outcome = "timeout";
-      ++result.watchdog_timeouts;
-      telemetry::CountTimeout(test_case.pattern);
-    } else if (r.status.code() == StatusCode::kResourceExhausted) {
-      // The server killed the query on a resource limit: initially flagged
-      // as a crash by the detector, later triaged as a false positive
-      // (Section 7.3's REPEAT('a', 9999999999) class).
-      outcome = "resource_exhausted";
-      ++result.false_positives;
-      telemetry::CountFalsePositive(test_case.pattern);
-    } else if (!r.ok()) {
-      outcome = "sql_error";
-      ++result.sql_errors;
-      telemetry::CountSqlError(test_case.pattern);
-    }
+    const StatementResult r = recorder.Execute(test_case.sql, test_case.pattern);
+    const bool stop = r.crashed() && options.stop_when_all_bugs_found &&
+                      result.unique_bugs.size() >= expected_bugs;
     // Logic-oracle examination: successful SELECTs are compared for
     // wrong-result divergence; successful writes are mirrored into the
     // differential siblings so they stay in lockstep with this shard's
     // database. Verdicts come exclusively from result comparison —
     // r.logic_hits is ground truth consulted only AFTER an oracle flags,
     // to separate attributed bugs from false positives.
-    if (!oracles.empty() && outcome == "ok") {
+    if (!oracles.empty() && r.ok()) {
       // Oracle re-executions happen while this statement's trace span is
       // open; the scoped guard suppresses their stage spans so the traced
       // pipeline stays the statement's own (and span IDs stay unique per
@@ -299,19 +238,15 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
             continue;
           }
           any_in_scope = true;
-          ++result.logic_checks;
-          telemetry::CountLogicCheck(test_case.pattern);
+          recorder.CountLogicCheck(v.divergence, !r.logic_hits.empty());
           if (!v.divergence) {
             continue;
           }
-          ++result.logic_divergences;
           const std::string oracle_name(oracle->name());
           if (r.logic_hits.empty()) {
-            ++result.logic_false_positives;
             return "false_positive:" + oracle_name;
           }
           // First flagging oracle wins — deterministic attribution.
-          telemetry::CountLogicBug(test_case.pattern);
           for (const LogicBugInfo& hit : r.logic_hits) {
             if (!logic_found_ids.insert(hit.bug_id).second) {
               continue;
@@ -332,11 +267,7 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
       }();
       trace::AnnotateStatement("oracle_verdict", verdict);
     }
-    trace::EndStatement(outcome);
-    trace::FlightEndStatement(outcome);
-    if (options.progress) {
-      options.progress(result.statements_executed);
-    }
+    recorder.Close();
     if (stop) {
       break;
     }
@@ -350,10 +281,7 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
               return a.case_index != b.case_index ? a.case_index < b.case_index
                                                   : a.info.bug_id < b.info.bug_id;
             });
-
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
-  return result;
+  return recorder.Finish();
 }
 
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,

@@ -234,9 +234,10 @@ bool WriteResultBlock(const LineSink& sink, const CampaignResult& result,
   }
   for (const auto& [pattern, c] : result.telemetry.patterns) {
     std::ostringstream out;
-    out << "TLP " << HexEncode(pattern) << ' ' << c.generated << ' ' << c.executed
-        << ' ' << c.crashes << ' ' << c.bugs_deduped << ' ' << c.sql_errors << ' '
-        << c.false_positives << ' ' << c.timeouts;
+    out << "TLP " << HexEncode(pattern);
+    for (const telemetry::PatternCounterField& field : telemetry::kPatternCounterFields) {
+      out << ' ' << c.*field.member;
+    }
     if (!sink(out.str())) {
       return false;
     }
@@ -301,22 +302,29 @@ bool ConsumeResultLine(const std::string& line, ResultBlock& block) {
       block.coverage.RestoreBranchKey(HexDecode(key));
     }
   } else if (tag == "TLS") {
+    // A telemetry row that does not parse rejects the block: a unit whose
+    // counters cannot be read back is re-run, never admitted without them.
     size_t stage = 0;
     telemetry::LatencyHistogram h;
     in >> stage >> h.samples >> h.total_ns >> h.max_ns;
     for (uint64_t& b : h.buckets) {
       in >> b;
     }
-    if (in && stage < telemetry::kStageCount) {
-      block.result.telemetry.stage_latency[stage] = h;
+    if (!in || stage >= telemetry::kStageCount) {
+      return false;
     }
+    block.result.telemetry.stage_latency[stage] = h;
   } else if (tag == "TLP") {
     std::string pattern;
     telemetry::PatternCounters c;
-    if (in >> pattern >> c.generated >> c.executed >> c.crashes >> c.bugs_deduped >>
-        c.sql_errors >> c.false_positives >> c.timeouts) {
-      block.result.telemetry.patterns[HexDecode(pattern)] = c;
+    in >> pattern;
+    for (const telemetry::PatternCounterField& field : telemetry::kPatternCounterFields) {
+      in >> c.*field.member;
     }
+    if (!in) {
+      return false;
+    }
+    block.result.telemetry.patterns[HexDecode(pattern)] = c;
   } else if (tag == "TRS") {
     trace::TraceSpan span;
     if (DecodeSpan(in, span)) {

@@ -18,7 +18,8 @@
 //   LBG  wrong-result bug: LogicBugInfo + oracle attribution + PoC/witness
 //   CVB  one covered branch key
 //   TLS  one stage-latency histogram (index, samples, totals, buckets)
-//   TLP  one per-pattern telemetry counter row
+//   TLP  one per-pattern telemetry counter row: the pattern, then every
+//        telemetry::kPatternCounterFields counter in table order
 //   TRS  one trace span (id, parent, kind, shard, times, args)
 //   FLR  one crash flight record (headers + inlined ring entries)
 //   END  terminates the block
@@ -98,7 +99,8 @@ struct ResultBlock {
 
 // Feeds one record line into `block`. Returns true when the tag was a
 // result-block tag (consumed), false for anything else — the caller owns
-// transport-specific records (C/F, fleet control lines) and torn tails.
+// transport-specific records (C/F, fleet control lines) and torn tails — and
+// for a TLS or TLP row that does not parse (e.g. a v2 TLP row).
 bool ConsumeResultLine(const std::string& line, ResultBlock& block);
 
 // --- framing ---------------------------------------------------------------
@@ -140,7 +142,9 @@ class LineBuffer {
 
 // v2: GRANT carries the case pool digest (src/fleet/worker_client.h); a v1
 // worker would ignore it and execute whatever pool it builds.
-inline constexpr uint8_t kFrameProtocolVersion = 2;
+// v3: TLP rows carry all nine per-pattern counters (v2 rows carried seven,
+// dropping logic_checks and logic_bugs).
+inline constexpr uint8_t kFrameProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 16;
 // Payload bound: a unit result line tops out in the tens of KB; anything
 // claiming more is corruption, not data, and is rejected before allocation.

@@ -1,7 +1,4 @@
-// NDJSON journal writing/replay and the telemetry JSON serialization. This
-// translation unit is compiled in every configuration (it has no campaign
-// runtime cost); only the recording hooks in telemetry.cc are gated by
-// SOFT_TELEMETRY.
+// NDJSON journal writing/replay and the telemetry JSON serialization.
 #include "src/telemetry/journal.h"
 
 #include <algorithm>
@@ -274,15 +271,12 @@ std::string CampaignTelemetry::ToJson() const {
     }
     first = false;
     out += "\"" + EscapeJson(pattern) + "\":{";
-    out += "\"generated\":" + std::to_string(counters.generated);
-    out += ",\"executed\":" + std::to_string(counters.executed);
-    out += ",\"crashes\":" + std::to_string(counters.crashes);
-    out += ",\"bugs_deduped\":" + std::to_string(counters.bugs_deduped);
-    out += ",\"sql_errors\":" + std::to_string(counters.sql_errors);
-    out += ",\"false_positives\":" + std::to_string(counters.false_positives);
-    out += ",\"timeouts\":" + std::to_string(counters.timeouts);
-    out += ",\"logic_checks\":" + std::to_string(counters.logic_checks);
-    out += ",\"logic_bugs\":" + std::to_string(counters.logic_bugs);
+    const char* separator = "";
+    for (const PatternCounterField& field : kPatternCounterFields) {
+      out.append(separator).append("\"").append(field.key).append("\":");
+      out += std::to_string(counters.*field.member);
+      separator = ",";
+    }
     out += "}";
   }
   out += "}}";

@@ -59,9 +59,6 @@
 //
 // ReplayJournal parses the stream back; a replayed journal reconstructs the
 // exact bug set and per-bug first witnesses (tests/telemetry_test.cc).
-//
-// This header is always available: journal writing/replay has no runtime
-// cost inside campaigns, so it is not gated by SOFT_TELEMETRY.
 #ifndef SRC_TELEMETRY_JOURNAL_H_
 #define SRC_TELEMETRY_JOURNAL_H_
 

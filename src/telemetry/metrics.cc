@@ -136,29 +136,6 @@ void MetricsRegistry::Histogram(std::string_view name, std::string_view help,
   }
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  for (const auto& [name, family] : other.families_) {
-    Family* mine = FamilyFor(name, family.help, family.kind);
-    if (mine == nullptr) {
-      continue;
-    }
-    for (const auto& [key, series] : family.series) {
-      Series& target = mine->series[key];
-      switch (family.kind) {
-        case MetricKind::kCounter:
-          target.counter += series.counter;
-          break;
-        case MetricKind::kGauge:
-          target.gauge = series.gauge;
-          break;
-        case MetricKind::kHistogram:
-          target.hist.MergeFrom(series.hist);
-          break;
-      }
-    }
-  }
-}
-
 size_t MetricsRegistry::series_count() const {
   size_t n = 0;
   for (const auto& [name, family] : families_) {
@@ -281,36 +258,10 @@ void AddTelemetryMetrics(MetricsRegistry& registry,
                        {{"stage", std::string(kStageKeys[i])}},
                        telemetry.stage_latency[i]);
   }
-  struct CounterSpec {
-    const char* name;
-    const char* help;
-    uint64_t PatternCounters::* field;
-  };
-  static constexpr CounterSpec kSpecs[] = {
-      {"soft_pattern_generated_total", "Cases placed into the generation pool",
-       &PatternCounters::generated},
-      {"soft_pattern_executed_total", "Statements executed",
-       &PatternCounters::executed},
-      {"soft_pattern_crashes_total", "Crash events including duplicates",
-       &PatternCounters::crashes},
-      {"soft_pattern_bugs_deduped_total", "First witnesses (unique bugs)",
-       &PatternCounters::bugs_deduped},
-      {"soft_pattern_sql_errors_total", "Statements rejected with SQL errors",
-       &PatternCounters::sql_errors},
-      {"soft_pattern_false_positives_total",
-       "Resource-limit kills classified as false positives",
-       &PatternCounters::false_positives},
-      {"soft_pattern_timeouts_total", "Statement-watchdog deadline kills",
-       &PatternCounters::timeouts},
-      {"soft_oracle_logic_checks_total", "Logic-oracle examinations",
-       &PatternCounters::logic_checks},
-      {"soft_oracle_logic_bugs_total",
-       "Attributed wrong-result divergences", &PatternCounters::logic_bugs},
-  };
   for (const auto& [pattern, counters] : telemetry.patterns) {
-    for (const CounterSpec& spec : kSpecs) {
-      registry.Counter(spec.name, spec.help, {{"pattern", pattern}},
-                       counters.*spec.field);
+    for (const PatternCounterField& field : kPatternCounterFields) {
+      registry.Counter(field.family, field.help, {{"pattern", pattern}},
+                       counters.*field.member);
     }
   }
 }

@@ -1,18 +1,18 @@
 // Unified metrics registry (docs/OBSERVABILITY.md, "Metrics").
 //
-// One registration point for every counter the system scatters across
-// subsystems: CampaignTelemetry per-pattern counts, FleetStats transport /
-// lease / dedup counters, watchdog timeouts, failpoint fires, logic-oracle
-// verdicts. Three metric kinds:
+// The Prometheus renderer for counters kept elsewhere: CampaignTelemetry's
+// stage histograms and per-pattern counts, FleetStats transport / lease /
+// dedup counters, watchdog timeouts, failpoint fires. A registry is built
+// fresh from those typed sources for each scrape or snapshot and never
+// merged — merging happens once, on the typed CampaignTelemetry. Three
+// metric kinds:
 //
 //   counter    monotonically increasing uint64; repeated registration of the
-//              same (name, labels) series SUMS — that is what makes the
-//              shard merge deterministic (shard-index order, commutative adds).
-//   gauge      point-in-time double; repeated registration OVERWRITES
-//              (last writer wins, so merge order must be deterministic —
-//              MergeFrom iterates family/series maps in sorted order).
+//              same (name, labels) series sums.
+//   gauge      point-in-time double; repeated registration overwrites (last
+//              writer wins).
 //   histogram  a LatencyHistogram (16 power-of-two µs buckets); repeated
-//              registration merges bucket-wise via MergeFrom.
+//              registration merges bucket-wise.
 //
 // RenderPrometheusText() emits the text exposition format: `# HELP` /
 // `# TYPE` headers per family, counters suffixed `_total` by convention
@@ -22,12 +22,10 @@
 // interpolation) for every histogram with samples. The output is
 // deterministic: families and series render in lexicographic order.
 //
-// The registry is plain data and always compiled — journal replay and the
-// fleet coordinator use it regardless of build flavour. Everything here is
-// strictly observational: campaign digests are bit-identical with metrics
-// on or off.
-#ifndef SOFT_TELEMETRY_METRICS_H_
-#define SOFT_TELEMETRY_METRICS_H_
+// Everything here is strictly observational: campaign digests are
+// bit-identical with metrics on or off.
+#ifndef SRC_TELEMETRY_METRICS_H_
+#define SRC_TELEMETRY_METRICS_H_
 
 #include <cstdint>
 #include <map>
@@ -66,12 +64,6 @@ class MetricsRegistry {
   // Merges `hist` into the histogram series bucket-wise.
   void Histogram(std::string_view name, std::string_view help,
                  const MetricLabels& labels, const LatencyHistogram& hist);
-
-  // Deterministic merge: iterates `other`'s families and series in sorted
-  // order; counters sum, gauges take `other`'s value, histograms merge.
-  // Shard-ordered merging (shard 0, 1, 2, ...) therefore yields one
-  // canonical registry regardless of completion order.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Prometheus text exposition format. Ends with a trailing newline when
   // non-empty.
@@ -118,11 +110,11 @@ class MetricsRegistry {
 std::string SerializeMetricLabels(const MetricLabels& labels);
 
 // ---------------------------------------------------------------------------
-// Builders: adapt existing scattered counters into one registry.
+// Builders: render typed counters into a registry.
 
-// Stage-latency histograms (`soft_stage_latency_us{stage=...}`) and
-// per-pattern counters (`soft_pattern_*_total{pattern=...}`) from a merged
-// CampaignTelemetry snapshot.
+// Stage-latency histograms (`soft_stage_latency_us{stage=...}`) and one
+// series per kPatternCounterFields entry and pattern
+// (`<family>{pattern=...}`) from a merged CampaignTelemetry snapshot.
 void AddTelemetryMetrics(MetricsRegistry& registry,
                          const CampaignTelemetry& telemetry);
 
@@ -134,4 +126,4 @@ void AddFailpointMetrics(MetricsRegistry& registry);
 }  // namespace telemetry
 }  // namespace soft
 
-#endif  // SOFT_TELEMETRY_METRICS_H_
+#endif  // SRC_TELEMETRY_METRICS_H_

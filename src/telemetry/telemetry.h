@@ -5,19 +5,17 @@
 // this layer makes both trajectories inspectable without perturbing the
 // campaigns themselves. Three parts:
 //
-//   * Data model (always compiled, methods inline): LatencyHistogram with
-//     fixed power-of-two microsecond buckets, PatternCounters, and
-//     CampaignTelemetry — the per-campaign snapshot that rides along in
-//     CampaignResult and merges deterministically across shards.
-//   * Recording hooks (compiled only under SOFT_TELEMETRY_ENABLED, i.e. the
-//     default -DSOFT_TELEMETRY=ON build): a thread-local collector installed
-//     by each fuzzer's Run for the duration of a campaign. The engine's
-//     stage pipeline and the campaign loops call the Record*/Count* hooks;
-//     with no collector installed — or with SetRuntimeEnabled(false) — every
-//     hook is a pointer check. With -DSOFT_TELEMETRY=OFF the hooks are
-//     inline no-ops and the engine/fuzzer objects reference no collector
-//     symbol at all (the link proves it: src/telemetry/telemetry.cc is not
-//     compiled in that configuration).
+//   * Data model: LatencyHistogram with fixed power-of-two microsecond
+//     buckets, PatternCounters, and CampaignTelemetry — the per-campaign
+//     snapshot that rides along in CampaignResult and merges
+//     deterministically across shards. The per-pattern counter set is
+//     declared once, in kPatternCounterFields; merge, wire row, JSON,
+//     Prometheus families, STATUS row and report table all iterate it.
+//   * Recording: a campaign's CampaignRecorder (src/soft/campaign.h) writes
+//     the per-pattern counters into its own result; the engine's stage
+//     timers record into the calling thread's collector, which the recorder
+//     installs for the campaign. With no collector installed — or with
+//     SetRuntimeEnabled(false) — a stage timer is a pointer check.
 //   * The NDJSON journal (src/telemetry/journal.h) serializing a campaign's
 //     event stream for offline bug-vs-budget replotting.
 //
@@ -42,14 +40,9 @@
 namespace soft {
 namespace telemetry {
 
-// Monotonic wall clock in nanoseconds (always a real clock, in every build
-// configuration — benches use it directly). Defined in journal.cc.
+// Monotonic wall clock in nanoseconds (benches use it directly). Defined in
+// journal.cc.
 uint64_t MonotonicNowNs();
-
-// ---------------------------------------------------------------------------
-// Data model (always available; all methods inline so that objects built
-// with -DSOFT_TELEMETRY=OFF carry no references into this library).
-// ---------------------------------------------------------------------------
 
 // Fixed-bucket latency histogram. Bucket bounds are powers of two in
 // microseconds:
@@ -154,20 +147,49 @@ struct PatternCounters {
   uint64_t logic_checks = 0;     // in-scope logic-oracle examinations
   uint64_t logic_bugs = 0;       // attributed wrong-result divergences
 
-  void MergeFrom(const PatternCounters& other) {
-    generated += other.generated;
-    executed += other.executed;
-    crashes += other.crashes;
-    bugs_deduped += other.bugs_deduped;
-    sql_errors += other.sql_errors;
-    false_positives += other.false_positives;
-    timeouts += other.timeouts;
-    logic_checks += other.logic_checks;
-    logic_bugs += other.logic_bugs;
-  }
+  void MergeFrom(const PatternCounters& other);
 
   bool operator==(const PatternCounters&) const = default;
 };
+
+// The one declaration of the per-pattern counter set. Everything that
+// copies, merges, serializes or renders PatternCounters iterates this table
+// in this order (which is also the wire TLP row's field order), so no view
+// can drop a counter.
+struct PatternCounterField {
+  uint64_t PatternCounters::*member;
+  std::string_view key;     // JSON key, STATUS field, report column
+  std::string_view family;  // Prometheus counter family
+  std::string_view help;
+};
+
+inline constexpr std::array<PatternCounterField, 9> kPatternCounterFields = {{
+    {&PatternCounters::generated, "generated", "soft_pattern_generated_total",
+     "Cases placed into the generation pool"},
+    {&PatternCounters::executed, "executed", "soft_pattern_executed_total",
+     "Statements executed"},
+    {&PatternCounters::crashes, "crashes", "soft_pattern_crashes_total",
+     "Crash events including duplicates"},
+    {&PatternCounters::bugs_deduped, "bugs_deduped", "soft_pattern_bugs_deduped_total",
+     "First witnesses (unique bugs)"},
+    {&PatternCounters::sql_errors, "sql_errors", "soft_pattern_sql_errors_total",
+     "Statements rejected with SQL errors"},
+    {&PatternCounters::false_positives, "false_positives",
+     "soft_pattern_false_positives_total",
+     "Resource-limit kills classified as false positives"},
+    {&PatternCounters::timeouts, "timeouts", "soft_pattern_timeouts_total",
+     "Statement-watchdog deadline kills"},
+    {&PatternCounters::logic_checks, "logic_checks", "soft_oracle_logic_checks_total",
+     "Logic-oracle examinations"},
+    {&PatternCounters::logic_bugs, "logic_bugs", "soft_oracle_logic_bugs_total",
+     "Attributed wrong-result divergences"},
+}};
+
+inline void PatternCounters::MergeFrom(const PatternCounters& other) {
+  for (const PatternCounterField& field : kPatternCounterFields) {
+    this->*field.member += other.*field.member;
+  }
+}
 
 inline constexpr size_t kStageCount = 3;  // parse, optimize, execute
 
@@ -220,14 +242,6 @@ struct CampaignTelemetry {
   bool operator==(const CampaignTelemetry&) const = default;
 };
 
-// ---------------------------------------------------------------------------
-// Recording hooks. Real under SOFT_TELEMETRY_ENABLED, inline no-ops
-// otherwise. Every hook routes to the calling thread's installed collector;
-// without one (or with the runtime switch off) it does nothing.
-// ---------------------------------------------------------------------------
-
-#ifdef SOFT_TELEMETRY_ENABLED
-
 // Process-wide runtime kill switch (atomic; default on). Turning it off
 // makes ScopedCollector install nothing, so campaigns record nothing —
 // used to prove results are identical with recording on vs. off.
@@ -239,9 +253,8 @@ bool CollectorInstalled();
 
 // Installs `sink` as the calling thread's collector for the scope lifetime
 // (restores the previous collector on destruction, so scopes nest; the
-// innermost wins). Also timestamps the campaign start for
-// WallSinceCollectorStartNs(). A null sink, or RuntimeEnabled() == false,
-// installs nothing.
+// innermost wins). A null sink, or RuntimeEnabled() == false, installs
+// nothing.
 class ScopedCollector {
  public:
   explicit ScopedCollector(CampaignTelemetry* sink);
@@ -249,56 +262,15 @@ class ScopedCollector {
   ScopedCollector(const ScopedCollector&) = delete;
   ScopedCollector& operator=(const ScopedCollector&) = delete;
 
+  bool installed() const { return installed_; }
+
  private:
   CampaignTelemetry* previous_sink_;
-  uint64_t previous_start_ns_;
   bool installed_;
 };
 
-// Nanoseconds since the innermost collector was installed; 0 without one.
-// Used to stamp FoundBug::found_wall_ns (observational only — never part of
-// the determinism contract).
-uint64_t WallSinceCollectorStartNs();
-
-// Stage-latency and per-pattern recording. `n`-ary CountGenerated exists so
-// generation can aggregate locally and record once per pattern.
+// Records one stage latency into the calling thread's collector, if any.
 void RecordStageLatency(Stage stage, uint64_t ns);
-void CountGenerated(const std::string& pattern, uint64_t n);
-void CountExecuted(const std::string& pattern);
-void CountCrash(const std::string& pattern);
-void CountBugDeduped(const std::string& pattern);
-void CountSqlError(const std::string& pattern);
-void CountFalsePositive(const std::string& pattern);
-void CountTimeout(const std::string& pattern);
-void CountLogicCheck(const std::string& pattern);
-void CountLogicBug(const std::string& pattern);
-
-#else  // !SOFT_TELEMETRY_ENABLED — the whole hook surface folds to nothing.
-
-inline bool RuntimeEnabled() { return false; }
-inline void SetRuntimeEnabled(bool) {}
-inline bool CollectorInstalled() { return false; }
-
-class ScopedCollector {
- public:
-  explicit ScopedCollector(CampaignTelemetry*) {}
-  ScopedCollector(const ScopedCollector&) = delete;
-  ScopedCollector& operator=(const ScopedCollector&) = delete;
-};
-
-inline uint64_t WallSinceCollectorStartNs() { return 0; }
-inline void RecordStageLatency(Stage, uint64_t) {}
-inline void CountGenerated(const std::string&, uint64_t) {}
-inline void CountExecuted(const std::string&) {}
-inline void CountCrash(const std::string&) {}
-inline void CountBugDeduped(const std::string&) {}
-inline void CountSqlError(const std::string&) {}
-inline void CountFalsePositive(const std::string&) {}
-inline void CountTimeout(const std::string&) {}
-inline void CountLogicCheck(const std::string&) {}
-inline void CountLogicBug(const std::string&) {}
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 // RAII stage timer used by the engine pipeline. The clock is read only when
 // a collector is installed or a sampled statement span is open, so the
@@ -329,8 +301,7 @@ class ScopedStageTimer {
 };
 
 // Wall-clock stopwatch over MonotonicNowNs — the one timing code path for
-// benches and corpus builds (replaces ad-hoc std::chrono snippets). Works in
-// every build configuration.
+// benches and corpus builds (replaces ad-hoc std::chrono snippets).
 struct WallTimer {
   uint64_t start_ns = MonotonicNowNs();
   uint64_t ElapsedNs() const { return MonotonicNowNs() - start_ns; }

@@ -4,12 +4,13 @@
 
 #include "src/failpoint/failpoint.h"
 #include "src/telemetry/telemetry.h"
+#include "src/util/fnv.h"
 
 namespace soft {
 namespace trace {
 
 // ---------------------------------------------------------------------------
-// Always-compiled data-model helpers.
+// Data-model helpers.
 // ---------------------------------------------------------------------------
 
 std::string_view SpanKindName(SpanKind kind) {
@@ -46,21 +47,10 @@ SpanKind StageSpanKind(Stage stage) {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-uint64_t FnvMix(uint64_t h, std::string_view bytes) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+// Integers enter span identity as their 8 little-endian bytes.
 uint64_t FnvMixInt(uint64_t h, uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (v >> shift) & 0xFFu;
-    h *= kFnvPrime;
+    h = FnvMixByte(h, static_cast<unsigned char>(v >> shift));
   }
   return h;
 }
@@ -68,7 +58,7 @@ uint64_t FnvMixInt(uint64_t h, uint64_t v) {
 }  // namespace
 
 uint64_t SpanId(std::string_view dialect, int shard, SpanKind kind, int ordinal) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnvOffsetBasis;
   h = FnvMix(h, dialect);
   h = FnvMixInt(h, static_cast<uint64_t>(static_cast<int64_t>(shard)));
   h = FnvMixInt(h, static_cast<uint64_t>(kind));
@@ -78,10 +68,8 @@ uint64_t SpanId(std::string_view dialect, int shard, SpanKind kind, int ordinal)
 }
 
 // ---------------------------------------------------------------------------
-// Recording hooks (thread-local, SOFT_TELEMETRY builds only).
+// Recording hooks (thread-local).
 // ---------------------------------------------------------------------------
-
-#ifdef SOFT_TELEMETRY_ENABLED
 
 namespace {
 
@@ -304,8 +292,6 @@ std::vector<FlightEntry> FlightSnapshot() {
   }
   return out;
 }
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 }  // namespace trace
 }  // namespace soft

@@ -8,21 +8,15 @@
 //
 // as spans with deterministic IDs, and keeps a fixed-size ring buffer of the
 // last executed statements per worker (the flight recorder) so a real-signal
-// crash ships its own minimal repro context. Three parts, mirroring the
-// telemetry split:
+// crash ships its own minimal repro context. Three parts:
 //
-//   * Data model (always compiled, methods inline): TraceSpan/TraceData and
-//     FlightEntry/CrashFlightRecord. These ride along in CampaignResult; the
-//     structural spans (campaign, shard, worker-run) are created by the
-//     parallel runner and the worker supervisor in every build configuration
-//     whenever tracing is requested, so an exported trace is well-formed even
-//     with the per-statement hooks compiled out.
-//   * Recording hooks (compiled only under SOFT_TELEMETRY_ENABLED): a
-//     thread-local statement tracer installed by the fuzzer execution loops
-//     (sampled every trace_sample-th statement) and a thread-local flight
-//     ring installed for kReal campaigns. With -DSOFT_TELEMETRY=OFF every
-//     hook is an inline no-op and fuzzer/engine objects reference no tracer
-//     symbol (the CI nm guard proves it).
+//   * Data model: TraceSpan/TraceData and FlightEntry/CrashFlightRecord.
+//     These ride along in CampaignResult; the structural spans (campaign,
+//     shard, worker-run) are created by the parallel runner and the worker
+//     supervisor whenever tracing is requested.
+//   * Recording hooks: a thread-local statement tracer installed by each
+//     campaign's CampaignRecorder (sampled every trace_sample-th statement)
+//     and a thread-local flight ring installed for kReal campaigns.
 //   * Export: Chrome trace-event JSON via telemetry::WriteChromeTraceFile
 //     (src/telemetry/journal.h) — loadable in Perfetto / chrome://tracing.
 //
@@ -48,7 +42,7 @@ namespace soft {
 namespace trace {
 
 // ---------------------------------------------------------------------------
-// Data model (always available).
+// Data model.
 // ---------------------------------------------------------------------------
 
 enum class SpanKind {
@@ -100,7 +94,7 @@ struct TraceData {
 };
 
 // ---------------------------------------------------------------------------
-// Crash flight recorder data model (always available).
+// Crash flight recorder data model.
 // ---------------------------------------------------------------------------
 
 // Ring capacity: the last K executed statements kept per worker.
@@ -131,11 +125,9 @@ struct CrashFlightRecord {
 };
 
 // ---------------------------------------------------------------------------
-// Recording hooks. Real under SOFT_TELEMETRY_ENABLED, inline no-ops
-// otherwise. All state is thread-local, mirroring telemetry::ScopedCollector.
+// Recording hooks. All state is thread-local, mirroring
+// telemetry::ScopedCollector.
 // ---------------------------------------------------------------------------
-
-#ifdef SOFT_TELEMETRY_ENABLED
 
 // Installs `sink` as the calling thread's statement tracer for the scope
 // lifetime. Every sample_every-th statement (1 = all) gets a kStatement span
@@ -207,43 +199,6 @@ void FlightEndStatement(std::string_view outcome);
 
 // Snapshot of the ring, oldest first. Empty without an installed ring.
 std::vector<FlightEntry> FlightSnapshot();
-
-#else  // !SOFT_TELEMETRY_ENABLED — the whole hook surface folds to nothing.
-
-class ScopedStatementTracer {
- public:
-  ScopedStatementTracer(TraceData*, std::string, int, int) {}
-  ScopedStatementTracer(const ScopedStatementTracer&) = delete;
-  ScopedStatementTracer& operator=(const ScopedStatementTracer&) = delete;
-};
-
-inline bool StatementOpen() { return false; }
-inline void BeginStatement(int, std::string_view) {}
-inline void AnnotateStatement(std::string_view, std::string) {}
-inline void EndStatement(std::string_view) {}
-inline void RecordStageSpan(Stage, uint64_t, uint64_t) {}
-
-class ScopedOracleExecution {
- public:
-  ScopedOracleExecution() {}
-  ScopedOracleExecution(const ScopedOracleExecution&) = delete;
-  ScopedOracleExecution& operator=(const ScopedOracleExecution&) = delete;
-};
-
-class ScopedFlightRecorder {
- public:
-  explicit ScopedFlightRecorder(bool) {}
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-};
-
-inline bool FlightInstalled() { return false; }
-inline void FlightBeginStatement(int, std::string_view, std::string_view) {}
-inline void FlightNoteStage(Stage) {}
-inline void FlightEndStatement(std::string_view) {}
-inline std::vector<FlightEntry> FlightSnapshot() { return {}; }
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 }  // namespace trace
 }  // namespace soft

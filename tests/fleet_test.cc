@@ -187,6 +187,16 @@ TEST(FleetWire, ResultBlockRoundTripsACampaignBitIdentically) {
   EXPECT_EQ(DigestCampaignResult(block.result), DigestCampaignResult(original));
   EXPECT_EQ(DigestBugInventory(block.result), DigestBugInventory(original));
   EXPECT_EQ(DigestLogicOutcome(block.result), DigestLogicOutcome(original));
+  // The digests exclude telemetry; every per-pattern counter, the logic
+  // oracle's included, must cross the wire too.
+  ASSERT_GT(original.logic_checks, 0);
+  EXPECT_EQ(block.result.telemetry, original.telemetry);
+
+  // A v2-layout TLP row carries seven counters, without logic_checks and
+  // logic_bugs. It must reject the block rather than admit it short.
+  wire::ResultBlock legacy;
+  EXPECT_FALSE(wire::ConsumeResultLine(
+      "TLP " + wire::HexEncode("logic-seed") + " 3 3 0 0 0 0 0", legacy));
 }
 
 TEST(FleetWire, TornBlockNeverParsesAsComplete) {
@@ -387,11 +397,9 @@ TEST(FleetCampaign, MetricsSnapshotsAreObservationalAndJournaled) {
             std::string::npos);
   EXPECT_NE(exposition.find("soft_fleet_units_completed_total 4"),
             std::string::npos);
-#ifdef SOFT_TELEMETRY_ENABLED
   EXPECT_NE(exposition.find("soft_stage_latency_us_bucket"),
             std::string::npos)
       << "merged worker telemetry must surface as histogram series";
-#endif
 
   // Every snapshot write is journaled, and the journal replays cleanly.
   std::ifstream journal(journal_path);

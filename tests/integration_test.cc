@@ -121,15 +121,11 @@ TEST(Integration, ReportRendering) {
     EXPECT_NE(report.find("BUG-monetdb-" + std::to_string(bug.crash.bug_id)),
               std::string::npos);
   }
-#ifdef SOFT_TELEMETRY_ENABLED
   // The recorded snapshot renders as the report's Telemetry section.
   ASSERT_FALSE(result.telemetry.empty());
   EXPECT_NE(report.find("## Telemetry"), std::string::npos);
   EXPECT_NE(report.find("| parse |"), std::string::npos);
   EXPECT_NE(report.find("| execute |"), std::string::npos);
-#else
-  EXPECT_EQ(report.find("## Telemetry"), std::string::npos);
-#endif
 }
 
 TEST(Integration, CoverageAccumulatesAcrossCampaigns) {

@@ -187,7 +187,6 @@ TEST(LogicOracleNames, ValidationAndDeduplication) {
   EXPECT_EQ(deduped[1]->name(), "eet");
 }
 
-#ifdef SOFT_TELEMETRY_ENABLED
 // Property 2c: statement spans carry the oracle verdict annotation, tracing
 // does not change the outcome, and no clean statement is ever annotated as
 // a false positive.
@@ -225,7 +224,6 @@ TEST(LogicOracleTracing, StatementSpansCarryVerdictsWithoutPerturbingOutcome) {
   EXPECT_GT(verdicts, 100);
   EXPECT_GE(bug_verdicts, 3);  // the three logic-seed PoC statements
 }
-#endif  // SOFT_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace soft

@@ -76,29 +76,38 @@ TEST(MetricsRegistry, LabelValuesAreEscapedInSerializedBlocks) {
   EXPECT_EQ(SerializeMetricLabels({}), "");
 }
 
+// The registry is never merged: merging happens once, on the typed
+// CampaignTelemetry, and the registry renders the merged snapshot. Counters
+// sum and histograms merge bucket-wise, and the rendering of a merge does not
+// depend on the order its parts arrived in.
 TEST(MetricsRegistry, MergeFromSumsCountersAndMergesHistograms) {
-  MetricsRegistry a, b;
-  a.Counter("soft_x_total", "x", {{"s", "0"}}, 2);
-  b.Counter("soft_x_total", "x", {{"s", "0"}}, 3);
-  b.Counter("soft_x_total", "x", {{"s", "1"}}, 7);
-  b.Gauge("soft_g", "g", {}, 4.0);
-  LatencyHistogram h;
-  h.Record(2000);
-  b.Histogram("soft_h_us", "h", {}, h);
+  CampaignTelemetry a, b;
+  a.patterns["P1.1"].executed = 2;
+  b.patterns["P1.1"].executed = 3;
+  b.patterns["P2.3"].logic_checks = 7;
+  a.stage_latency[0].Record(1'000);
+  b.stage_latency[0].Record(2'000);
+  b.stage_latency[0].Record(40'000'000);
 
-  a.MergeFrom(b);
-  EXPECT_EQ(a.CounterValue("soft_x_total", {{"s", "0"}}), 5u);
-  EXPECT_EQ(a.CounterValue("soft_x_total", {{"s", "1"}}), 7u);
-  EXPECT_EQ(a.GaugeValue("soft_g", {}), 4.0);
-  ASSERT_NE(a.HistogramValue("soft_h_us", {}), nullptr);
-  EXPECT_EQ(a.HistogramValue("soft_h_us", {})->samples, 1u);
+  CampaignTelemetry ab = a;
+  ab.MergeFrom(b);
+  MetricsRegistry reg;
+  AddTelemetryMetrics(reg, ab);
+  EXPECT_EQ(reg.CounterValue("soft_pattern_executed_total", {{"pattern", "P1.1"}}), 5u);
+  EXPECT_EQ(reg.CounterValue("soft_oracle_logic_checks_total", {{"pattern", "P2.3"}}),
+            7u);
+  const LatencyHistogram* parse =
+      reg.HistogramValue("soft_stage_latency_us", {{"stage", "parse"}});
+  ASSERT_NE(parse, nullptr);
+  EXPECT_EQ(parse->samples, 3u);
+  EXPECT_EQ(parse->max_ns, 40'000'000u);
+  EXPECT_EQ(parse->buckets[LatencyHistogram::kBucketCount - 1], 1u);
 
-  // Shard-ordered merging is canonical: merging the same parts in the same
-  // order twice renders byte-identical text.
-  MetricsRegistry c;
-  c.MergeFrom(b);
-  c.Counter("soft_x_total", "x", {{"s", "0"}}, 2);
-  EXPECT_EQ(a.RenderPrometheusText(), c.RenderPrometheusText());
+  CampaignTelemetry ba = b;
+  ba.MergeFrom(a);
+  MetricsRegistry reversed;
+  AddTelemetryMetrics(reversed, ba);
+  EXPECT_EQ(reg.RenderPrometheusText(), reversed.RenderPrometheusText());
 }
 
 // ---------------------------------------------------------------------------
@@ -225,15 +234,23 @@ TEST(MetricsBuilders, TelemetryCountersBecomeLabeledSeries) {
   ASSERT_NE(parse, nullptr);
   EXPECT_EQ(parse->samples, 1u);
 
-  // Merging two shards' registries equals building from merged telemetry.
-  MetricsRegistry shard_a, shard_b, direct;
-  AddTelemetryMetrics(shard_a, telemetry);
-  AddTelemetryMetrics(shard_b, telemetry);
-  shard_a.MergeFrom(shard_b);
-  CampaignTelemetry doubled = telemetry;
-  doubled.MergeFrom(telemetry);
-  AddTelemetryMetrics(direct, doubled);
-  EXPECT_EQ(shard_a.RenderPrometheusText(), direct.RenderPrometheusText());
+  // Every declared counter becomes a family with one series per pattern,
+  // and two shards' merged telemetry renders as the per-series sum.
+  CampaignTelemetry merged = telemetry;
+  merged.MergeFrom(telemetry);
+  MetricsRegistry doubled;
+  AddTelemetryMetrics(doubled, merged);
+  for (const PatternCounterField& field : kPatternCounterFields) {
+    for (const auto& [pattern, counters] : telemetry.patterns) {
+      EXPECT_EQ(doubled.CounterValue(field.family, {{"pattern", pattern}}),
+                2 * (counters.*field.member))
+          << field.family << " " << pattern;
+    }
+  }
+  const LatencyHistogram* doubled_parse =
+      doubled.HistogramValue("soft_stage_latency_us", {{"stage", "parse"}});
+  ASSERT_NE(doubled_parse, nullptr);
+  EXPECT_EQ(doubled_parse->samples, 2u);
 }
 
 TEST(MetricsBuilders, FailpointGaugeReflectsCompileState) {

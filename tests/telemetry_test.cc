@@ -1,5 +1,6 @@
 // Telemetry determinism contract (docs/OBSERVABILITY.md):
 //
+//   * every fuzzer's per-pattern counters sum to its campaign totals;
 //   * a K-shard merged CampaignTelemetry is bit-identical to summing the
 //     run's own shard snapshots in shard index order — for both shard modes;
 //   * partition-sharded pattern counters match the serial campaign's,
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/baselines/baselines.h"
 #include "src/dialects/dialects.h"
 #include "src/soft/chaos.h"
 #include "src/soft/parallel_runner.h"
@@ -124,31 +126,58 @@ CampaignOptions TestOptions(uint64_t seed, int budget) {
   return options;
 }
 
-#ifdef SOFT_TELEMETRY_ENABLED
-
-// The campaign loop's counters must reconcile exactly with the campaign
-// result they annotate — same events, counted twice, once per view.
+// The recorder's per-pattern counters must reconcile exactly with the
+// campaign result they annotate — same events, counted twice, once per
+// view — for every fuzzer: SOFT in crash mode, SOFT in logic mode under a
+// statement deadline, and the three baselines.
 TEST(TelemetryCampaignTest, CountersReconcileWithCampaignResult) {
-  std::unique_ptr<Database> db = MakeDialect("mariadb");
-  SoftFuzzer fuzzer;
-  const CampaignResult result = fuzzer.Run(*db, TestOptions(11, 4000));
+  CampaignOptions logic = TestOptions(5, 1500);
+  logic.logic_oracles = {"all"};
+  logic.statement_limits.deadline_ms = 2;
+  struct Campaign {
+    std::string label;
+    std::unique_ptr<Fuzzer> fuzzer;
+    CampaignOptions options;
+  };
+  std::vector<Campaign> campaigns;
+  campaigns.push_back({"SOFT", std::make_unique<SoftFuzzer>(), TestOptions(11, 4000)});
+  campaigns.push_back({"SOFT logic", std::make_unique<SoftFuzzer>(), logic});
+  campaigns.push_back({"RandSmith", std::make_unique<RandSmith>(), TestOptions(11, 1500)});
+  campaigns.push_back({"PqsGen", std::make_unique<PqsGen>(), TestOptions(11, 1500)});
+  campaigns.push_back(
+      {"MutSquirrel", std::make_unique<MutSquirrel>(), TestOptions(11, 1500)});
 
-  const CampaignTelemetry& t = result.telemetry;
-  EXPECT_EQ(Total(t, &PatternCounters::executed),
-            static_cast<uint64_t>(result.statements_executed));
-  EXPECT_EQ(Total(t, &PatternCounters::crashes),
-            static_cast<uint64_t>(result.crashes_observed));
-  EXPECT_EQ(Total(t, &PatternCounters::bugs_deduped), result.unique_bugs.size());
-  EXPECT_EQ(Total(t, &PatternCounters::sql_errors),
-            static_cast<uint64_t>(result.sql_errors));
-  EXPECT_EQ(Total(t, &PatternCounters::false_positives),
-            static_cast<uint64_t>(result.false_positives));
-  // Every executed statement entered the parse stage.
-  EXPECT_GE(t.stage_latency[0].samples,
-            static_cast<uint64_t>(result.statements_executed));
-  // Stage sample counts shrink monotonically along the pipeline.
-  EXPECT_GE(t.stage_latency[0].samples, t.stage_latency[1].samples);
-  EXPECT_GE(t.stage_latency[1].samples, t.stage_latency[2].samples);
+  for (const Campaign& campaign : campaigns) {
+    SCOPED_TRACE(campaign.label);
+    std::unique_ptr<Database> db = MakeDialect("mariadb");
+    const CampaignResult result = campaign.fuzzer->Run(*db, campaign.options);
+    ASSERT_GT(result.statements_executed, 0);
+
+    const CampaignTelemetry& t = result.telemetry;
+    const auto total = [&t](uint64_t PatternCounters::*field) {
+      return static_cast<int64_t>(Total(t, field));
+    };
+    EXPECT_EQ(total(&PatternCounters::executed), result.statements_executed);
+    EXPECT_EQ(total(&PatternCounters::crashes), result.crashes_observed);
+    EXPECT_EQ(total(&PatternCounters::sql_errors), result.sql_errors);
+    EXPECT_EQ(total(&PatternCounters::false_positives), result.false_positives);
+    EXPECT_EQ(total(&PatternCounters::timeouts), result.watchdog_timeouts);
+    EXPECT_EQ(total(&PatternCounters::logic_checks), result.logic_checks);
+    EXPECT_EQ(total(&PatternCounters::logic_bugs),
+              result.logic_divergences - result.logic_false_positives);
+    EXPECT_EQ(total(&PatternCounters::bugs_deduped),
+              static_cast<int64_t>(result.unique_bugs.size()));
+    if (!campaign.options.logic_oracles.empty()) {
+      EXPECT_GT(result.logic_checks, 0);
+      EXPECT_GT(result.logic_divergences, 0);
+    }
+    // Every executed statement entered the parse stage.
+    EXPECT_GE(t.stage_latency[0].samples,
+              static_cast<uint64_t>(result.statements_executed));
+    // Stage sample counts shrink monotonically along the pipeline.
+    EXPECT_GE(t.stage_latency[0].samples, t.stage_latency[1].samples);
+    EXPECT_GE(t.stage_latency[1].samples, t.stage_latency[2].samples);
+  }
 }
 
 // Partition-sharded counters match the serial campaign's. The shards share
@@ -211,8 +240,6 @@ TEST(TelemetryCampaignTest, DisablingTelemetryChangesNoCampaignOutcome) {
     EXPECT_EQ(lit.unique_bugs[i].shard, dark.unique_bugs[i].shard);
   }
 }
-
-#endif  // SOFT_TELEMETRY_ENABLED
 
 class TelemetryMergeTest : public testing::TestWithParam<ShardMode> {};
 

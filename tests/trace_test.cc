@@ -149,11 +149,7 @@ TEST(TraceStructure, ShardedCampaignBuildsTheCausalTree) {
   }
   EXPECT_EQ(shard_spans, 2);
   EXPECT_EQ(run_spans, 2);  // one synthetic in-process run per shard
-#ifdef SOFT_TELEMETRY_ENABLED
   EXPECT_EQ(statement_spans, result.statements_executed);
-#else
-  EXPECT_EQ(statement_spans, 0);  // hooks compiled out: structure only
-#endif
 }
 
 TEST(TraceStructure, SpanShapesAreIdenticalAcrossRuns) {
@@ -174,7 +170,6 @@ TEST(TraceStructure, TracingNeverPerturbsTheOutcomeDigest) {
   EXPECT_EQ(traced.unique_bugs.size(), plain.unique_bugs.size());
 }
 
-#ifdef SOFT_TELEMETRY_ENABLED
 TEST(TraceStructure, SampleKnobThinsStatementSpans) {
   const CampaignOptions every = SmallCampaign(400, true, false);
   CampaignOptions fifth = every;
@@ -221,7 +216,6 @@ TEST(TraceStructure, StageSpansNestInsideTheirStatement) {
   }
   EXPECT_GT(stage_spans, 0);
 }
-#endif  // SOFT_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------------
 // Real-crash mode: digest parity, flight recorder (these fork)
@@ -270,15 +264,12 @@ TEST(RealCrashFlight, EveryAnnouncedCrashFlushesTheRing) {
   for (const trace::CrashFlightRecord& flight : result.crash_flights) {
     EXPECT_TRUE(flight.announced);
     EXPECT_LE(flight.entries.size(), trace::kFlightRingCapacity);
-#ifdef SOFT_TELEMETRY_ENABLED
     ASSERT_FALSE(flight.entries.empty());
     const trace::FlightEntry& last = flight.entries.back();
     EXPECT_EQ(last.outcome, "crash");
     EXPECT_FALSE(last.sql.empty());
-#endif
   }
 
-#ifdef SOFT_TELEMETRY_ENABLED
   // Acceptance: each unique bug's first real crash is on the record — some
   // flight with its bug_id ends in exactly its PoC statement.
   for (const FoundBug& bug : result.unique_bugs) {
@@ -293,7 +284,6 @@ TEST(RealCrashFlight, EveryAnnouncedCrashFlushesTheRing) {
     EXPECT_TRUE(witnessed) << "bug " << bug.crash.bug_id
                            << " has no flight ending in its PoC: " << bug.poc_sql;
   }
-#endif
 }
 
 // One golden PoC per line: "<bug_id>\t<crash type>\t<sql>" (tests/golden/).
@@ -392,7 +382,6 @@ TEST(RealCrashFlight, EveryGoldenCorpusBugLeavesItsPocOnTheRecord) {
 
     ASSERT_EQ(outcome.result.unique_bugs.size(), pocs.size());
     ASSERT_EQ(outcome.result.crash_flights.size(), pocs.size());
-#ifdef SOFT_TELEMETRY_ENABLED
     for (const FoundBug& bug : outcome.result.unique_bugs) {
       bool witnessed = false;
       for (const trace::CrashFlightRecord& flight : outcome.result.crash_flights) {
@@ -406,7 +395,6 @@ TEST(RealCrashFlight, EveryGoldenCorpusBugLeavesItsPocOnTheRecord) {
       EXPECT_TRUE(witnessed) << "bug " << bug.crash.bug_id
                              << " has no flight ending in its PoC: " << bug.poc_sql;
     }
-#endif
   }
 }
 
