@@ -4,35 +4,30 @@
 // for all seven dialects) for docs/OBSERVABILITY.md.
 //
 // Also checks the observability contract: re-running one campaign with the
-// runtime kill switch off must leave every campaign outcome (statements,
-// bug set, coverage) bit-identical — recording is observational only. The
-// bench exits non-zero if that check fails.
+// runtime kill switch off must leave its outcome digest
+// (DigestCampaignResult: counters, bug set with witnesses, coverage)
+// bit-identical — recording is observational only. The bench exits
+// non-zero if that check fails.
 //
-// Knobs: --budget=N / SOFT_BENCH_BUDGET (default 20000), --seed=N.
+// Usage: bench_telemetry [--budget=N] [--seed=N] (defaults 20000 and 1).
+// The budget must be positive. Any other argument, or a value that is not a
+// number, exits 2 with a usage line before any campaign runs.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/dialects/dialects.h"
+#include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 
 namespace soft {
 namespace {
-
-std::set<int> BugIds(const CampaignResult& result) {
-  std::set<int> ids;
-  for (const FoundBug& bug : result.unique_bugs) {
-    ids.insert(bug.crash.bug_id);
-  }
-  return ids;
-}
 
 CampaignResult RunOne(const std::string& dialect, const CampaignOptions& options) {
   std::unique_ptr<Database> db = MakeDialect(dialect);
@@ -74,14 +69,8 @@ int RunBench(int budget, uint64_t seed) {
   telemetry::SetRuntimeEnabled(false);
   const CampaignResult dark = RunOne(probe, options);
   telemetry::SetRuntimeEnabled(true);
-  const CampaignResult& lit = results.front();
-  const bool identical = dark.statements_executed == lit.statements_executed &&
-                         dark.sql_errors == lit.sql_errors &&
-                         dark.crashes_observed == lit.crashes_observed &&
-                         dark.false_positives == lit.false_positives &&
-                         dark.functions_triggered == lit.functions_triggered &&
-                         dark.branches_covered == lit.branches_covered &&
-                         BugIds(dark) == BugIds(lit);
+  const bool identical =
+      DigestCampaignResult(dark) == DigestCampaignResult(results.front());
   std::printf("\nrecording off vs on (%s): campaign outcomes %s\n", probe.c_str(),
               identical ? "identical" : "DIVERGED");
 
@@ -128,20 +117,31 @@ int RunBench(int budget, uint64_t seed) {
   return 0;
 }
 
+// Parses all of `text` as a decimal number; false when it is empty, has any
+// other character, or overflows T.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc() && ptr == end;
+}
+
 }  // namespace
 }  // namespace soft
 
 int main(int argc, char** argv) {
   int budget = 20000;
   uint64_t seed = 1;
-  if (const char* env = std::getenv("SOFT_BENCH_BUDGET")) {
-    budget = std::atoi(env);
-  }
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      budget = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<uint64_t>(std::strtoull(argv[i] + 7, nullptr, 10));
+    const std::string_view arg = argv[i];
+    const bool ok = arg.rfind("--budget=", 0) == 0
+                        ? soft::ParseNumber(arg.substr(9), &budget) && budget > 0
+                        : arg.rfind("--seed=", 0) == 0 &&
+                              soft::ParseNumber(arg.substr(7), &seed);
+    if (!ok) {
+      std::fprintf(stderr, "bad argument '%s'\nusage: %s [--budget=N] [--seed=N]\n",
+                   argv[i], argv[0]);
+      return 2;
     }
   }
   return soft::RunBench(budget, seed);

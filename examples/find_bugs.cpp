@@ -147,8 +147,6 @@ int PrintFailpointInventory() {
                 site.where.data());
   }
   std::printf("\nmodes: off | error | prob:<p> | after:<n>[:<fires>] | oom[:<n>]\n");
-  std::printf("failpoints compiled %s\n",
-              soft::failpoint::kCompiledIn ? "in" : "out (-DSOFT_FAILPOINTS=OFF)");
   return 0;
 }
 
@@ -157,10 +155,6 @@ int RunChaosEnumerate(const std::string& dialect, int budget) {
               dialect.c_str(), budget);
   const soft::ChaosReport report =
       soft::RunChaosEnumeration(dialect, budget, /*include_worker_sites=*/true);
-  if (!report.compiled_in) {
-    std::printf("failpoints compiled out; nothing to inject\n");
-    return 0;
-  }
   for (const soft::ChaosSiteOutcome& outcome : report.outcomes) {
     std::printf("[%s] %-28s %-8s %s\n", outcome.ok ? "ok" : "FAIL",
                 outcome.failpoint.c_str(), outcome.site_class.c_str(),
@@ -177,10 +171,6 @@ int RunFleetChaos(const std::string& dialect, int budget, bool net) {
   const soft::ChaosReport report =
       net ? soft::fleet::RunNetChaosEnumeration(dialect, budget)
           : soft::fleet::RunFleetChaosEnumeration(dialect, budget);
-  if (!report.compiled_in) {
-    std::printf("failpoints compiled out; nothing to inject\n");
-    return 0;
-  }
   for (const soft::ChaosSiteOutcome& outcome : report.outcomes) {
     std::printf("[%s] %-28s %-8s %s\n", outcome.ok ? "ok" : "FAIL",
                 outcome.failpoint.c_str(), outcome.site_class.c_str(),

@@ -1,7 +1,6 @@
 #include "src/baselines/comparison.h"
 
 #include "src/dialects/dialects.h"
-#include "src/soft/parallel_runner.h"
 
 namespace soft {
 
@@ -12,22 +11,6 @@ std::vector<std::unique_ptr<Fuzzer>> MakeAllTools() {
   tools.push_back(std::make_unique<RandSmith>());
   tools.push_back(std::make_unique<SoftFuzzer>());
   return tools;
-}
-
-std::unique_ptr<Fuzzer> MakeTool(const std::string& tool) {
-  if (tool == "SQUIRREL*") {
-    return std::make_unique<MutSquirrel>();
-  }
-  if (tool == "SQLancer*") {
-    return std::make_unique<PqsGen>();
-  }
-  if (tool == "SQLsmith*") {
-    return std::make_unique<RandSmith>();
-  }
-  if (tool == "SOFT") {
-    return std::make_unique<SoftFuzzer>();
-  }
-  return nullptr;
 }
 
 bool ToolSupportsDialect(const std::string& tool, const std::string& dialect) {
@@ -47,27 +30,14 @@ bool ToolSupportsDialect(const std::string& tool, const std::string& dialect) {
   return false;
 }
 
-std::vector<ToolRun> RunAllTools(const std::string& dialect, int budget, uint64_t seed,
-                                 int shards) {
+std::vector<ToolRun> RunAllTools(const std::string& dialect, int budget, uint64_t seed) {
   std::vector<ToolRun> out;
   CampaignOptions options;
   options.seed = seed;
   options.max_statements = budget;
   for (const std::unique_ptr<Fuzzer>& tool : MakeAllTools()) {
-    const std::string name = tool->name();
-    ToolRun run;
-    run.tool = name;
-    if (shards <= 1) {
-      std::unique_ptr<Database> db = MakeDialect(dialect);
-      run.result = tool->Run(*db, options);
-    } else {
-      // Budget split for every tool, SOFT included: the comparison must keep
-      // all tools under the same shard plan (identical per-shard budgets),
-      // and the baselines have no shared case pool to partition.
-      run.result = RunShardedCampaign([&name] { return MakeTool(name); }, dialect,
-                                      options, shards, ShardMode::kSplitBudget);
-    }
-    out.push_back(std::move(run));
+    std::unique_ptr<Database> db = MakeDialect(dialect);
+    out.push_back({tool->name(), tool->Run(*db, options)});
   }
   return out;
 }

@@ -19,21 +19,13 @@ struct ToolRun {
 };
 
 // One fresh dialect instance per tool (the paper restarts each DBMS per
-// tool), identical budget and seed. `shards` > 1 splits each tool's budget
-// across that many threads via soft::ParallelCampaignRunner (every tool gets
-// the same shard plan; see src/soft/parallel_runner.h); shards == 1 keeps
-// the serial behaviour bit-for-bit.
+// tool), identical budget and seed, each tool run serially.
 std::vector<ToolRun> RunAllTools(const std::string& dialect, int budget,
-                                 uint64_t seed = 1, int shards = 1);
+                                 uint64_t seed = 1);
 
 // The tools in the paper's column order: SQUIRREL*, SQLancer*, SQLsmith*,
 // SOFT.
 std::vector<std::unique_ptr<Fuzzer>> MakeAllTools();
-
-// Factory by paper column name ("SQUIRREL*", "SQLancer*", "SQLsmith*",
-// "SOFT"); nullptr for unknown names. Used to build per-shard fuzzer
-// instances for sharded comparison runs.
-std::unique_ptr<Fuzzer> MakeTool(const std::string& tool);
 
 // Which baselines "support" which dialect, mirroring Table 5's dashes
 // (SQUIRREL: PostgreSQL/MySQL/MariaDB; SQLsmith: PostgreSQL/MonetDB;

@@ -1,7 +1,5 @@
 #include "src/failpoint/failpoint.h"
 
-#ifdef SOFT_FAILPOINTS_ENABLED
-
 #include <pthread.h>
 
 #include <atomic>
@@ -295,5 +293,3 @@ Status InjectedStatus(std::string_view name) {
 
 }  // namespace failpoint
 }  // namespace soft
-
-#endif  // SOFT_FAILPOINTS_ENABLED

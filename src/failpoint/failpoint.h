@@ -32,11 +32,7 @@
 //                statement pipeline catches it and surfaces
 //                kResourceExhausted
 //
-// Zero overhead when disabled: with -DSOFT_FAILPOINTS=OFF every macro folds
-// to nothing and the API below collapses to inline no-op stubs, so no object
-// in the tree references a registry symbol (CI proves it with an nm guard,
-// mirroring the telemetry guard). With failpoints compiled in but none
-// armed, each site costs one relaxed atomic load.
+// Cost: with no failpoint armed, each site costs one relaxed atomic load.
 //
 // Determinism: every mode is a pure function of the site's evaluation
 // counter (and the reseedable probability stream) — never of wall clock or
@@ -171,8 +167,7 @@ inline constexpr std::array<SiteInfo, 32> kInventory = {{
     {"net.accept_storm", SiteClass::kNet, "coordinator accept: junk bytes precede the handshake (src/fleet/coordinator.cc)"},
 }};
 
-// Inventory lookup; nullptr for unknown names. Header-inline so it exists in
-// every build configuration without referencing the registry library.
+// Inventory lookup; nullptr for unknown names.
 inline const SiteInfo* FindSite(std::string_view name) {
   for (const SiteInfo& site : kInventory) {
     if (site.name == name) {
@@ -182,19 +177,10 @@ inline const SiteInfo* FindSite(std::string_view name) {
   return nullptr;
 }
 
-// True when the registry is compiled in (-DSOFT_FAILPOINTS=ON, the default).
-#ifdef SOFT_FAILPOINTS_ENABLED
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
 struct SiteStats {
   uint64_t evaluations = 0;  // times the armed site was evaluated
   uint64_t fires = 0;        // times it injected a fault
 };
-
-#ifdef SOFT_FAILPOINTS_ENABLED
 
 // True when at least one failpoint is armed (one relaxed atomic load — the
 // whole per-site cost of an idle registry).
@@ -238,27 +224,8 @@ SiteStats Stats(std::string_view name);
 // kIoError. Deterministic (the message names only the site).
 Status InjectedStatus(std::string_view name);
 
-#else  // !SOFT_FAILPOINTS_ENABLED — the API folds to inline no-op stubs so
-       // nothing in the tree references a registry symbol (nm-guarded in CI).
-
-inline bool AnyArmed() { return false; }
-inline bool Evaluate(std::string_view) { return false; }
-inline Status Arm(std::string_view, Mode, double = 0.0, uint64_t = 0, int64_t = -1) {
-  return Unsupported("failpoints compiled out (-DSOFT_FAILPOINTS=OFF)");
-}
-inline Status ArmFromSpec(std::string_view) {
-  return Unsupported("failpoints compiled out (-DSOFT_FAILPOINTS=OFF)");
-}
-inline void Disarm(std::string_view) {}
-inline void DisarmAll() {}
-inline void SetProbabilitySeed(uint64_t) {}
-inline SiteStats Stats(std::string_view) { return {}; }
-inline Status InjectedStatus(std::string_view) { return OkStatus(); }
-
-#endif  // SOFT_FAILPOINTS_ENABLED
-
 // RAII arm/disarm for tests: arms in the constructor, disarms that site on
-// destruction. No-op (status() reports Unsupported) when compiled out.
+// destruction; status() reports the Arm result.
 class ScopedFailpoint {
  public:
   ScopedFailpoint(std::string_view name, Mode mode, double probability = 0.0,
@@ -281,8 +248,6 @@ class ScopedFailpoint {
 // Site macros. SOFT_FAILPOINT returns InjectedStatus out of the enclosing
 // Status-/Result<T>-returning function when the site fires; SOFT_FAILPOINT_HIT
 // is the bare boolean for sites that absorb the fault themselves.
-#ifdef SOFT_FAILPOINTS_ENABLED
-
 #define SOFT_FAILPOINT_HIT(name) \
   (::soft::failpoint::AnyArmed() && ::soft::failpoint::Evaluate(name))
 
@@ -292,14 +257,5 @@ class ScopedFailpoint {
       return ::soft::failpoint::InjectedStatus(name); \
     }                                                 \
   } while (false)
-
-#else
-
-#define SOFT_FAILPOINT_HIT(name) (false)
-#define SOFT_FAILPOINT(name) \
-  do {                       \
-  } while (false)
-
-#endif  // SOFT_FAILPOINTS_ENABLED
 
 #endif  // SRC_FAILPOINT_FAILPOINT_H_

@@ -1515,12 +1515,8 @@ ChaosReport RunSocketChaosEnumeration(const std::string& dialect, int budget,
                                       const std::string& tag,
                                       int heartbeat_timeout_ms) {
   ChaosReport report;
-  report.compiled_in = failpoint::kCompiledIn;
   report.dialect = dialect;
   report.budget = budget > 0 ? budget : 400;
-  if (!report.compiled_in) {
-    return report;
-  }
   CampaignOptions options;
   options.seed = 20260807;
   options.max_statements = report.budget;

@@ -3,7 +3,7 @@
 //
 // RunFleetCampaign promotes one SOFT campaign into a coordinator process
 // that partitions the case order into `units` fixed work units (shards of a
-// ShardMode::kPartitionCases plan — the unit count, not the worker count,
+// PlanShards case-partition plan — the unit count, not the worker count,
 // defines the partition), leases them to worker processes speaking the
 // src/fleet/worker_client.h framed protocol, and merges the returned unit
 // results with the deterministic shard merge. Every connection carries

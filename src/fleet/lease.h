@@ -2,8 +2,8 @@
 // (docs/ROBUSTNESS.md).
 //
 // A fleet campaign is partitioned into `units` case-partition shards
-// (ShardMode::kPartitionCases with a fixed unit count, independent of the
-// worker count), and each unit moves through
+// (a PlanShards plan with a fixed unit count, independent of the worker
+// count), and each unit moves through
 //
 //     pending ──Grant──▶ leased ──Complete──▶ done
 //        ▲                  │

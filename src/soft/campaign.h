@@ -24,17 +24,17 @@ struct CampaignOptions {
   // (benches turn this off to measure coverage at full budget).
   bool stop_when_all_bugs_found = false;
 
-  // Case-partitioned sharding (ShardMode::kPartitionCases in
-  // src/soft/parallel_runner.h): when shard_count > 1, a fuzzer with a
-  // finite generated case pool executes only the global case indices below
-  // max_statements with index % shard_count == shard_index, all derived
-  // from the same base seed. The shards together execute exactly the serial
-  // campaign's cases, but each shard runs them against its own database, so
-  // a statement that reads session state (LASTVAL, sequences) can see a
-  // different history than in the serial run: outcomes, and occasionally
-  // the bug set, can differ from serial. The exact reference for a K-shard
-  // run is a K-shard run. Fuzzers that generate statements on the fly (the
-  // baselines) ignore these fields and are sharded by budget split instead.
+  // Case-partitioned sharding (PlanShards in src/soft/parallel_runner.h):
+  // when shard_count > 1, a fuzzer with a finite generated case pool
+  // executes only the global case indices below max_statements with
+  // index % shard_count == shard_index, all derived from the same base seed.
+  // The shards together execute exactly the serial campaign's cases, but
+  // each shard runs them against its own database, so a statement that
+  // reads session state (LASTVAL, sequences) can see a different history
+  // than in the serial run: outcomes, and occasionally the bug set, can
+  // differ from serial. The exact reference for a K-shard run is a K-shard
+  // run. Fuzzers that generate statements as they run (the baselines)
+  // ignore these fields and are never sharded.
   int shard_index = 0;
   int shard_count = 1;
 

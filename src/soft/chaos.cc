@@ -494,12 +494,8 @@ uint64_t DigestLogicOutcome(const CampaignResult& result) {
 ChaosReport RunChaosEnumeration(const std::string& dialect, int budget,
                                 bool include_worker_sites) {
   ChaosReport report;
-  report.compiled_in = failpoint::kCompiledIn;
   report.dialect = dialect;
   report.budget = budget > 0 ? budget : kDefaultBudget;
-  if (!report.compiled_in) {
-    return report;  // nothing to inject; vacuously ok
-  }
   for (const failpoint::SiteInfo& site : failpoint::kInventory) {
     // fleet.* and net.* sites need a live coordinator/worker topology to
     // exercise; their oracles live in the fleet library's own enumerators

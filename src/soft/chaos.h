@@ -43,13 +43,11 @@ struct ChaosSiteOutcome {
 };
 
 struct ChaosReport {
-  bool compiled_in = false;  // failpoint::kCompiledIn
   std::string dialect;
   int budget = 0;
   std::vector<ChaosSiteOutcome> outcomes;
 
-  // True when every site's oracle held (vacuously true when failpoints are
-  // compiled out — there is nothing to inject).
+  // True when every site's oracle held.
   bool ok() const {
     for (const ChaosSiteOutcome& outcome : outcomes) {
       if (!outcome.ok) {

@@ -5,31 +5,21 @@
 #include <thread>
 #include <utility>
 
-#include "src/dialects/dialects.h"
 #include "src/soft/unit_spool.h"
-#include "src/util/rng.h"
 
 namespace soft {
 
-std::vector<ShardPlan> PlanShards(const CampaignOptions& options, int shards,
-                                  ShardMode mode) {
+std::vector<ShardPlan> PlanShards(const CampaignOptions& options, int shards) {
   const int count = std::max(shards, 1);
-  const int base_budget = options.max_statements / count;
-  const int remainder = options.max_statements % count;
   std::vector<ShardPlan> plans(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     ShardPlan& plan = plans[static_cast<size_t>(i)];
     plan.shard = i;
+    // Base seed and full budget: the fuzzer itself restricts execution to
+    // global case indices ≡ i (mod count) below the budget (campaign.h).
     plan.options = options;
-    if (mode == ShardMode::kPartitionCases) {
-      // Base seed and full budget: the fuzzer itself restricts execution to
-      // global case indices ≡ i (mod count) below the budget (campaign.h).
-      plan.options.shard_index = i;
-      plan.options.shard_count = count;
-    } else {
-      plan.options.seed = SeedForShard(options.seed, i);
-      plan.options.max_statements = base_budget + (i < remainder ? 1 : 0);
-    }
+    plan.options.shard_index = i;
+    plan.options.shard_count = count;
   }
   return plans;
 }
@@ -265,9 +255,9 @@ ShardResult ParallelCampaignRunner::RunPlan(const ShardPlan& plan,
   return outcome;
 }
 
-CampaignResult ParallelCampaignRunner::Run(const CampaignOptions& options, int shards,
-                                           ShardMode mode) const {
-  const std::vector<ShardPlan> plans = PlanShards(options, shards, mode);
+CampaignResult ParallelCampaignRunner::Run(const CampaignOptions& options,
+                                           int shards) const {
+  const std::vector<ShardPlan> plans = PlanShards(options, shards);
   const uint64_t campaign_base_ns = telemetry::MonotonicNowNs();
   std::vector<ShardResult> outcomes(plans.size());
   if (plans.size() == 1) {
@@ -288,22 +278,14 @@ CampaignResult ParallelCampaignRunner::Run(const CampaignOptions& options, int s
 }
 
 CampaignResult ParallelCampaignRunner::RunSerial(const CampaignOptions& options,
-                                                 int shards, ShardMode mode) const {
-  const std::vector<ShardPlan> plans = PlanShards(options, shards, mode);
+                                                 int shards) const {
+  const std::vector<ShardPlan> plans = PlanShards(options, shards);
   const uint64_t campaign_base_ns = telemetry::MonotonicNowNs();
   std::vector<ShardResult> outcomes(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
     outcomes[i] = RunPlan(plans[i], campaign_base_ns);
   }
   return MergeShardResults(std::move(outcomes));
-}
-
-CampaignResult RunShardedCampaign(const ParallelCampaignRunner::FuzzerFactory& make_fuzzer,
-                                  const std::string& dialect,
-                                  const CampaignOptions& options, int shards,
-                                  ShardMode mode) {
-  ParallelCampaignRunner runner(make_fuzzer, [&dialect] { return MakeDialect(dialect); });
-  return runner.Run(options, shards, mode);
 }
 
 }  // namespace soft

@@ -2,14 +2,19 @@
 //
 // The paper's campaigns are 24-hour wall-clock runs against seven DBMSs in
 // parallel; the serial reproduction replays them one statement at a time on
-// one core. This runner splits a CampaignOptions statement budget into K
-// deterministic shards: shard i runs the same tool with seed
-// SeedForShard(base_seed, i) and its slice of the budget against a *fresh*
-// Database instance (dialects are cheap to construct), one shard per thread.
+// one core. This runner partitions a campaign's global case order into K
+// deterministic shards: shard i runs the same tool with the base seed, the
+// full statement budget and (shard_index, shard_count) = (i, K) in its
+// CampaignOptions, so it executes the global case indices below the budget
+// that are congruent to i mod K (campaign.h). Each shard runs against a
+// *fresh* Database instance (dialects are cheap to construct), one shard per
+// thread. The fuzzer must honour shard_index/shard_count: SOFT does; the
+// baselines generate statements as they run, ignore them, and always run
+// serially.
 //
 // Determinism contract: the merged result is a pure function of
 // (options, shards) and never of thread scheduling —
-//   * shard seeds and budgets come from PlanShards alone;
+//   * shard plans come from PlanShards alone;
 //   * every shard owns its Database (catalog, coverage, session, fault
 //     engine are all per-instance; the builtin catalog prototype is
 //     call_once-guarded, see src/sqlfunc/function.cc);
@@ -20,9 +25,14 @@
 // Consequently Run(options, K) is bit-identical to RunSerial(options, K)
 // (the same shard plan executed sequentially), which is what
 // tests/parallel_runner_test.cc asserts per dialect, and a 1-shard run is
-// bit-identical to the plain serial Fuzzer::Run it replaces. With a unit
-// spool (src/soft/unit_spool.h), re-admitted shards merge unexecuted — the
-// same merge, so a resumed run is bit-identical to the uninterrupted one.
+// bit-identical to the plain serial Fuzzer::Run it replaces. The shards
+// together execute the serial campaign's set of cases, but each has its own
+// database, so a statement that reads session state (LASTVAL) can see a
+// different history than in the serial run: counters, digests and even the
+// bug set can differ from serial. The exact reference for a K-shard run is a
+// K-shard run. With a unit spool (src/soft/unit_spool.h), re-admitted shards
+// merge unexecuted — the same merge, so a resumed run is bit-identical to
+// the uninterrupted one.
 #ifndef SRC_SOFT_PARALLEL_RUNNER_H_
 #define SRC_SOFT_PARALLEL_RUNNER_H_
 
@@ -35,39 +45,15 @@
 
 namespace soft {
 
-// How a campaign budget is divided across shards.
-enum class ShardMode {
-  // Shard i runs with seed SeedForShard(base_seed, i) and budget/K
-  // statements (remainder front-loaded), so shard budgets sum to the serial
-  // budget. Works for every Fuzzer — fuzzers that generate statements on
-  // the fly (the baselines) get K decorrelated streams. For a fuzzer with a
-  // finite case pool this resamples: shards draw overlapping samples from K
-  // different shuffles, so the union bug set matches the serial reference
-  // only when per-shard budgets stay large (see EXPERIMENTS.md).
-  kSplitBudget,
-  // Shard i runs with the *base* seed, the full budget, and
-  // (shard_index, shard_count) = (i, K) in its CampaignOptions: a
-  // pool-based fuzzer (SOFT) then executes the interleaved partition of the
-  // global case order, so the shards execute exactly the serial campaign's
-  // set of cases. Each shard has its own database, though, so a statement
-  // that reads session state (LASTVAL) can see a different history than in
-  // the serial run, and counters, digests and even the bug set can differ
-  // from serial. The exact reference for a K-shard run is a K-shard run.
-  // Requires the fuzzer to honor shard_index/shard_count.
-  kPartitionCases,
-};
-
-// One shard's campaign parameters: the base options with the derived seed
-// and the shard's slice of the statement budget.
+// One shard's campaign parameters: the base options with the shard's
+// (shard_index, shard_count) set.
 struct ShardPlan {
   int shard = 0;
   CampaignOptions options;
 };
 
-// Splits `options` into `shards` plans under `mode`. shards < 1 is treated
-// as 1.
-std::vector<ShardPlan> PlanShards(const CampaignOptions& options, int shards,
-                                  ShardMode mode = ShardMode::kSplitBudget);
+// Partitions `options` into `shards` plans. shards < 1 is treated as 1.
+std::vector<ShardPlan> PlanShards(const CampaignOptions& options, int shards);
 
 // One executed shard: the campaign result plus the artifacts the merge
 // needs alongside it.
@@ -114,13 +100,11 @@ class ParallelCampaignRunner {
 
   // Runs the shard plan with one thread per shard and merges. A single-shard
   // plan runs on the calling thread.
-  CampaignResult Run(const CampaignOptions& options, int shards,
-                     ShardMode mode = ShardMode::kSplitBudget) const;
+  CampaignResult Run(const CampaignOptions& options, int shards) const;
 
   // The same shard plan executed sequentially on the calling thread — the
   // oracle the determinism tests compare Run() against.
-  CampaignResult RunSerial(const CampaignOptions& options, int shards,
-                           ShardMode mode = ShardMode::kSplitBudget) const;
+  CampaignResult RunSerial(const CampaignOptions& options, int shards) const;
 
   // Crash-survivable execution: shard i is unit i of `spool`. A shard the
   // spool re-admitted (UnitSpool::TakeAdmitted) merges without executing;
@@ -135,13 +119,6 @@ class ParallelCampaignRunner {
   DatabaseFactory make_database_;
   UnitSpool* spool_ = nullptr;
 };
-
-// Convenience for the common case: run `fuzzer factory` shards against fresh
-// instances of a named dialect.
-CampaignResult RunShardedCampaign(const ParallelCampaignRunner::FuzzerFactory& make_fuzzer,
-                                  const std::string& dialect,
-                                  const CampaignOptions& options, int shards,
-                                  ShardMode mode = ShardMode::kSplitBudget);
 
 }  // namespace soft
 

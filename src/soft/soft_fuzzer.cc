@@ -286,16 +286,12 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
 
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,
                                       const CampaignOptions& options, int shards,
-                                      SoftOptions soft_options, ShardMode mode) {
-  // Partition shards share the campaign's pool; split-budget shards each
-  // draw their own seed, so each builds its own.
-  std::shared_ptr<const CasePool> pool;
-  if (mode == ShardMode::kPartitionCases) {
-    pool = BuildCasePool(dialect, options, soft_options);
-  }
-  return RunShardedCampaign(
+                                      SoftOptions soft_options) {
+  std::shared_ptr<const CasePool> pool = BuildCasePool(dialect, options, soft_options);
+  ParallelCampaignRunner runner(
       [soft_options, pool] { return std::make_unique<SoftFuzzer>(soft_options, pool); },
-      dialect, options, shards, mode);
+      [&dialect] { return MakeDialect(dialect); });
+  return runner.Run(options, shards);
 }
 
 }  // namespace soft

@@ -62,7 +62,7 @@ std::shared_ptr<const CasePool> BuildCasePool(const std::string& dialect,
 class SoftFuzzer : public Fuzzer {
  public:
   // `pool` is used only by campaigns it Matches; any other campaign (a
-  // split-budget shard's seed, a different dialect) builds its own.
+  // different seed or dialect) builds its own.
   explicit SoftFuzzer(SoftOptions options = SoftOptions(),
                       std::shared_ptr<const CasePool> pool = nullptr);
 
@@ -74,19 +74,16 @@ class SoftFuzzer : public Fuzzer {
   std::shared_ptr<const CasePool> pool_;
 };
 
-// Runs one SOFT campaign split across `shards` parallel threads, each shard
-// against a fresh instance of `dialect` (see src/soft/parallel_runner.h for
-// the shard/merge semantics). SOFT generates a finite case pool, so the
-// default mode builds it once and partitions its case order across shards:
-// the shards execute the serial campaign's cases, though a statement that
-// reads session state can make a shard's outcome differ from serial. Pass
-// ShardMode::kSplitBudget to get the decorrelated per-shard-seed sampling
-// used for the baselines instead. shards == 1 is bit-identical to
-// SoftFuzzer::Run against MakeDialect(dialect) in either mode.
+// Runs one SOFT campaign partitioned across `shards` parallel threads, each
+// shard against a fresh instance of `dialect` (see src/soft/parallel_runner.h
+// for the shard/merge semantics). The case pool is built once and shared by
+// every shard: the shards execute the serial campaign's cases, though a
+// statement that reads session state can make a shard's outcome differ from
+// serial. shards == 1 is bit-identical to SoftFuzzer::Run against
+// MakeDialect(dialect).
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,
                                       const CampaignOptions& options, int shards,
-                                      SoftOptions soft_options = SoftOptions(),
-                                      ShardMode mode = ShardMode::kPartitionCases);
+                                      SoftOptions soft_options = SoftOptions());
 
 }  // namespace soft
 

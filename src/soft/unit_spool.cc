@@ -95,7 +95,7 @@ Result<SpooledRun> RunUnits(std::ofstream& journal, const std::string& journal_p
       [pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
       [&dialect] { return MakeDialect(dialect); });
   runner.set_unit_spool(&spool);
-  run.result = runner.Run(options, units, ShardMode::kPartitionCases);
+  run.result = runner.Run(options, units);
   run.spool_failures = spool.failures();
   telemetry::WriteCampaignTail(journal, run.result, timer.ElapsedNs());
   if (!journal.flush()) {

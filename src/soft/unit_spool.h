@@ -2,8 +2,8 @@
 // "Resume"): serial runs, --shards runs and fleet coordinators all commit
 // finished work units through a UnitSpool and resume through LoadUnitResume.
 //
-// A campaign is partitioned into units: the shards of a
-// ShardMode::kPartitionCases plan, one unit for a serial run. A finished
+// A campaign is partitioned into units: the shards of a PlanShards
+// case-partition plan, one unit for a serial run. A finished
 // unit commits in two steps, in this order:
 //
 //   1. its wire result block (src/soft/wire.h) is written to

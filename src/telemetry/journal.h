@@ -279,7 +279,7 @@ Result<JournalReplay> ReplayJournalFile(const std::string& path);
 // crash-atomically (io::WriteFileAtomic). Timeline layout: the campaign
 // root span lives on pid 0, shard i's spans on pid i+1, all on tid 0;
 // ts/dur are microseconds with nanosecond precision (three decimals).
-// Always available: with tracing off (or compiled out) the file still
+// Always available: with tracing off the file still
 // contains the campaign/shard/worker-run structural spans the runner built,
 // or only process metadata when the trace is empty. Schema details and a
 // loading recipe: docs/OBSERVABILITY.md. Validated by

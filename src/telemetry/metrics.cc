@@ -267,9 +267,6 @@ void AddTelemetryMetrics(MetricsRegistry& registry,
 }
 
 void AddFailpointMetrics(MetricsRegistry& registry) {
-  registry.Gauge("soft_failpoints_compiled",
-                 "1 when the failpoint subsystem is compiled in", {},
-                 failpoint::kCompiledIn ? 1.0 : 0.0);
   for (const failpoint::SiteInfo& site : failpoint::kInventory) {
     const failpoint::SiteStats stats = failpoint::Stats(site.name);
     if (stats.evaluations == 0 && stats.fires == 0) {

@@ -119,8 +119,7 @@ void AddTelemetryMetrics(MetricsRegistry& registry,
                          const CampaignTelemetry& telemetry);
 
 // Failpoint site counters (`soft_failpoint_{evaluations,fires}_total{site=..}`
-// for sites with at least one evaluation) plus the
-// `soft_failpoints_compiled` gauge.
+// for sites with at least one evaluation).
 void AddFailpointMetrics(MetricsRegistry& registry);
 
 }  // namespace telemetry

@@ -58,14 +58,6 @@ double Rng::NextDouble() {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-uint64_t SeedForShard(uint64_t base_seed, int shard) {
-  if (shard == 0) {
-    return base_seed;
-  }
-  uint64_t x = base_seed ^ (0xD1B54A32D192ED03ull * static_cast<uint64_t>(shard));
-  return SplitMix64(x);
-}
-
 std::string Rng::NextIdentifier(size_t length) {
   std::string out;
   if (length == 0) {

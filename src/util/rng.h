@@ -36,12 +36,6 @@ class Rng {
   uint64_t state_[4];
 };
 
-// Derives the campaign seed for shard `shard` of a sharded run. Shard 0
-// keeps the base seed, so a 1-shard campaign is bit-identical to the serial
-// campaign it replaces; later shards get splitmix64-decorrelated streams
-// that depend only on (base_seed, shard), never on thread scheduling.
-uint64_t SeedForShard(uint64_t base_seed, int shard);
-
 }  // namespace soft
 
 #endif  // SRC_UTIL_RNG_H_

@@ -57,11 +57,6 @@ TEST_F(ChaosTest, DigestIsStableAndSensitive) {
 TEST_F(ChaosTest, EnumerationOracleHoldsForInProcessSites) {
   const ChaosReport report =
       RunChaosEnumeration(kDialect, kBudget, /*include_worker_sites=*/false);
-  if (!report.compiled_in) {
-    EXPECT_TRUE(report.outcomes.empty());
-    EXPECT_TRUE(report.ok());
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   EXPECT_EQ(report.outcomes.size(), failpoint::kInventory.size());
   for (const ChaosSiteOutcome& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.ok) << outcome.failpoint << " [" << outcome.site_class
@@ -89,9 +84,6 @@ TEST_F(ChaosTest, EnumerationOracleHoldsForInProcessSites) {
 }
 
 TEST_F(ChaosTest, WorkerSitesHoldUnderForkedCampaigns) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // The worker.* slice of the enumeration, exercised through real forked
   // campaigns (the part EnumerationOracleHoldsForInProcessSites skips).
   const ChaosReport report =
@@ -106,9 +98,6 @@ TEST_F(ChaosTest, WorkerSitesHoldUnderForkedCampaigns) {
 }
 
 TEST_F(ChaosTest, ShardedCampaignBitIdenticalUnderInjectedWorkerFaults) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // K=2 real-crash campaign with transient worker faults armed vs the K=2
   // uninjected simulated reference: retried/absorbed faults must leave the
   // merged result bit-identical — regardless of which shard drew the fault.
@@ -133,8 +122,7 @@ TEST_F(ChaosTest, ShardedCampaignBitIdenticalUnderInjectedWorkerFaults) {
 
 TEST_F(ChaosTest, SinkLossLatchesDegradedWithoutChangingTheOutcome) {
   // No failpoint involved: a spool directory that cannot exist (a regular
-  // file sits at its path) makes every unit commit fail, so this holds in
-  // -DSOFT_FAILPOINTS=OFF builds too.
+  // file sits at its path) makes every unit commit fail.
   const std::string journal =
       testing::TempDir() + "/soft_chaos_sink_loss.ndjson";
   const std::string spool = SpoolDirFor(journal);

@@ -4,8 +4,7 @@
 // std::bad_alloc into a clean kResourceExhausted.
 //
 // Every test disarms on exit (ScopedFailpoint or explicit DisarmAll) — the
-// registry is process-global. In a -DSOFT_FAILPOINTS=OFF build the API is
-// inline no-op stubs; the tests skip rather than assert on stub behavior.
+// registry is process-global.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +20,7 @@ namespace {
 
 class FailpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!failpoint::kCompiledIn) {
-      GTEST_SKIP() << "failpoints compiled out";
-    }
-    failpoint::DisarmAll();
-  }
+  void SetUp() override { failpoint::DisarmAll(); }
   void TearDown() override { failpoint::DisarmAll(); }
 };
 

@@ -586,9 +586,6 @@ TEST(FleetStatusNet, WatchStreamsUnitCompletionsAndTraceSlicesLive) {
 
 TEST(FleetNetChaos, EveryNetFaultIsAbsorbedWithABitIdenticalDigest) {
   const ChaosReport report = RunNetChaosEnumeration(kDialect, 800);
-  if (!report.compiled_in) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // One outcome per net.* inventory site: frame drop, frame corrupt, frame
   // duplicate, delayed delivery, connection reset mid-frame, accept storm.
   ASSERT_EQ(report.outcomes.size(), 6u);
@@ -600,9 +597,6 @@ TEST(FleetNetChaos, EveryNetFaultIsAbsorbedWithABitIdenticalDigest) {
 }
 
 TEST(FleetNetChaos, ALostHeartbeatDoesNotDegradeTheRun) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   // find_bugs virtuoso 4000 --fleet=serve --workers=2 --units=4: each
   // worker's fifth frame is a heartbeat, and the reset kills its connection.
   // The fleet absorbs that like any reset, so the journal stays intact.

@@ -727,9 +727,6 @@ TEST(FleetResume, ResumesAKilledShardedLocalJournal) {
 }
 
 TEST(FleetResume, FailedSpoolWriteIsReportedNotJournaledAsCommitted) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_spoolfail.ndjson";
   std::remove(journal_path.c_str());
@@ -772,9 +769,6 @@ TEST(FleetResume, FailedSpoolWriteIsReportedNotJournaledAsCommitted) {
 // ---------------------------------------------------------------------------
 
 TEST(FleetChaos, EverySiteOracleHoldsUnderInjection) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   const ChaosReport report = RunFleetChaosEnumeration(kDialect, /*budget=*/800);
   EXPECT_EQ(report.outcomes.size(), 5u)
       << "one outcome per fleet.* site in failpoint::kInventory";

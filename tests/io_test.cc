@@ -64,9 +64,6 @@ TEST_F(IoTest, RetryingWriterDeliversWholeBuffers) {
 }
 
 TEST_F(IoTest, RetryingWriterAbsorbsInjectedEintr) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   const std::string payload = MakePayload();
@@ -83,9 +80,6 @@ TEST_F(IoTest, RetryingWriterAbsorbsInjectedEintr) {
 }
 
 TEST_F(IoTest, RetryingWriterAbsorbsInjectedShortWrites) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   // Every write is clamped to one byte: progress resets the attempt budget,
@@ -102,9 +96,6 @@ TEST_F(IoTest, RetryingWriterAbsorbsInjectedShortWrites) {
 }
 
 TEST_F(IoTest, RetryingWriterGivesUpAfterPolicyExhaustion) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   // Persistent EINTR with no progress: bounded backoff, then kIoError.
@@ -126,9 +117,7 @@ TEST_F(IoTest, ReadRetryingRetriesEintrAndReportsEof) {
   ASSERT_EQ(::pipe(fds), 0);
   ASSERT_EQ(::write(fds[1], "abc", 3), 3);
   ::close(fds[1]);
-  if (failpoint::kCompiledIn) {
-    ASSERT_TRUE(failpoint::ArmFromSpec("worker.pipe_read=after:0:2").ok());
-  }
+  ASSERT_TRUE(failpoint::ArmFromSpec("worker.pipe_read=after:0:2").ok());
   char buf[8];
   EXPECT_EQ(io::ReadRetrying(fds[0], buf, sizeof(buf)), 3);
   EXPECT_EQ(io::ReadRetrying(fds[0], buf, sizeof(buf)), 0);  // EOF
@@ -146,9 +135,6 @@ TEST_F(IoTest, WriteFileAtomicReplacesContents) {
 }
 
 TEST_F(IoTest, WriteFileAtomicFailuresLeaveDestinationUntouched) {
-  if (!failpoint::kCompiledIn) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
   const std::string path = "io_atomic_" + std::to_string(::getpid()) + ".txt";
   const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
   ASSERT_TRUE(io::WriteFileAtomic(path, "previous contents\n").ok());

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/failpoint/failpoint.h"
 #include "src/fleet/doctor.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
@@ -253,12 +254,31 @@ TEST(MetricsBuilders, TelemetryCountersBecomeLabeledSeries) {
   EXPECT_EQ(doubled_parse->samples, 2u);
 }
 
-TEST(MetricsBuilders, FailpointGaugeReflectsCompileState) {
+// An armed site reports its evaluations and fires; an unarmed site emits no
+// series at all.
+TEST(MetricsBuilders, FailpointCountersTrackArmedSites) {
+  failpoint::DisarmAll();
+  ASSERT_TRUE(failpoint::Arm("io.eintr", failpoint::Mode::kAfterN, 0.0,
+                             /*skip=*/1, /*fire_limit=*/1)
+                  .ok());
+  const bool first = SOFT_FAILPOINT_HIT("io.eintr");
+  const bool second = SOFT_FAILPOINT_HIT("io.eintr");
+  const bool third = SOFT_FAILPOINT_HIT("io.eintr");
   MetricsRegistry reg;
   AddFailpointMetrics(reg);
-  const auto compiled = reg.GaugeValue("soft_failpoints_compiled", {});
-  ASSERT_TRUE(compiled.has_value());
-  EXPECT_TRUE(*compiled == 0.0 || *compiled == 1.0);
+  failpoint::DisarmAll();
+
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+  EXPECT_FALSE(third);
+  const MetricLabels armed = {{"site", "io.eintr"}};
+  EXPECT_EQ(reg.CounterValue("soft_failpoint_evaluations_total", armed), 3u);
+  EXPECT_EQ(reg.CounterValue("soft_failpoint_fires_total", armed), 1u);
+  const MetricLabels unarmed = {{"site", "io.open"}};
+  EXPECT_FALSE(
+      reg.CounterValue("soft_failpoint_evaluations_total", unarmed).has_value());
+  EXPECT_FALSE(reg.CounterValue("soft_failpoint_fires_total", unarmed).has_value());
+  EXPECT_EQ(reg.series_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------

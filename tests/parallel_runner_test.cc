@@ -1,10 +1,10 @@
 // Determinism contract of the sharded campaign runner: a K-shard parallel
-// SOFT campaign must be bit-identical to the serial sum of the same K shards
-// run sequentially (thread scheduling must never leak into results), two
-// parallel runs of the same plan must be bit-identical to each other, and a
-// 1-shard run must reproduce the plain serial campaign exactly. Run these
-// under ThreadSanitizer (-DSOFT_SANITIZE=thread) to validate the
-// per-thread-instance model; see README "Parallel campaigns".
+// SOFT campaign must be bit-identical to the serial sum of the same K
+// case-partition shards run sequentially (thread scheduling must never leak
+// into results), two parallel runs of the same plan must be bit-identical to
+// each other, and a 1-shard run must reproduce the plain serial campaign
+// exactly. Run these under ThreadSanitizer (-DSOFT_SANITIZE=thread) to
+// validate the per-thread-instance model; see README "Parallel campaigns".
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "src/dialects/dialects.h"
 #include "src/soft/parallel_runner.h"
 #include "src/soft/soft_fuzzer.h"
-#include "src/util/rng.h"
 
 namespace soft {
 namespace {
@@ -106,38 +105,13 @@ TEST(ParallelCampaign, OneShardMatchesPlainSerialCampaign) {
   }
 }
 
-TEST(ParallelCampaign, ShardPlanSplitsBudgetExactly) {
-  CampaignOptions options;
-  options.seed = 42;
-  options.max_statements = 10007;
-  const std::vector<ShardPlan> plans = PlanShards(options, 8);
-  ASSERT_EQ(plans.size(), 8u);
-  int total = 0;
-  std::set<uint64_t> seeds;
-  for (const ShardPlan& plan : plans) {
-    EXPECT_TRUE(plan.options.max_statements == 1250 ||
-                plan.options.max_statements == 1251);
-    total += plan.options.max_statements;
-    seeds.insert(plan.options.seed);
-  }
-  EXPECT_EQ(total, options.max_statements);
-  // Shard 0 keeps the base seed (1-shard == serial invariant); all shard
-  // seed streams are pairwise distinct.
-  EXPECT_EQ(plans[0].options.seed, options.seed);
-  EXPECT_EQ(seeds.size(), plans.size());
-  // The derivation is a pure function of (base seed, shard).
-  EXPECT_EQ(SeedForShard(42, 3), SeedForShard(42, 3));
-  EXPECT_NE(SeedForShard(42, 3), SeedForShard(43, 3));
-}
-
-// Partition-mode plans keep the base seed and the full budget and instead
-// stripe the global case order across shards.
+// Shard plans keep the base seed and the full budget and instead stripe the
+// global case order across shards.
 TEST(ParallelCampaign, PartitionPlanCarriesBaseSeedAndFullBudget) {
   CampaignOptions options;
   options.seed = 42;
   options.max_statements = 10007;
-  const std::vector<ShardPlan> plans =
-      PlanShards(options, 8, ShardMode::kPartitionCases);
+  const std::vector<ShardPlan> plans = PlanShards(options, 8);
   ASSERT_EQ(plans.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     const ShardPlan& plan = plans[static_cast<size_t>(i)];
@@ -148,7 +122,7 @@ TEST(ParallelCampaign, PartitionPlanCarriesBaseSeedAndFullBudget) {
   }
 }
 
-// The partition mode's defining property: because the K shards execute the
+// Partitioning's defining property: because the K shards execute the
 // exact interleave of the serial campaign's case order, the merged run
 // reproduces the serial campaign's bug set, coverage, and statement totals
 // at ANY budget — work is divided, not resampled.
@@ -161,8 +135,7 @@ TEST(ParallelCampaign, PartitionModeReproducesSerialCampaignExactly) {
   SoftFuzzer fuzzer;
   const CampaignResult serial = fuzzer.Run(*db, options);
 
-  const CampaignResult merged = RunShardedSoftCampaign(
-      "virtuoso", options, 8, SoftOptions(), ShardMode::kPartitionCases);
+  const CampaignResult merged = RunShardedSoftCampaign("virtuoso", options, 8);
   EXPECT_EQ(merged.shards, 8);
   EXPECT_EQ(merged.statements_executed, serial.statements_executed);
   EXPECT_EQ(merged.sql_errors, serial.sql_errors);
@@ -179,21 +152,6 @@ TEST(ParallelCampaign, PartitionModeReproducesSerialCampaignExactly) {
     merged_ids.insert(bug.crash.bug_id);
   }
   EXPECT_EQ(merged_ids, serial_ids);
-}
-
-// Partition-mode parallel execution obeys the same determinism contract as
-// budget splitting: bit-identical to its sequential shard sum.
-TEST(ParallelCampaign, PartitionParallelRunMatchesSerialShardSum) {
-  const ParallelCampaignRunner runner = SoftRunner("clickhouse");
-  CampaignOptions options;
-  options.seed = 9;
-  options.max_statements = 6000;
-  const CampaignResult parallel =
-      runner.Run(options, 4, ShardMode::kPartitionCases);
-  const CampaignResult serial =
-      runner.RunSerial(options, 4, ShardMode::kPartitionCases);
-  ExpectBitIdentical(parallel, serial);
-  EXPECT_EQ(parallel.shards, 4);
 }
 
 // The merged witness for each bug must carry the lowest

@@ -131,13 +131,13 @@ TEST(CasePool, ShardThreadsShareOnePoolBitIdentically) {
   const auto make_db = [] { return MakeDialect("duckdb"); };
   const CampaignResult own =
       ParallelCampaignRunner([] { return std::make_unique<SoftFuzzer>(); }, make_db)
-          .RunSerial(options, 4, ShardMode::kPartitionCases);
+          .RunSerial(options, 4);
   for (const std::shared_ptr<const CasePool>& given : {pool, stale}) {
     const CampaignResult shared =
         ParallelCampaignRunner(
             [given] { return std::make_unique<SoftFuzzer>(SoftOptions(), given); },
             make_db)
-            .Run(options, 4, ShardMode::kPartitionCases);
+            .Run(options, 4);
     EXPECT_EQ(DigestCampaignResult(shared), DigestCampaignResult(own));
   }
 }

@@ -2,7 +2,7 @@
 //
 //   * every fuzzer's per-pattern counters sum to its campaign totals;
 //   * a K-shard merged CampaignTelemetry is bit-identical to summing the
-//     run's own shard snapshots in shard index order — for both shard modes;
+//     run's own shard snapshots in shard index order;
 //   * partition-sharded pattern counters match the serial campaign's,
 //     `generated` included: the shards share one pool and shard 0 alone
 //     counts its census;
@@ -187,11 +187,9 @@ TEST(TelemetryCampaignTest, PartitionShardCountersMatchSerialExceptGenerated) {
   const CampaignOptions options = TestOptions(11, 4000);
   const int kShards = 4;
   const CampaignResult serial =
-      RunShardedSoftCampaign("mariadb", options, 1, SoftOptions(),
-                             ShardMode::kPartitionCases);
+      RunShardedSoftCampaign("mariadb", options, 1);
   const CampaignResult sharded =
-      RunShardedSoftCampaign("mariadb", options, kShards, SoftOptions(),
-                             ShardMode::kPartitionCases);
+      RunShardedSoftCampaign("mariadb", options, kShards);
 
   ASSERT_FALSE(serial.telemetry.patterns.empty());
   for (const auto& [pattern, counters] : serial.telemetry.patterns) {
@@ -213,12 +211,10 @@ TEST(TelemetryCampaignTest, PartitionShardCountersMatchSerialExceptGenerated) {
 TEST(TelemetryCampaignTest, DisablingTelemetryChangesNoCampaignOutcome) {
   const CampaignOptions options = TestOptions(3, 5000);
   const CampaignResult lit =
-      RunShardedSoftCampaign("virtuoso", options, 2, SoftOptions(),
-                             ShardMode::kPartitionCases);
+      RunShardedSoftCampaign("virtuoso", options, 2);
   telemetry::SetRuntimeEnabled(false);
   const CampaignResult dark =
-      RunShardedSoftCampaign("virtuoso", options, 2, SoftOptions(),
-                             ShardMode::kPartitionCases);
+      RunShardedSoftCampaign("virtuoso", options, 2);
   telemetry::SetRuntimeEnabled(true);
 
   EXPECT_FALSE(lit.telemetry.empty());
@@ -241,15 +237,13 @@ TEST(TelemetryCampaignTest, DisablingTelemetryChangesNoCampaignOutcome) {
   }
 }
 
-class TelemetryMergeTest : public testing::TestWithParam<ShardMode> {};
-
 // The merged snapshot is the shard-index-ordered sum of the shards' own
-// snapshots — bit-identical, both shard modes, over one set of shard results
-// (histogram contents vary across runs with wall time; the merge must not).
-TEST_P(TelemetryMergeTest, MergedTelemetryIsShardIndexOrderedSum) {
+// snapshots — bit-identical, over one set of shard results (histogram
+// contents vary across runs with wall time; the merge must not).
+TEST(TelemetryMergeTest, MergedTelemetryIsShardIndexOrderedSum) {
   std::vector<ShardResult> outcomes;
   CampaignTelemetry summed;
-  for (const ShardPlan& plan : PlanShards(TestOptions(7, 3000), 4, GetParam())) {
+  for (const ShardPlan& plan : PlanShards(TestOptions(7, 3000), 4)) {
     outcomes.push_back(ExecuteShardPlan([] { return std::make_unique<SoftFuzzer>(); },
                                         [] { return MakeDialect("postgresql"); }, plan));
     summed.MergeFrom(outcomes.back().result.telemetry);
@@ -257,21 +251,11 @@ TEST_P(TelemetryMergeTest, MergedTelemetryIsShardIndexOrderedSum) {
   EXPECT_EQ(MergeShardResults(std::move(outcomes)).telemetry, summed);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, TelemetryMergeTest,
-                         testing::Values(ShardMode::kPartitionCases,
-                                         ShardMode::kSplitBudget),
-                         [](const testing::TestParamInfo<ShardMode>& info) {
-                           return info.param == ShardMode::kPartitionCases
-                                      ? "partition"
-                                      : "split";
-                         });
-
 // Journal round trip: replaying the NDJSON stream reconstructs the exact bug
 // set, per-bug first witnesses, and campaign totals.
 TEST(TelemetryJournalTest, ReplayReconstructsExactBugSet) {
   const CampaignOptions options = TestOptions(5, 6000);
-  const CampaignResult result = RunShardedSoftCampaign(
-      "mariadb", options, 3, SoftOptions(), ShardMode::kPartitionCases);
+  const CampaignResult result = RunShardedSoftCampaign("mariadb", options, 3);
   ASSERT_FALSE(result.unique_bugs.empty());
 
   std::stringstream stream;
