@@ -3,6 +3,9 @@
 // Date boundaries: year 0000/9999, invalid months/days accepted leniently by
 // MySQL-style casts, huge AddDays offsets. CURRENT_DATE is pinned to a fixed
 // date so every campaign is reproducible.
+#include <array>
+#include <cstdio>
+
 #include "src/sqlfunc/function.h"
 
 namespace soft {
@@ -143,53 +146,45 @@ Result<Value> FnDateFormat(FunctionContext& ctx, const ValueList& args) {
   }
   const DateTime dt = dv.datetime_value();
   SOFT_ASSIGN_OR_RETURN(std::string fmt, ctx.ArgString(args[1]));
+  // The numeric fields by specifier, each rendered on its first use: a long
+  // format repeats a few specifiers many times.
+  constexpr std::string_view kFields = "YmdHisjw";
+  static constexpr const char* kFieldFormats[] = {"%04d", "%02d", "%02d", "%02d",
+                                                  "%02d", "%02d", "%03d", "%d"};
+  const int values[] = {dt.date.year, dt.date.month, dt.date.day, dt.hour, dt.minute,
+                        dt.second, DayOfYear(dt.date), DayOfWeek(dt.date) - 1};
+  std::array<std::string, kFields.size()> rendered;
+  bool unknown_seen = false;
   std::string out;
-  char buf[16];
-  for (size_t i = 0; i < fmt.size(); ++i) {
-    if (fmt[i] != '%' || i + 1 >= fmt.size()) {
-      out.push_back(fmt[i]);
-      continue;
+  out.reserve(fmt.size());
+  size_t i = 0;
+  while (i < fmt.size()) {
+    // Copy the text up to the next specifier in one append.
+    const size_t percent = fmt.find('%', i);
+    if (percent == std::string::npos || percent + 1 == fmt.size()) {
+      out.append(fmt, i);  // a trailing '%' is text
+      break;
     }
-    ++i;
-    switch (fmt[i]) {
-      case 'Y':
-        std::snprintf(buf, sizeof(buf), "%04d", dt.date.year);
-        out += buf;
-        break;
-      case 'm':
-        std::snprintf(buf, sizeof(buf), "%02d", dt.date.month);
-        out += buf;
-        break;
-      case 'd':
-        std::snprintf(buf, sizeof(buf), "%02d", dt.date.day);
-        out += buf;
-        break;
-      case 'H':
-        std::snprintf(buf, sizeof(buf), "%02d", dt.hour);
-        out += buf;
-        break;
-      case 'i':
-        std::snprintf(buf, sizeof(buf), "%02d", dt.minute);
-        out += buf;
-        break;
-      case 's':
-        std::snprintf(buf, sizeof(buf), "%02d", dt.second);
-        out += buf;
-        break;
-      case 'j':
-        std::snprintf(buf, sizeof(buf), "%03d", DayOfYear(dt.date));
-        out += buf;
-        break;
-      case 'w':
-        out += std::to_string(DayOfWeek(dt.date) - 1);
-        break;
-      case '%':
-        out.push_back('%');
-        break;
-      default:
+    out.append(fmt, i, percent - i);
+    const char specifier = fmt[percent + 1];
+    i = percent + 2;
+    const size_t field = kFields.find(specifier);
+    if (field != std::string_view::npos) {
+      if (rendered[field].empty()) {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), kFieldFormats[field], values[field]);
+        rendered[field] = buf;
+      }
+      out += rendered[field];
+    } else if (specifier == '%') {
+      out.push_back('%');
+    } else {
+      if (!unknown_seen) {
         ctx.Cover(2);  // unknown specifier passes through
-        out.push_back('%');
-        out.push_back(fmt[i]);
+        unknown_seen = true;
+      }
+      out.push_back('%');
+      out.push_back(specifier);
     }
   }
   return Value::Str(std::move(out));

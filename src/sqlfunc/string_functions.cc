@@ -238,10 +238,13 @@ Result<Value> FnRepeat(FunctionContext& ctx, const ValueList& args) {
     ctx.Cover(2);
     return ResourceExhausted("REPEAT result exceeds engine string limit");
   }
-  std::string out;
-  out.reserve(s.size() * static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    out += s;
+  // Fill by doubling: append the part built so far to itself, the last chunk
+  // partial. The reserve keeps the self-append from reallocating.
+  const size_t total = s.size() * static_cast<size_t>(n);
+  std::string out = std::move(s);
+  out.reserve(total);
+  while (out.size() < total) {
+    out.append(out, 0, std::min(out.size(), total - out.size()));
   }
   return Value::Str(std::move(out));
 }
@@ -499,23 +502,29 @@ Result<Value> FnSplitPart(FunctionContext& ctx, const ValueList& args) {
     ctx.Cover(2);
     return (n == 1 || n == -1) ? Value::Str(std::move(s)) : Value::Str("");
   }
-  std::vector<std::string> parts;
-  size_t pos = 0;
-  for (;;) {
-    const size_t hit = s.find(delim, pos);
-    if (hit == std::string::npos) {
-      parts.push_back(s.substr(pos));
-      break;
+  // Parts are split by non-overlapping matches, left to right. A negative n
+  // counts from the end, so count the parts first.
+  int64_t idx = n - 1;
+  if (n < 0) {
+    int64_t parts = 1;
+    for (size_t hit = s.find(delim); hit != std::string::npos;
+         hit = s.find(delim, hit + delim.size())) {
+      ++parts;
     }
-    parts.push_back(s.substr(pos, hit - pos));
-    pos = hit + delim.size();
+    idx = parts + n;
   }
-  int64_t idx = n > 0 ? n - 1 : static_cast<int64_t>(parts.size()) + n;
-  if (idx < 0 || idx >= static_cast<int64_t>(parts.size())) {
+  // Walk past idx delimiters and copy out only the part that follows.
+  size_t begin = 0;
+  for (int64_t i = 0; i < idx && begin != std::string::npos; ++i) {
+    const size_t hit = s.find(delim, begin);
+    begin = hit == std::string::npos ? hit : hit + delim.size();
+  }
+  if (idx < 0 || begin == std::string::npos) {
     ctx.Cover(3);
     return Value::Str("");
   }
-  return Value::Str(parts[static_cast<size_t>(idx)]);
+  const size_t end = s.find(delim, begin);
+  return Value::Str(s.substr(begin, end == std::string::npos ? end : end - begin));
 }
 
 Result<Value> FnTranslate(FunctionContext& ctx, const ValueList& args) {
@@ -929,21 +938,27 @@ Result<Value> FnRegexpReplace(FunctionContext& ctx, const ValueList& args) {
     return ResourceExhausted("REGEXP_REPLACE operand exceeds matcher limits");
   }
   SOFT_ASSIGN_OR_RETURN(RegexProgram prog, CompileRegex(pattern, ctx));
-  // Replace the leftmost shortest match at each position (simplified).
+  // Replace the leftmost shortest match at each position (simplified): each
+  // window must match whole, so '^' and '$' anchor nothing inside it.
+  prog.anchored_start = true;
+  prog.anchored_end = true;
+  const std::string_view subject(s);
   std::string out;
   size_t pos = 0;
   while (pos < s.size()) {
+    // Some window starting at pos matches exactly when the pattern matches a
+    // prefix of the rest, so one unanchored probe skips the window scan at
+    // most positions. MatchHere's depth guard cannot fire: the depth is at
+    // most the node count, and patterns are at most 1,024 bytes.
     bool matched = false;
-    for (size_t end = pos; end <= s.size(); ++end) {
-      const std::string_view window(s.data() + pos, end - pos);
-      RegexProgram probe = prog;
-      probe.anchored_start = true;
-      probe.anchored_end = true;
-      if (RunRegex(probe, window)) {
-        out += replacement;
-        pos = end > pos ? end : pos + 1;
-        matched = true;
-        break;
+    if (MatchHere(prog.nodes, 0, subject.substr(pos), 0, /*anchored_end=*/false, 0)) {
+      for (size_t end = pos; end <= s.size(); ++end) {
+        if (RunRegex(prog, subject.substr(pos, end - pos))) {
+          out += replacement;
+          pos = end > pos ? end : pos + 1;
+          matched = true;
+          break;
+        }
       }
     }
     if (!matched) {

@@ -116,42 +116,69 @@ class XmlParser {
   size_t pos_ = 0;
 };
 
-// Path subset: /tag/tag[index]/... (1-based indexes).
-struct XPathStep {
-  std::string tag;
-  int index = 1;
+// Where a path leads in a document: the node it names (nullptr when it does
+// not resolve), that node's parent, and the number of steps.
+struct XPathTarget {
+  XmlNode* node = nullptr;
+  XmlNode* parent = nullptr;
+  size_t steps = 0;
 };
 
-Result<std::vector<XPathStep>> ParseXPath(std::string_view path) {
+// Path subset: /tag/tag[index]/... (1-based indexes); the first step must
+// match the root tag. Validates the whole path and resolves it in the same
+// pass, so a malformed step is an error even past a step that failed to
+// resolve. Tags stay views into the path, and a step below a missed one is
+// only validated.
+Result<XPathTarget> ResolveXPath(XmlNode* root, std::string_view path) {
   if (path.empty() || path[0] != '/') {
     return InvalidArgument("XPath must start with '/'");
   }
-  std::vector<XPathStep> steps;
+  XPathTarget target;
   size_t pos = 1;
   while (pos < path.size()) {
-    XPathStep step;
+    const size_t tag_start = pos;
     while (pos < path.size() && path[pos] != '/' && path[pos] != '[') {
-      step.tag.push_back(path[pos]);
       ++pos;
     }
-    if (step.tag.empty()) {
+    const std::string_view tag = path.substr(tag_start, pos - tag_start);
+    if (tag.empty()) {
       return InvalidArgument("empty step in XPath");
     }
+    // An index above INT_MAX names no node, like index 0.
+    int index = 1;
     if (pos < path.size() && path[pos] == '[') {
       const size_t close = path.find(']', pos);
       if (close == std::string_view::npos) {
         return InvalidArgument("unterminated index in XPath");
       }
-      step.index = 0;
+      index = 0;
+      bool overflow = false;
       for (size_t i = pos + 1; i < close; ++i) {
         if (std::isdigit(static_cast<unsigned char>(path[i])) == 0) {
           return InvalidArgument("non-numeric index in XPath");
         }
-        step.index = step.index * 10 + (path[i] - '0');
+        overflow = overflow || __builtin_mul_overflow(index, 10, &index) ||
+                   __builtin_add_overflow(index, path[i] - '0', &index);
+      }
+      if (overflow) {
+        index = 0;
       }
       pos = close + 1;
     }
-    steps.push_back(std::move(step));
+    ++target.steps;
+    if (target.steps == 1) {
+      target.node = root != nullptr && root->tag == tag && index == 1 ? root : nullptr;
+    } else if (target.node != nullptr) {
+      target.parent = target.node;
+      target.node = nullptr;
+      int seen = 0;
+      for (const auto& child : target.parent->children) {
+        if (child->tag == tag && ++seen == index) {
+          target.node = child.get();
+          break;
+        }
+      }
+    }
     if (pos < path.size()) {
       if (path[pos] != '/') {
         return InvalidArgument("malformed XPath");
@@ -159,35 +186,7 @@ Result<std::vector<XPathStep>> ParseXPath(std::string_view path) {
       ++pos;
     }
   }
-  return steps;
-}
-
-// Returns the node at the path, or nullptr when it does not resolve. The
-// first step must match the root tag.
-XmlNode* ResolveXPath(XmlNode* root, const std::vector<XPathStep>& steps) {
-  if (steps.empty() || root == nullptr || root->tag != steps[0].tag ||
-      steps[0].index != 1) {
-    return nullptr;
-  }
-  XmlNode* cur = root;
-  for (size_t s = 1; s < steps.size(); ++s) {
-    int seen = 0;
-    XmlNode* next = nullptr;
-    for (const auto& child : cur->children) {
-      if (child->tag == steps[s].tag) {
-        ++seen;
-        if (seen == steps[s].index) {
-          next = child.get();
-          break;
-        }
-      }
-    }
-    if (next == nullptr) {
-      return nullptr;
-    }
-    cur = next;
-  }
-  return cur;
+  return target;
 }
 
 Result<Value> FnExtractValue(FunctionContext& ctx, const ValueList& args) {
@@ -200,13 +199,12 @@ Result<Value> FnExtractValue(FunctionContext& ctx, const ValueList& args) {
     return doc.status().code() == StatusCode::kResourceExhausted ? doc.status()
                                                                  : Result<Value>(Value::Null());
   }
-  SOFT_ASSIGN_OR_RETURN(std::vector<XPathStep> steps, ParseXPath(path));
-  const XmlNode* target = ResolveXPath(doc->get(), steps);
-  if (target == nullptr) {
+  SOFT_ASSIGN_OR_RETURN(XPathTarget target, ResolveXPath(doc->get(), path));
+  if (target.node == nullptr) {
     ctx.Cover(2);
     return Value::Str("");
   }
-  return Value::Str(target->text);
+  return Value::Str(target.node->text);
 }
 
 Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
@@ -220,9 +218,8 @@ Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
     return doc.status().code() == StatusCode::kResourceExhausted ? doc.status()
                                                                  : Result<Value>(Value::Null());
   }
-  SOFT_ASSIGN_OR_RETURN(std::vector<XPathStep> steps, ParseXPath(path));
-  XmlNode* target = ResolveXPath(doc->get(), steps);
-  if (target == nullptr) {
+  SOFT_ASSIGN_OR_RETURN(XPathTarget target, ResolveXPath(doc->get(), path));
+  if (target.node == nullptr) {
     ctx.Cover(2);
     return Value::Str(xml);  // MySQL: path miss returns the original
   }
@@ -233,15 +230,13 @@ Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
     ctx.Cover(3);
     return Value::Str(xml);
   }
-  if (steps.size() == 1) {
+  if (target.steps == 1) {
     ctx.Cover(4);
     return Value::Str((*fragment)->Serialize());  // replaced the root
   }
   // Replace within the parent.
-  std::vector<XPathStep> parent_steps(steps.begin(), steps.end() - 1);
-  XmlNode* parent = ResolveXPath(doc->get(), parent_steps);
-  for (auto& child : parent->children) {
-    if (child.get() == target) {
+  for (auto& child : target.parent->children) {
+    if (child.get() == target.node) {
       child = std::move(*fragment);
       break;
     }

@@ -1,29 +1,30 @@
 #include "src/sqlvalue/inet.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
-#include <vector>
-
-#include "src/util/str_util.h"
 
 namespace soft {
 namespace {
 
 Result<InetAddr> ParseV4(std::string_view text) {
-  const std::vector<std::string> parts = Split(text, '.');
-  if (parts.size() != 4) {
+  if (std::count(text.begin(), text.end(), '.') != 3) {
     return InvalidArgument("malformed IPv4 address");
   }
   InetAddr out;
   out.is_v4 = true;
   out.bytes[10] = 0xFF;
   out.bytes[11] = 0xFF;
+  size_t start = 0;
   for (size_t i = 0; i < 4; ++i) {
-    unsigned v = 0;
-    const std::string& p = parts[i];
+    const size_t dot = i < 3 ? text.find('.', start) : text.size();
+    const std::string_view p = text.substr(start, dot - start);
+    start = dot + 1;
     if (p.empty() || p.size() > 3) {
       return InvalidArgument("malformed IPv4 octet");
     }
+    unsigned v = 0;
     auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), v);
     if (ec != std::errc() || ptr != p.data() + p.size() || v > 255) {
       return InvalidArgument("malformed IPv4 octet");
@@ -33,55 +34,69 @@ Result<InetAddr> ParseV4(std::string_view text) {
   return out;
 }
 
-Result<InetAddr> ParseV6(std::string_view text) {
-  // Split on "::" once; each side is a list of 16-bit groups.
-  std::vector<uint16_t> head;
-  std::vector<uint16_t> tail;
-  bool has_gap = false;
+// Up to 8 16-bit groups and how many were seen: an address with more is
+// refused by its count, so only the first 8 are kept.
+struct Groups {
+  std::array<uint16_t, 8> values{};
+  size_t count = 0;
+};
 
-  auto parse_groups = [](std::string_view chunk,
-                         std::vector<uint16_t>& out) -> Status {
-    if (chunk.empty()) {
+// Reads the ':'-separated groups of `chunk` (none when it is empty) in place.
+Status ParseGroups(std::string_view chunk, Groups& out) {
+  if (chunk.empty()) {
+    return OkStatus();
+  }
+  size_t start = 0;
+  for (;;) {
+    const size_t colon = chunk.find(':', start);
+    const std::string_view g = chunk.substr(start, colon - start);
+    if (g.empty() || g.size() > 4) {
+      return InvalidArgument("malformed IPv6 group");
+    }
+    unsigned v = 0;
+    auto [p, ec] = std::from_chars(g.data(), g.data() + g.size(), v, 16);
+    if (ec != std::errc() || p != g.data() + g.size()) {
+      return InvalidArgument("malformed IPv6 group");
+    }
+    if (out.count < out.values.size()) {
+      out.values[out.count] = static_cast<uint16_t>(v);
+    }
+    ++out.count;
+    if (colon == std::string_view::npos) {
       return OkStatus();
     }
-    for (const std::string& g : Split(chunk, ':')) {
-      if (g.empty() || g.size() > 4) {
-        return InvalidArgument("malformed IPv6 group");
-      }
-      unsigned v = 0;
-      auto [p, ec] = std::from_chars(g.data(), g.data() + g.size(), v, 16);
-      if (ec != std::errc() || p != g.data() + g.size()) {
-        return InvalidArgument("malformed IPv6 group");
-      }
-      out.push_back(static_cast<uint16_t>(v));
-    }
-    return OkStatus();
-  };
+    start = colon + 1;
+  }
+}
 
+Result<InetAddr> ParseV6(std::string_view text) {
+  // Split on "::" once; each side is a list of 16-bit groups.
+  Groups head;
+  Groups tail;
   const size_t gap = text.find("::");
-  if (gap != std::string_view::npos) {
-    has_gap = true;
-    SOFT_RETURN_IF_ERROR(parse_groups(text.substr(0, gap), head));
-    SOFT_RETURN_IF_ERROR(parse_groups(text.substr(gap + 2), tail));
+  const bool has_gap = gap != std::string_view::npos;
+  if (has_gap) {
+    SOFT_RETURN_IF_ERROR(ParseGroups(text.substr(0, gap), head));
+    SOFT_RETURN_IF_ERROR(ParseGroups(text.substr(gap + 2), tail));
   } else {
-    SOFT_RETURN_IF_ERROR(parse_groups(text, head));
+    SOFT_RETURN_IF_ERROR(ParseGroups(text, head));
   }
 
-  const size_t total = head.size() + tail.size();
+  const size_t total = head.count + tail.count;
   if ((has_gap && total >= 8) || (!has_gap && total != 8)) {
     return InvalidArgument("wrong number of IPv6 groups");
   }
 
   InetAddr out;
   size_t idx = 0;
-  for (uint16_t g : head) {
-    out.bytes[idx++] = static_cast<uint8_t>(g >> 8);
-    out.bytes[idx++] = static_cast<uint8_t>(g & 0xFF);
+  for (size_t i = 0; i < head.count; ++i) {
+    out.bytes[idx++] = static_cast<uint8_t>(head.values[i] >> 8);
+    out.bytes[idx++] = static_cast<uint8_t>(head.values[i] & 0xFF);
   }
-  idx = 16 - tail.size() * 2;
-  for (uint16_t g : tail) {
-    out.bytes[idx++] = static_cast<uint8_t>(g >> 8);
-    out.bytes[idx++] = static_cast<uint8_t>(g & 0xFF);
+  idx = 16 - tail.count * 2;
+  for (size_t i = 0; i < tail.count; ++i) {
+    out.bytes[idx++] = static_cast<uint8_t>(tail.values[i] >> 8);
+    out.bytes[idx++] = static_cast<uint8_t>(tail.values[i] & 0xFF);
   }
   return out;
 }

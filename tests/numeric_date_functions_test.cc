@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/database.h"
+#include "src/sqlvalue/inet.h"
 
 namespace soft {
 namespace {
@@ -122,6 +123,23 @@ TEST_F(FunctionsTest, DateFormatSpecifiers) {
   EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%%')"), "%");
   EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', 'plain')"), "plain");
   EXPECT_EQ(Eval("DATE_FORMAT('bogus', '%Y')"), "NULL");
+  // Repeated, unknown and trailing specifiers.
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%Y-%Y %d%d %j%j %w%w')"),
+            "2024-2024 1515 167167 66");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%q%Q %m')"), "%q%Q 06");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', 'abc%')"), "abc%");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%')"), "%");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%%Y')"), "%Y");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '%%%')"), "%%");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '2024-06-15', '')"), "");
+  EXPECT_EQ(Eval("DATE_FORMAT('2024-06-15 13:04:05', '%H:%i:%s %H%i%s')"),
+            "13:04:05 130405");
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '0000-01-01', '%Y %j %w')"),
+            Eval("CONCAT('0000 001 ', DAYOFWEEK(DATE '0000-01-01') - 1)"));
+  EXPECT_EQ(Eval("DATE_FORMAT(DATE '9999-12-31', '%Y%m%d')"), "99991231");
+  EXPECT_EQ(Eval("LENGTH(DATE_FORMAT(DATE '2024-06-15', REPEAT('%Y', 100000)))"), "400000");
+  EXPECT_EQ(Eval("RIGHT(DATE_FORMAT(DATE '2024-06-15', REPEAT('%d%x', 1000)), 6)"),
+            "%x15%x");
 }
 
 TEST_F(FunctionsTest, DayNumberRoundTrip) {
@@ -190,6 +208,55 @@ TEST_F(FunctionsTest, InetFamily) {
   EXPECT_EQ(Eval("INET_NTOA(-1)"), "NULL");
   EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('255.255.255.255'))"), "255.255.255.255");
   EXPECT_EQ(Eval("INET6_ATON('not-an-ip')"), "NULL");
+  // IPv4: exactly four octets of 1-3 decimal digits, each at most 255.
+  EXPECT_EQ(Eval("INET_ATON('255.255.255.255')"), "4294967295");
+  EXPECT_EQ(Eval("INET_ATON('0.0.0.0')"), "0");
+  EXPECT_EQ(Eval("INET_ATON('001.002.003.004')"), "16909060");
+  EXPECT_EQ(Eval("INET_ATON('1.2.3.4.5')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('1.2.3')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('1..3.4')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('1.2.3.1000')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('1.2.3.256')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('')"), "NULL");
+  EXPECT_EQ(Eval("INET_ATON('::1')"), "NULL");  // valid, but not IPv4
+  EXPECT_EQ(Eval("INET_ATON(REPEAT('1.', 500000))"), "NULL");
+  EXPECT_EQ(ParseInet("1.2.3.4.5").status().message(), "malformed IPv4 address");
+  EXPECT_EQ(ParseInet("1.2.3").status().message(), "malformed IPv4 address");
+  EXPECT_EQ(ParseInet("").status().message(), "malformed IPv4 address");
+  EXPECT_EQ(ParseInet("1.2.3.").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("1..3.4").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("1.2.3.1000").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("1.2.3.256").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("+1.2.3.4").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("1.2.3.4 ").status().message(), "malformed IPv4 octet");
+  EXPECT_EQ(ParseInet("x.y..").status().message(), "malformed IPv4 octet");
+  // IPv6: '::' at the start, at the end, alone; groups of 1-4 hex digits.
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('::1'))"), "0:0:0:0:0:0:0:1");
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('1::'))"), "1:0:0:0:0:0:0:0");
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('::'))"), "0:0:0:0:0:0:0:0");
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('a:B:c::ffff:1'))"), "a:b:c:0:0:0:ffff:1");
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('1:2:3:4:5:6:7:8'))"), "1:2:3:4:5:6:7:8");
+  EXPECT_EQ(Eval("INET6_NTOA(INET6_ATON('1:2:3:4::5:6:7'))"), "1:2:3:4:0:5:6:7");
+  EXPECT_EQ(Eval("INET6_ATON('1:2:3:4:5:6:7:8:9')"), "NULL");
+  EXPECT_EQ(Eval("INET6_ATON(':::')"), "NULL");
+  EXPECT_EQ(Eval("INET6_ATON('12345::')"), "NULL");
+  EXPECT_EQ(Eval("INET6_ATON(REPEAT('1:', 500000))"), "NULL");
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7:8:9").status().message(), "wrong number of IPv6 groups");
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7").status().message(), "wrong number of IPv6 groups");
+  EXPECT_EQ(ParseInet("1:2:3:4::5:6:7:8").status().message(), "wrong number of IPv6 groups");
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7:8::").status().message(), "wrong number of IPv6 groups");
+  EXPECT_EQ(ParseInet(":::").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("::1::").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("12345::").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("::12345").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7:").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet(":1:2:3:4:5:6:7").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("g::1").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("1.2.3.4:5").status().message(), "malformed IPv6 group");
+  // A malformed group is reported before a wrong group count, in the head
+  // first and then in the tail.
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7:8:9:x").status().message(), "malformed IPv6 group");
+  EXPECT_EQ(ParseInet("1:2:3:4:5:6:7:8::9:x").status().message(), "malformed IPv6 group");
 }
 
 }  // namespace

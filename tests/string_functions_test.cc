@@ -16,6 +16,10 @@ class StringFunctionsTest : public testing::Test {
     }
     return r.rows[0][0].ToDisplayString();
   }
+  // The error message of a failing statement ("" when it succeeds).
+  std::string Message(const std::string& expr) {
+    return db_.Execute("SELECT " + expr).status.message();
+  }
   Database db_;
 };
 
@@ -90,6 +94,24 @@ TEST_F(StringFunctionsTest, RepeatBoundaries) {
   EXPECT_EQ(Eval("REPEAT('ab', -1)"), "");
   EXPECT_EQ(Eval("REPEAT('a', 9999999999)"), "<RESOURCE_EXHAUSTED>");
   EXPECT_EQ(Eval("REPEAT('', 1000)"), "");
+  EXPECT_EQ(Eval("REPEAT('', 1000000)"), "");
+  EXPECT_EQ(Eval("REPEAT('ab', 1)"), "ab");
+  // 7 = 4 + 3 repetitions: the last chunk is a partial copy of the first 4.
+  EXPECT_EQ(Eval("REPEAT('abc', 7)"), "abcabcabcabcabcabcabc");
+  EXPECT_EQ(Eval("REPEAT('xy', 5)"), "xyxyxyxyxy");
+  // 8 bytes x 2097152 is exactly max_string_len (16 MiB); one more
+  // repetition is over it.
+  EXPECT_EQ(Eval("LENGTH(REPEAT('abcdefgh', 2097152))"), "16777216");
+  EXPECT_EQ(Eval("SUBSTR(REPEAT('abcdefgh', 2097152), 8388605, 8)"), "efghabcd");
+  EXPECT_EQ(Eval("RIGHT(REPEAT('abcdefgh', 2097152), 3)"), "fgh");
+  EXPECT_EQ(Eval("REPEAT('abcdefgh', 2097153)"), "<RESOURCE_EXHAUSTED>");
+  EXPECT_EQ(Message("REPEAT('abcdefgh', 2097153)"),
+            "REPEAT result exceeds engine string limit");
+  // n = max_repeat_count (2^22) is allowed, one more is not.
+  EXPECT_EQ(Eval("LENGTH(REPEAT('a', 4194304))"), "4194304");
+  EXPECT_EQ(Eval("REPEAT('a', 4194305)"), "<RESOURCE_EXHAUSTED>");
+  EXPECT_EQ(Eval("LENGTH(REPEAT('abcd', 4194304))"), "16777216");
+  EXPECT_EQ(Eval("REPEAT('abcd', 4194305)"), "<RESOURCE_EXHAUSTED>");
 }
 
 TEST_F(StringFunctionsTest, SearchFamily) {
@@ -157,6 +179,35 @@ TEST_F(StringFunctionsTest, SplitPartBoundaries) {
   EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', 9)"), "");
   EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', 0)"), "<INVALID_ARGUMENT>");
   EXPECT_EQ(Eval("SPLIT_PART('abc', '', 1)"), "abc");
+  EXPECT_EQ(Eval("SPLIT_PART('abc', '', -1)"), "abc");
+  EXPECT_EQ(Eval("SPLIT_PART('abc', '', 2)"), "");
+  EXPECT_EQ(Message("SPLIT_PART('a,b,c', ',', 0)"), "field position must not be zero");
+  // Multi-byte and overlapping delimiters: matches do not overlap.
+  EXPECT_EQ(Eval("SPLIT_PART('a::b::c', '::', 2)"), "b");
+  EXPECT_EQ(Eval("SPLIT_PART('a::b::c', '::', -3)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART('aaaa', 'aa', 1)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('aaaa', 'aa', 2)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('aaaa', 'aa', 3)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('aaa', 'aa', 2)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART('aaa', 'aa', -1)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART('aaXaa', 'aa', 2)"), "X");
+  EXPECT_EQ(Eval("SPLIT_PART('abc', 'abcd', 1)"), "abc");
+  // A delimiter at both ends makes empty first and last parts.
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', 1)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', 2)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', 3)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', -2)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', -3)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART(',a,', ',', 4)"), "");
+  // Negative n counts from the end; beyond the part count it is empty.
+  EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', -3)"), "a");
+  EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', -4)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', -9223372036854775807)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', -9223372036854775808)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART('a,b,c', ',', 9223372036854775807)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART(REPEAT('ab,', 100000), ',', 100000)"), "ab");
+  EXPECT_EQ(Eval("SPLIT_PART(REPEAT('ab,', 100000), ',', -1)"), "");
+  EXPECT_EQ(Eval("SPLIT_PART(REPEAT('ab,', 100000), ',', -100001)"), "ab");
 }
 
 TEST_F(StringFunctionsTest, TranslateDeletesUnmapped) {
@@ -188,6 +239,43 @@ TEST_F(StringFunctionsTest, RegexpReplace) {
   EXPECT_EQ(Eval("REGEXP_REPLACE('banana', 'an', 'X')"), "bXXa");
   EXPECT_EQ(Eval("REGEXP_REPLACE('abc', 'z', 'X')"), "abc");
   EXPECT_EQ(Eval("REGEXP_REPLACE('abc', '', 'X')"), "abc");
+  // The leftmost shortest window is replaced; an empty match consumes the
+  // character it starts at.
+  EXPECT_EQ(Eval("REGEXP_REPLACE('bbb', 'a*', 'X')"), "XXX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('aab', 'a*', 'X')"), "XXX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('abbb', 'ab*', 'X')"), "Xbbb");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('abc', '.', 'X')"), "XXX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('a.c', 'a.c', 'X')"), "X");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('a1b22', '[0-9]', '#')"), "a#b##");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('a1b22', '[^0-9]', '#')"), "#1#22");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('a1b22', '[0-9]*', '#')"), "#####");
+  // A star pattern that matches only late in the subject.
+  EXPECT_EQ(Eval("REGEXP_REPLACE('xxxxxxxxxxabbbbc', 'ab*c', 'Y')"), "xxxxxxxxxxY");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('aaaaaaaaac', 'ab*c', 'Y')"), "aaaaaaaaY");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('abcabd', 'ab*c', 'Y')"), "Yabd");
+  // '^' and '$' anchor nothing inside a window: every window is matched whole.
+  EXPECT_EQ(Eval("REGEXP_REPLACE('aba', '^a', 'X')"), "XbX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('aba', 'a$', 'X')"), "XbX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('aba', '^a$', 'X')"), "XbX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('ab', '^$', 'X')"), "XX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('ab', '^', 'X')"), "XX");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('a$b', 'a$b', 'X')"), "X");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('abc', '[a', 'X')"), "<INVALID_ARGUMENT>");
+  EXPECT_EQ(Eval("REGEXP_REPLACE('abc', '[z-a]', 'X')"), "<INVALID_ARGUMENT>");
+  // The subject limit is 16,384 bytes.
+  EXPECT_EQ(Eval("REGEXP_REPLACE(REPEAT('b', 16384), 'b', 'x') = REPEAT('x', 16384)"),
+            "TRUE");
+  EXPECT_EQ(Eval("LENGTH(REGEXP_REPLACE(REPEAT('ab', 8192), 'b', 'xy'))"), "24576");
+  EXPECT_EQ(Eval("REGEXP_REPLACE(REPEAT('b', 16385), 'b', 'x')"), "<RESOURCE_EXHAUSTED>");
+  EXPECT_EQ(Message("REGEXP_REPLACE(REPEAT('b', 16385), 'b', 'x')"),
+            "REGEXP_REPLACE operand exceeds matcher limits");
+  EXPECT_EQ(Eval("REGEXP_REPLACE(REPEAT('b', 16385), '', 'x') = REPEAT('b', 16385)"),
+            "TRUE");
+  // The result limit is checked as the output grows.
+  EXPECT_EQ(Eval("REGEXP_REPLACE(REPEAT('b', 20), 'b', REPEAT('x', 1000000))"),
+            "<RESOURCE_EXHAUSTED>");
+  EXPECT_EQ(Message("REGEXP_REPLACE(REPEAT('b', 20), 'b', REPEAT('x', 1000000))"),
+            "REGEXP_REPLACE result exceeds engine string limit");
 }
 
 TEST_F(StringFunctionsTest, DigestsAreStable) {

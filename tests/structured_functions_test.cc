@@ -16,6 +16,10 @@ class StructuredTest : public testing::Test {
     }
     return r.rows[0][0].ToDisplayString();
   }
+  // The error message of a failing statement ("" when it succeeds).
+  std::string Message(const std::string& expr) {
+    return db_.Execute("SELECT " + expr).status.message();
+  }
   Database db_;
 };
 
@@ -73,6 +77,75 @@ TEST_F(StructuredTest, XmlFamily) {
   EXPECT_EQ(Eval("XML_VALID('<a><b></a>')"), "FALSE");  // mismatched close
   EXPECT_EQ(Eval("XML_ROOT('<root><x/></root>')"), "root");
   EXPECT_EQ(Eval("XML_ELEMENT_COUNT('<a><b/><b/></a>')"), "3");
+
+  // XPath boundaries.
+  const std::string doc = "'<a>t<b>x</b><b>y<c>z</c></b></a>'";
+  const auto extract = [&](const std::string& path) {
+    return Eval("EXTRACTVALUE(" + doc + ", '" + path + "')");
+  };
+  EXPECT_EQ(extract("/a"), "t");
+  EXPECT_EQ(extract("/a[1]"), "t");
+  EXPECT_EQ(extract("/a[2]"), "");  // the root has index 1 only
+  EXPECT_EQ(extract("/z"), "");
+  EXPECT_EQ(extract("/a/b[2]/c"), "z");
+  EXPECT_EQ(extract("/a[1]/b[02]"), "y");
+  EXPECT_EQ(extract("/"), "");      // no steps: resolves to nothing
+  EXPECT_EQ(extract("/a/"), "t");   // a trailing '/' ends the path
+  EXPECT_EQ(extract("/a/b/"), "x");
+  EXPECT_EQ(extract("/a/b[0]"), "");
+  EXPECT_EQ(extract("/a/b[]"), "");  // an empty index is index 0
+  EXPECT_EQ(extract("/a/b[3]"), "");
+  // Deeper than the document: resolves to nothing.
+  EXPECT_EQ(extract("/a/b/c/d"), "");
+  EXPECT_EQ(extract("/a/b[2]/c/c/c/c/c/c"), "");
+  // An index above INT_MAX names no node (it used to wrap around: the
+  // 4294967297th <b> read as the first).
+  EXPECT_EQ(Eval("EXTRACTVALUE('<a><b>x</b></a>', '/a/b[4294967297]')"), "");
+  EXPECT_EQ(Eval("EXTRACTVALUE('<a><b>x</b></a>', '/a/b[99999999999]')"), "");
+  EXPECT_EQ(Eval("EXTRACTVALUE('<a><b>x</b></a>', '/a/b[2147483648]')"), "");
+  EXPECT_EQ(Eval("EXTRACTVALUE('<a><b>x</b></a>', '/a/b[2147483647]')"), "");
+  EXPECT_EQ(Eval("EXTRACTVALUE('<a>r<b>x</b></a>', '/a[4294967297]')"), "");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a/b[4294967297]', '<c/>')"), "<a><b/></a>");
+  EXPECT_EQ(Message("EXTRACTVALUE('<a/>', '/a/b[99999999999x]')"), "non-numeric index in XPath");
+  // Malformed paths are errors, whatever the document.
+  EXPECT_EQ(extract(""), "<INVALID_ARGUMENT>");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '')"), "XPath must start with '/'");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", 'a/b')"), "XPath must start with '/'");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '//')"), "empty step in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a//b')"), "empty step in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/[1]')"), "empty step in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[1')"), "unterminated index in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[x]')"), "non-numeric index in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[-1]')"), "non-numeric index in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[1/c]')"), "non-numeric index in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[1]c')"), "malformed XPath");
+  // The first offending step decides the error, even past a step that
+  // already failed to resolve.
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/z/b[x]//')"), "non-numeric index in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", '/a/b[1]x[y]')"), "malformed XPath");
+  // A malformed step after a thousand valid ones is still an error.
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", CONCAT(REPEAT('/a', 1000), '//'))"),
+            "empty step in XPath");
+  EXPECT_EQ(Message("EXTRACTVALUE(" + doc + ", CONCAT(REPEAT('/a/b', 1000), '/c[1'))"),
+            "unterminated index in XPath");
+  EXPECT_EQ(Eval("EXTRACTVALUE(" + doc + ", REPEAT('/a', 1000))"), "");
+  // A document error comes before a path error.
+  EXPECT_EQ(Eval("EXTRACTVALUE('not xml', '//')"), "NULL");
+  EXPECT_EQ(Eval("UPDATEXML('not xml', '//', '<b/>')"), "NULL");
+
+  // UPDATEXML replaces the node in its parent, or the whole document at the
+  // root.
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/><b>y</b></a>', '/a/b[2]', '<c/>')"), "<a><b></b><c></c></a>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b><c/></b></a>', '/a/b/c', '<d>e</d>')"),
+            "<a><b><d>e</d></b></a>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a', '<c>z</c>')"), "<c>z</c>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a/', '<c/>')"), "<c></c>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a[2]', '<c/>')"), "<a><b/></a>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/', '<c/>')"), "<a><b/></a>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a/b/c', '<c/>')"), "<a><b/></a>");
+  EXPECT_EQ(Eval("UPDATEXML('<a><b/></a>', '/a/b', 'not xml')"), "<a><b/></a>");
+  EXPECT_EQ(Message("UPDATEXML('<a><b/></a>', '/a//', '<c/>')"), "empty step in XPath");
+  EXPECT_EQ(Message("UPDATEXML('<a><b/></a>', '/a/b[', '<c/>')"), "unterminated index in XPath");
 }
 
 TEST_F(StructuredTest, SpatialFamily) {
