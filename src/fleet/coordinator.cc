@@ -43,6 +43,9 @@ namespace fleet {
 namespace {
 
 constexpr int kJournalRing = 16;  // recent journal lines kept for STATUS
+// Local worker respawns back off exponentially between these bounds.
+constexpr int kSpawnBackoffInitialMs = 5;
+constexpr int kSpawnBackoffMaxMs = 200;
 
 using telemetry::EscapeJson;
 
@@ -233,8 +236,6 @@ class Coordinator {
     } else {
       w.socket_path = fleet_.socket_path;
     }
-    w.backoff_initial_ms = fleet_.backoff_initial_ms;
-    w.backoff_max_ms = fleet_.backoff_max_ms;
     if (chaos_kill) {
       w.kill9_at_unit = 0;
     }
@@ -664,13 +665,11 @@ class Coordinator {
   }
 
   // One Prometheus text-exposition snapshot of everything this coordinator
-  // can see: the live lease/worker gauges and doctor rates, the FleetStats
-  // and lease-table counters, the merged campaign telemetry (stage
-  // histograms + per-pattern counters) and failpoint site counters.
-  // Read-only over coordinator state.
+  // can see: the live lease/worker gauges and doctor rates, the fleet
+  // counters, the merged campaign telemetry (stage histograms + per-pattern
+  // counters) and failpoint site counters. Read-only over coordinator state.
   telemetry::MetricsRegistry BuildMetrics() {
     telemetry::MetricsRegistry reg;
-    const LeaseCounters& counters = table_->counters();
     reg.Gauge("soft_fleet_units", "Work units by lease state",
               {{"state", "pending"}}, static_cast<double>(table_->pending()));
     reg.Gauge("soft_fleet_units", "Work units by lease state",
@@ -685,68 +684,14 @@ class Coordinator {
                   ? static_cast<double>(static_cast<int>(doctor_->state()))
                   : 0.0);
     if (doctor_.has_value()) {
-      const HealthRates& rates = doctor_->rates();
-      reg.Gauge("soft_fleet_statements_per_second",
-                "Merged statement rate over the doctor window", {},
-                rates.statements_per_s);
-      reg.Gauge("soft_fleet_units_per_second",
-                "Unit completion rate over the doctor window", {},
-                rates.units_per_s);
-      reg.Gauge("soft_fleet_bugs_per_second",
-                "Unique-bug discovery rate over the doctor window", {},
-                rates.bugs_per_s);
-      reg.Gauge("soft_fleet_reclaims_per_second",
-                "Lease reclaim rate over the doctor window", {},
-                rates.reclaims_per_s);
-      reg.Gauge("soft_fleet_redeliveries_per_second",
-                "GRANT redelivery rate over the doctor window", {},
-                rates.redeliveries_per_s);
+      for (const telemetry::HealthRateField& field : telemetry::kHealthRateFields) {
+        reg.Gauge(field.family, field.help, {}, doctor_->rates().*field.member);
+      }
     }
-    const struct {
-      const char* name;
-      const char* help;
-      uint64_t value;
-    } kCounters[] = {
-        {"soft_fleet_workers_spawned_total", "Worker processes forked",
-         stats_.workers_spawned},
-        {"soft_fleet_worker_deaths_total", "Worker deaths observed",
-         stats_.worker_deaths},
-        {"soft_fleet_leases_granted_total", "Leases granted", counters.granted},
-        {"soft_fleet_leases_reclaimed_total", "Expired leases reclaimed",
-         counters.reclaimed},
-        {"soft_fleet_leases_stolen_total",
-         "Grants of previously-reclaimed units", counters.stolen},
-        {"soft_fleet_heartbeats_total", "Accepted worker heartbeats",
-         counters.heartbeats},
-        {"soft_fleet_units_completed_total", "Accepted unit results",
-         stats_.units_completed},
-        {"soft_fleet_units_run_locally_total",
-         "Units executed on the degrade-to-local path",
-         stats_.units_run_locally},
-        {"soft_fleet_units_resumed_total", "Units re-admitted from the spool",
-         stats_.units_resumed},
-        {"soft_fleet_units_spool_diverged_total",
-         "Spool digest mismatches (unit re-run)", stats_.units_spool_diverged},
-        {"soft_fleet_sessions_resumed_total",
-         "Worker sessions resumed after a disconnect", stats_.sessions_resumed},
-        {"soft_fleet_grants_redelivered_total",
-         "GRANTs re-sent to resumed sessions", stats_.grants_redelivered},
-        {"soft_fleet_dup_results_deduped_total",
-         "Double-delivered unit results discarded", stats_.dup_results_deduped},
-        {"soft_fleet_conns_dropped_total", "Connections condemned",
-         stats_.conns_dropped},
-        {"soft_fleet_status_overflow_drops_total",
-         "Status readers dropped for a full buffer",
-         stats_.status_overflow_drops},
-        {"soft_fleet_health_transitions_total", "Doctor state changes",
-         stats_.health_transitions},
-        {"soft_fleet_health_stalls_total", "Doctor transitions into stall",
-         stats_.health_stalls},
-        {"soft_fleet_metrics_snapshots_total", "--metrics-out files written",
-         stats_.metrics_snapshots},
-    };
-    for (const auto& spec : kCounters) {
-      reg.Counter(spec.name, spec.help, {}, spec.value);
+    const telemetry::FleetCounters counters = Counters();
+    for (const telemetry::FleetCounterField& field : telemetry::kFleetCounterFields) {
+      reg.Counter(telemetry::FleetCounterFamily(field.key), field.help, {},
+                  counters.*field.member);
     }
     for (const auto& [state, transitions] : transitions_by_state_) {
       reg.Counter("soft_health_transitions_by_state_total",
@@ -820,11 +765,7 @@ class Coordinator {
     telemetry::JournalHealthEvent event;
     event.state = stats_.health;
     event.reason = verdict.reason;
-    event.statements_per_s = verdict.rates.statements_per_s;
-    event.units_per_s = verdict.rates.units_per_s;
-    event.bugs_per_s = verdict.rates.bugs_per_s;
-    event.reclaims_per_s = verdict.rates.reclaims_per_s;
-    event.redeliveries_per_s = verdict.rates.redeliveries_per_s;
+    event.rates = verdict.rates;
     event.wall_ms = static_cast<double>(now - campaign_base_ns_) / 1e6;
     std::ostringstream line;
     telemetry::WriteHealthEvent(line, event);
@@ -868,9 +809,21 @@ class Coordinator {
     JournalEmit(line.str());
   }
 
+  // The fleet counters as of now. The lease table keeps four of them itself;
+  // this is the one place they are copied out of it.
+  telemetry::FleetCounters Counters() const {
+    telemetry::FleetCounters counters = stats_;
+    const LeaseCounters& lease = table_->counters();
+    counters.leases_granted = lease.granted;
+    counters.leases_reclaimed = lease.reclaimed;
+    counters.leases_stolen = lease.stolen;
+    counters.heartbeats = lease.heartbeats;
+    return counters;
+  }
+
   std::vector<std::string> StatusLines() {
     std::vector<std::string> lines;
-    lines.push_back(
+    std::string header =
         "{\"event\":\"fleet_status\",\"dialect\":\"" + EscapeJson(dialect_) +
         "\",\"bound\":\"" + EscapeJson(stats_.bound_address) +
         "\",\"health\":\"" + EscapeJson(stats_.health) +
@@ -879,20 +832,13 @@ class Coordinator {
         ",\"pending\":" + std::to_string(table_->pending()) +
         ",\"leased\":" + std::to_string(table_->leased()) +
         ",\"done\":" + std::to_string(table_->done()) +
-        ",\"workers_live\":" + std::to_string(WorkerConnCount()) +
-        ",\"workers_spawned\":" + std::to_string(stats_.workers_spawned) +
-        ",\"worker_deaths\":" + std::to_string(stats_.worker_deaths) +
-        ",\"leases_granted\":" + std::to_string(table_->counters().granted) +
-        ",\"leases_reclaimed\":" + std::to_string(table_->counters().reclaimed) +
-        ",\"leases_stolen\":" + std::to_string(table_->counters().stolen) +
-        ",\"heartbeats\":" + std::to_string(table_->counters().heartbeats) +
-        ",\"units_completed\":" + std::to_string(stats_.units_completed) +
-        ",\"units_run_locally\":" + std::to_string(stats_.units_run_locally) +
-        ",\"units_resumed\":" + std::to_string(stats_.units_resumed) +
-        ",\"sessions_resumed\":" + std::to_string(stats_.sessions_resumed) +
-        ",\"conns_dropped\":" + std::to_string(stats_.conns_dropped) +
-        ",\"dup_results_deduped\":" + std::to_string(stats_.dup_results_deduped) +
-        "}");
+        ",\"workers_live\":" + std::to_string(WorkerConnCount());
+    const telemetry::FleetCounters counters = Counters();
+    for (const telemetry::FleetCounterField& field : telemetry::kFleetCounterFields) {
+      header.append(",\"").append(field.key).append("\":");
+      header += std::to_string(counters.*field.member);
+    }
+    lines.push_back(header + "}");
     for (const auto& [token, session] : sessions_) {
       if (session.finished) {
         continue;
@@ -1058,10 +1004,6 @@ Result<FleetOutcome> Coordinator::Run() {
   heartbeat_ns_ =
       static_cast<uint64_t>(std::max(fleet_.heartbeat_timeout_ms, 1)) * 1000000ull;
   status_cap_ = static_cast<size_t>(std::max(fleet_.status_buffer_cap, 4096));
-  std::string spool_dir = fleet_.spool_dir;
-  if (spool_dir.empty() && !fleet_.journal_path.empty()) {
-    spool_dir = SpoolDirFor(fleet_.journal_path);
-  }
   stats_.units = units_;
   table_.emplace(units_);
   results_.resize(units_);
@@ -1083,6 +1025,8 @@ Result<FleetOutcome> Coordinator::Run() {
     telemetry::WriteCampaignStart(header, options_, "SOFT", dialect_, units_);
     JournalEmit(header.str());
   }
+  const std::string spool_dir =
+      fleet_.journal_path.empty() ? std::string() : SpoolDirFor(fleet_.journal_path);
   spool_.emplace(spool_dir, [this](const std::string& line) {
     JournalEmit(line);
     return !journal_.is_open() || journal_.good();
@@ -1103,16 +1047,9 @@ Result<FleetOutcome> Coordinator::Run() {
 
   campaign_base_ns_ = telemetry::MonotonicNowNs();
 
-  {
-    DoctorOptions doctor_options;
-    doctor_options.window_ns =
-        static_cast<uint64_t>(std::max(fleet_.doctor_window_ms, 1)) * 1000000ull;
-    doctor_options.stall_lease_periods = fleet_.doctor_stall_leases;
-    doctor_options.reclaim_spike =
-        static_cast<uint64_t>(std::max(fleet_.doctor_reclaim_spike, 0));
-    doctor_options.collapse_fraction = fleet_.doctor_collapse_fraction;
-    doctor_.emplace(doctor_options, lease_ns_, campaign_base_ns_);
-  }
+  DoctorOptions doctor_options;
+  doctor_options.stall_lease_periods = fleet_.doctor_stall_leases;
+  doctor_.emplace(doctor_options, lease_ns_, campaign_base_ns_);
 
   // --- listener: bound (and port-0 resolved) before any worker forks --------
   {
@@ -1128,7 +1065,7 @@ Result<FleetOutcome> Coordinator::Run() {
   }
 
   int respawns_used = 0;
-  int spawn_backoff_ms = fleet_.backoff_initial_ms;
+  int spawn_backoff_ms = kSpawnBackoffInitialMs;
   uint64_t next_spawn_ns = 0;
   uint64_t pool_empty_since = 0;
 
@@ -1202,13 +1139,13 @@ Result<FleetOutcome> Coordinator::Run() {
       } else if (now >= next_spawn_ns) {
         SpawnWorker();
         ++respawns_used;
-        spawn_backoff_ms = std::min(spawn_backoff_ms * 2, fleet_.backoff_max_ms);
+        spawn_backoff_ms = std::min(spawn_backoff_ms * 2, kSpawnBackoffMaxMs);
         next_spawn_ns = 0;
       }
     } else {
       next_spawn_ns = 0;
       if (static_cast<int>(children_.size()) >= fleet_.workers && fleet_.workers > 0) {
-        spawn_backoff_ms = fleet_.backoff_initial_ms;
+        spawn_backoff_ms = kSpawnBackoffInitialMs;
       }
     }
     if (pool_empty && !can_respawn) {
@@ -1369,12 +1306,6 @@ Result<FleetOutcome> Coordinator::Run() {
   }
   children_.clear();
 
-  const LeaseCounters& counters = table_->counters();
-  stats_.leases_granted = counters.granted;
-  stats_.leases_reclaimed = counters.reclaimed;
-  stats_.leases_stolen = counters.stolen;
-  stats_.heartbeats = counters.heartbeats;
-
   // Final doctor observation (all units done → the terminal state is never
   // stall; the stall history survives in health_stalls / stall_unacked) and
   // final metrics snapshot, so --metrics-out always ends with the complete
@@ -1396,23 +1327,12 @@ Result<FleetOutcome> Coordinator::Run() {
   FleetOutcome fleet_outcome;
   fleet_outcome.result = MergeShardResults(std::move(outcomes));
   fleet_outcome.stats = stats_;
+  static_cast<telemetry::FleetCounters&>(fleet_outcome.stats) = Counters();
 
   if (journal_.is_open()) {
-    telemetry::JournalFleetFinish fin;
-    fin.units = stats_.units;
-    fin.workers_spawned = stats_.workers_spawned;
-    fin.worker_deaths = stats_.worker_deaths;
-    fin.leases_granted = stats_.leases_granted;
-    fin.leases_reclaimed = stats_.leases_reclaimed;
-    fin.leases_stolen = stats_.leases_stolen;
-    fin.heartbeats = stats_.heartbeats;
-    fin.units_completed = stats_.units_completed;
-    fin.units_run_locally = stats_.units_run_locally;
-    fin.units_resumed = stats_.units_resumed;
-    fin.units_spool_diverged = stats_.units_spool_diverged;
-    fin.degraded_to_local = stats_.degraded_to_local;
     std::ostringstream tail;
-    telemetry::WriteFleetFinishEvent(tail, fin);
+    telemetry::WriteFleetFinishEvent(tail, stats_.units, fleet_outcome.stats,
+                                     stats_.degraded_to_local);
     telemetry::WriteCampaignTail(
         tail, fleet_outcome.result,
         telemetry::MonotonicNowNs() - campaign_base_ns_);
@@ -1493,19 +1413,6 @@ Status StreamFleetStatus(const FleetStatusRequest& request,
   }
   ::close(fd);
   return OkStatus();
-}
-
-Result<std::string> QueryFleetStatus(const std::string& socket_path) {
-  FleetStatusRequest request;
-  request.endpoint.socket_path = socket_path;
-  std::string payload;
-  SOFT_RETURN_IF_ERROR(StreamFleetStatus(
-      request, [&payload](const std::string& line) {
-        payload += line;
-        payload += '\n';
-        return true;
-      }));
-  return payload;
 }
 
 namespace {

@@ -66,6 +66,7 @@
 #include "src/fleet/transport.h"
 #include "src/soft/campaign.h"
 #include "src/soft/chaos.h"
+#include "src/telemetry/telemetry.h"
 #include "src/util/status.h"
 
 namespace soft {
@@ -101,18 +102,15 @@ struct FleetOptions {
   // reader that stops draining accumulates frames here and is disconnected
   // when the bound is hit — it can never stall the coordinator.
   int status_buffer_cap = 1 << 20;
-  // Worker deaths the coordinator will answer with a respawn (bounded
-  // exponential backoff) before giving up on the pool.
+  // Worker deaths the coordinator will answer with a respawn (exponential
+  // backoff from 5 ms, doubling up to 200 ms) before giving up on the pool.
   int max_worker_respawns = 4;
-  int backoff_initial_ms = 5;
-  int backoff_max_ms = 200;
   // NDJSON journal the coordinator streams lease state to (empty = none;
   // resume requires one). docs/OBSERVABILITY.md documents the events.
+  // Completed unit results are spooled next to it, in SpoolDirFor(
+  // journal_path) (wire blocks, written crash-atomically); with no journal
+  // there is no spool.
   std::string journal_path;
-  // Spool directory for completed unit results (wire blocks, written
-  // crash-atomically). Empty defaults to journal_path + ".units" when a
-  // journal is configured, else no spool (resume then re-runs everything).
-  std::string spool_dir;
   // Resume a coordinator killed mid-campaign from journal_path (a fleet's,
   // or a serial/--shards run's): spooled units whose digest matches the
   // journaled lease record are re-admitted, the rest re-run. The campaign
@@ -124,16 +122,9 @@ struct FleetOptions {
   // observes). Stall rule: no unit completion within doctor_stall_leases
   // lease periods while units remain. A stall is acknowledged only by a
   // subsequent worker-driven completion; degrade-to-local completions keep
-  // the stall unacknowledged (FleetStats::health_stall_unacked).
+  // the stall unacknowledged (FleetStats::health_stall_unacked). The
+  // doctor's other rules keep their DoctorOptions defaults.
   int doctor_stall_leases = 3;
-  // Rolling rate window (statements/s, units/s, bug rate, reclaim and
-  // redelivery rates).
-  int doctor_window_ms = 10000;
-  // Warn when this many lease reclaims land inside one window.
-  int doctor_reclaim_spike = 3;
-  // Warn when the statements/s rate drops below this fraction of the rolling
-  // peak while work remains (throughput collapse).
-  double doctor_collapse_fraction = 0.25;
 
   // --- Metrics exposition. Non-empty metrics_out makes the coordinator
   // write the Prometheus registry snapshot there (crash-atomically) every
@@ -164,38 +155,19 @@ inline Endpoint ListenEndpoint(const FleetOptions& fleet) {
   return endpoint;
 }
 
-// uint64_t throughout (heartbeats alone wrap int32 in a multi-day run);
-// these are the raw feed for the fleet metric families.
-struct FleetStats {
+// The campaign's counters — declared, with the table STATUS, METRICS and
+// the journal iterate, as telemetry::FleetCounters — plus what a counter
+// cannot say.
+struct FleetStats : telemetry::FleetCounters {
   uint64_t units = 0;
-  uint64_t workers_spawned = 0;
-  uint64_t worker_deaths = 0;
-  uint64_t leases_granted = 0;
-  uint64_t leases_reclaimed = 0;
-  uint64_t leases_stolen = 0;
-  uint64_t heartbeats = 0;
-  uint64_t units_completed = 0;     // accepted unit results (any executor)
-  uint64_t units_run_locally = 0;   // executed in-process on the degrade path
-  uint64_t units_resumed = 0;       // re-admitted from the spool on resume
-  uint64_t units_spool_diverged = 0;  // spool digest mismatches (re-run instead)
   bool degraded_to_local = false;
-  // --- framed-transport counters ---
-  uint64_t sessions_resumed = 0;    // HELLO with a known token after a disconnect
-  uint64_t grants_redelivered = 0;  // GRANTs re-sent to a resumed session
-  uint64_t dup_results_deduped = 0; // double-delivered unit results discarded
-  uint64_t conns_dropped = 0;       // connections condemned (bad frame, seq gap,
-                                    // heartbeat timeout, eof) — sessions survive
-  uint64_t status_overflow_drops = 0;  // status readers dropped for a full buffer
   std::string bound_address;   // resolved listen address (TCP port-0 binds)
   // --- campaign-health doctor ---
   std::string health = "ok";        // final doctor state (ok|warn|stall)
   std::string health_reason = "ok"; // rule behind the final state
-  uint64_t health_transitions = 0;  // state changes over the campaign
-  uint64_t health_stalls = 0;       // transitions into stall
   // A stall happened and no worker-driven unit completion followed it —
   // the signal behind find_bugs --fleet=serve exit code 4.
   bool health_stall_unacked = false;
-  uint64_t metrics_snapshots = 0;   // --metrics-out files written
   // One message per unit result the spool could not commit (the journal is
   // then degraded: a resume re-runs those units).
   std::vector<std::string> spool_failures;
@@ -231,16 +203,12 @@ ChaosReport RunFleetChaosEnumeration(const std::string& dialect, int budget);
 // uninjected sharded reference. Exposed as `find_bugs --chaos=net`.
 ChaosReport RunNetChaosEnumeration(const std::string& dialect, int budget);
 
-// Status client: connects to a serving coordinator, sends STATUS, and
-// returns the NDJSON payload (one event per line). Fails when nothing is
-// listening.
-Result<std::string> QueryFleetStatus(const std::string& socket_path);
-
-// Streaming status client. One-shot by default; with `watch` the connection
-// stays open and unit completions stream live until the campaign finishes
-// (`trace_slices` additionally tails each committed unit's TRS trace-span
-// frames, and implies watch). Every received NDJSON/TRS line is handed to
-// `on_line`; returning false detaches early.
+// Status client: connects to a serving coordinator (failing when nothing is
+// listening) and sends STATUS. One-shot by default; with `watch` the
+// connection stays open and unit completions stream live until the campaign
+// finishes (`trace_slices` additionally tails each committed unit's TRS
+// trace-span frames, and implies watch). Every received NDJSON/TRS line is
+// handed to `on_line`; returning false detaches early.
 struct FleetStatusRequest {
   Endpoint endpoint;
   bool watch = false;

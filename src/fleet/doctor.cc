@@ -37,7 +37,7 @@ HealthVerdict HealthDoctor::Observe(const HealthSample& sample) {
   const HealthSample& oldest = window_.front();
   const double dt_s =
       static_cast<double>(sample.now_ns - oldest.now_ns) / 1e9;
-  rates_ = HealthRates{};
+  rates_ = telemetry::HealthRates{};
   if (dt_s > 0.0) {
     const auto rate = [&](uint64_t newer, uint64_t older) {
       return static_cast<double>(newer - older) / dt_s;

@@ -6,7 +6,8 @@
 // reads a clock, the caller stamps every sample with now_ns, and tests walk
 // stalls and recoveries with a fake clock. The coordinator samples it once
 // per poll-loop iteration with cumulative counters; the doctor keeps a
-// rolling window, derives per-second rates, and applies the SLO rules:
+// rolling window, derives per-second rates (telemetry::HealthRates), and
+// applies the SLO rules:
 //
 //   stall  no unit completion within stall_lease_periods lease periods
 //          while units remain — the campaign is wedged (silent workers,
@@ -28,6 +29,8 @@
 #include <deque>
 #include <string>
 #include <string_view>
+
+#include "src/telemetry/telemetry.h"
 
 namespace soft {
 namespace fleet {
@@ -59,21 +62,11 @@ struct HealthSample {
   bool all_done = false;
 };
 
-// Per-second rates over the current window (0 while the window spans no
-// time).
-struct HealthRates {
-  double statements_per_s = 0.0;
-  double units_per_s = 0.0;
-  double bugs_per_s = 0.0;
-  double reclaims_per_s = 0.0;
-  double redeliveries_per_s = 0.0;
-};
-
 struct HealthVerdict {
   HealthState state = HealthState::kOk;
   bool changed = false;  // state differs from the previous verdict
   std::string reason;    // the rule that fired; "ok" when healthy
-  HealthRates rates;
+  telemetry::HealthRates rates;
 };
 
 class HealthDoctor {
@@ -89,7 +82,7 @@ class HealthDoctor {
 
   HealthState state() const { return state_; }
   const std::string& reason() const { return reason_; }
-  const HealthRates& rates() const { return rates_; }
+  const telemetry::HealthRates& rates() const { return rates_; }
 
  private:
   DoctorOptions options_;
@@ -100,7 +93,7 @@ class HealthDoctor {
   std::deque<HealthSample> window_;
   HealthState state_ = HealthState::kOk;
   std::string reason_ = "ok";
-  HealthRates rates_;
+  telemetry::HealthRates rates_;
 };
 
 }  // namespace fleet

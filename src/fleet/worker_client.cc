@@ -24,6 +24,10 @@ namespace soft {
 namespace fleet {
 namespace {
 
+constexpr int kBackoffInitialMs = 5;
+// Read timeout: a connection silent for this long is presumed dead.
+constexpr int kReadTimeoutMs = 30000;
+
 void SleepMs(int ms) {
   timespec ts;
   ts.tv_sec = ms / 1000;
@@ -40,7 +44,7 @@ int ConnectWithBackoff(const FleetWorkerOptions& options) {
   } else {
     endpoint.socket_path = options.socket_path;
   }
-  int backoff = options.backoff_initial_ms;
+  int backoff = kBackoffInitialMs;
   for (int attempt = 0; attempt < options.connect_attempts; ++attempt) {
     if (attempt != 0) {
       SleepMs(backoff);
@@ -72,8 +76,7 @@ struct WireConn {
 // Pulls the next accepted payload line off the connection, answering PINGs
 // inline. False on read timeout, EOF, corruption, or a sequence gap — all of
 // which condemn the connection (never the session).
-bool NextLine(WireConn& conn, wire::FramedWriter& writer, int read_timeout_ms,
-              std::string& line) {
+bool NextLine(WireConn& conn, wire::FramedWriter& writer, std::string& line) {
   while (conn.ok) {
     wire::Frame frame;
     const wire::FrameStatus status = conn.decoder.Next(frame);
@@ -107,7 +110,7 @@ bool NextLine(WireConn& conn, wire::FramedWriter& writer, int read_timeout_ms,
       return true;
     }
     pollfd p{conn.fd, POLLIN, 0};
-    const int ready = ::poll(&p, 1, std::max(read_timeout_ms, 1));
+    const int ready = ::poll(&p, 1, kReadTimeoutMs);
     if (ready == 0) {
       conn.ok = false;  // silent past the read timeout — presumed dead
       return false;
@@ -214,7 +217,7 @@ int RunFleetWorker(const FleetWorkerOptions& options,
                              " " + std::to_string(::getpid()) + " " + token)
                   .ok();
     std::string line;
-    if (conn.ok && NextLine(conn, writer, options.read_timeout_ms, line)) {
+    if (conn.ok && NextLine(conn, writer, line)) {
       std::istringstream in(line);
       std::string tag;
       in >> tag;
@@ -256,7 +259,7 @@ int RunFleetWorker(const FleetWorkerOptions& options,
     }
 
     while (conn.ok) {
-      if (!NextLine(conn, writer, options.read_timeout_ms, line)) {
+      if (!NextLine(conn, writer, line)) {
         break;
       }
       if (line.rfind("FIN", 0) == 0) {

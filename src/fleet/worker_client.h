@@ -91,14 +91,13 @@ struct FleetWorkerOptions {
   // Exactly one of these addresses the coordinator (tcp_connect wins).
   std::string socket_path;
   std::string tcp_connect;  // "host:port"
-  // Bounded exponential backoff for connect/reconnect attempts.
+  // Bounded exponential backoff for connect/reconnect attempts: from 5 ms,
+  // doubling up to backoff_max_ms. A connection with no inbound frame (not
+  // even a PING) for 30 s is presumed dead and re-established — a generous
+  // backstop, since the coordinator's pings arrive at a third of its
+  // heartbeat timeout.
   int connect_attempts = 40;
-  int backoff_initial_ms = 5;
   int backoff_max_ms = 200;
-  // Read timeout: a connection with no inbound frame (not even a PING) for
-  // this long is presumed dead and re-established. Generous backstop — the
-  // coordinator's pings arrive at a third of its heartbeat timeout.
-  int read_timeout_ms = 30000;
 
   // --- Test/chaos hooks (the coordinator's failpoint-driven worker chaos
   // and tests/fleet_test.cc). Ordinals count the units this worker process

@@ -2,12 +2,12 @@
 
 #include <sys/socket.h>
 
-#include <array>
 #include <utility>
 #include <vector>
 
 #include "src/failpoint/failpoint.h"
 #include "src/telemetry/telemetry.h"
+#include "src/util/crc32.h"
 #include "src/util/io.h"
 
 namespace soft {
@@ -359,18 +359,6 @@ bool LineBuffer::Next(std::string& line) {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
 void PutLe32(std::string& out, uint32_t v) {
   out.push_back(static_cast<char>(v & 0xFF));
   out.push_back(static_cast<char>((v >> 8) & 0xFF));
@@ -384,16 +372,6 @@ uint32_t GetLe32(const unsigned char* p) {
 }
 
 }  // namespace
-
-uint32_t Crc32(uint32_t seed, const void* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t c = seed ^ 0xFFFFFFFFu;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 std::string EncodeFrame(uint32_t seq, const std::string& payload) {
   std::string out;

@@ -150,10 +150,6 @@ inline constexpr size_t kFrameHeaderSize = 16;
 // claiming more is corruption, not data, and is rejected before allocation.
 inline constexpr uint32_t kMaxFramePayload = 16u * 1024 * 1024;
 
-// CRC-32 (IEEE 802.3, the zlib polynomial). `seed` chains multi-buffer
-// computations: Crc32(Crc32(0, a), b) == Crc32(0, a+b).
-uint32_t Crc32(uint32_t seed, const void* data, size_t n);
-
 // Serializes one frame. The caller owns the sequence counter.
 std::string EncodeFrame(uint32_t seq, const std::string& payload);
 

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "src/sqlfunc/function.h"
+#include "src/util/crc32.h"
 
 namespace soft {
 namespace {
@@ -297,14 +298,7 @@ Result<Value> FnDegrees(FunctionContext& ctx, const ValueList& args) {
 
 Result<Value> FnCrc32(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char c : s) {
-    crc ^= c;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-  }
-  return Value::Int(static_cast<int64_t>(~crc & 0xFFFFFFFFu));
+  return Value::Int(Crc32(0, s.data(), s.size()));
 }
 
 Result<Value> FnBitCount(FunctionContext& ctx, const ValueList& args) {

@@ -531,19 +531,21 @@ Result<Value> FnTranslate(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(std::string from, ctx.ArgString(args[1]));
   SOFT_ASSIGN_OR_RETURN(std::string to, ctx.ArgString(args[2]));
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const size_t idx = from.find(c);
+  // In place: the write index never passes the read index.
+  size_t kept = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const size_t idx = from.find(s[i]);
     if (idx == std::string::npos) {
-      out.push_back(c);
+      s[kept++] = s[i];
     } else if (idx < to.size()) {
-      out.push_back(to[idx]);
-    } else {
-      ctx.Cover(1);  // mapped to nothing: deletion path
+      s[kept++] = to[idx];
     }
   }
-  return Value::Str(std::move(out));
+  if (kept < s.size()) {
+    ctx.Cover(1);  // a character mapped to nothing: deletion path
+    s.resize(kept);
+  }
+  return Value::Str(std::move(s));
 }
 
 Result<Value> FnInitcap(FunctionContext& ctx, const ValueList& args) {

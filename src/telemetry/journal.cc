@@ -9,7 +9,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "src/telemetry/telemetry.h"
@@ -183,6 +182,11 @@ bool ExtractBool(const std::string& line, const std::string& key, bool& out) {
   return true;
 }
 
+// fleet_finish carried only the first ten kFleetCounterFields entries before
+// it carried them all: its replay requires those ten and reads the rest as 0
+// when absent.
+constexpr size_t kFleetFinishRequiredCounters = 10;
+
 // Parses the crash_flight event's "entries":[{...},...] array — the one
 // place the journal nests objects, so the flat extractors cannot be applied
 // to the whole line. Each entry object is located with a string-aware brace
@@ -317,19 +321,13 @@ void WriteWorkerDeathEvent(std::ostream& out, const JournalWorkerDeath& event) {
       << EscapeJson(event.reason) << "\"}\n";
 }
 
-void WriteFleetFinishEvent(std::ostream& out, const JournalFleetFinish& event) {
-  out << "{\"event\":\"fleet_finish\",\"units\":" << event.units
-      << ",\"workers_spawned\":" << event.workers_spawned
-      << ",\"worker_deaths\":" << event.worker_deaths
-      << ",\"leases_granted\":" << event.leases_granted
-      << ",\"leases_reclaimed\":" << event.leases_reclaimed
-      << ",\"leases_stolen\":" << event.leases_stolen
-      << ",\"heartbeats\":" << event.heartbeats
-      << ",\"units_completed\":" << event.units_completed
-      << ",\"units_run_locally\":" << event.units_run_locally
-      << ",\"units_resumed\":" << event.units_resumed
-      << ",\"units_spool_diverged\":" << event.units_spool_diverged
-      << ",\"degraded_to_local\":" << (event.degraded_to_local ? 1 : 0) << "}\n";
+void WriteFleetFinishEvent(std::ostream& out, uint64_t units,
+                           const FleetCounters& counters, bool degraded_to_local) {
+  out << "{\"event\":\"fleet_finish\",\"units\":" << units;
+  for (const FleetCounterField& field : kFleetCounterFields) {
+    out << ",\"" << field.key << "\":" << counters.*field.member;
+  }
+  out << ",\"degraded_to_local\":" << (degraded_to_local ? 1 : 0) << "}\n";
 }
 
 void WriteNetEvent(std::ostream& out, const JournalNetEvent& event) {
@@ -348,13 +346,11 @@ std::string FormatRate(double per_s) {
 
 void WriteHealthEvent(std::ostream& out, const JournalHealthEvent& event) {
   out << "{\"event\":\"health\",\"state\":\"" << EscapeJson(event.state)
-      << "\",\"reason\":\"" << EscapeJson(event.reason)
-      << "\",\"statements_per_s\":" << FormatRate(event.statements_per_s)
-      << ",\"units_per_s\":" << FormatRate(event.units_per_s)
-      << ",\"bugs_per_s\":" << FormatRate(event.bugs_per_s)
-      << ",\"reclaims_per_s\":" << FormatRate(event.reclaims_per_s)
-      << ",\"redeliveries_per_s\":" << FormatRate(event.redeliveries_per_s)
-      << ",\"wall_ms\":" << FormatRate(event.wall_ms) << "}\n";
+      << "\",\"reason\":\"" << EscapeJson(event.reason) << "\"";
+  for (const HealthRateField& field : kHealthRateFields) {
+    out << ",\"" << field.key << "\":" << FormatRate(event.rates.*field.member);
+  }
+  out << ",\"wall_ms\":" << FormatRate(event.wall_ms) << "}\n";
 }
 
 void WriteMetricsSnapshotEvent(std::ostream& out,
@@ -593,35 +589,29 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
       death.units_completed = static_cast<int>(units_completed);
       replay.worker_deaths.push_back(std::move(death));
     } else if (event == "fleet_finish") {
-      JournalFleetFinish& fin = replay.fleet;
-      bool degraded = false;
-      if (!ExtractUint(line, "units", fin.units) ||
-          !ExtractUint(line, "workers_spawned", fin.workers_spawned) ||
-          !ExtractUint(line, "worker_deaths", fin.worker_deaths) ||
-          !ExtractUint(line, "leases_granted", fin.leases_granted) ||
-          !ExtractUint(line, "leases_reclaimed", fin.leases_reclaimed) ||
-          !ExtractUint(line, "leases_stolen", fin.leases_stolen) ||
-          !ExtractUint(line, "heartbeats", fin.heartbeats) ||
-          !ExtractUint(line, "units_completed", fin.units_completed) ||
-          !ExtractUint(line, "units_run_locally", fin.units_run_locally) ||
-          !ExtractUint(line, "units_resumed", fin.units_resumed) ||
-          !ExtractUint(line, "units_spool_diverged", fin.units_spool_diverged) ||
-          !ExtractBool(line, "degraded_to_local", degraded)) {
+      if (!ExtractUint(line, "units", replay.fleet_units) ||
+          !ExtractBool(line, "degraded_to_local", replay.fleet_degraded_to_local)) {
         return malformed("fleet_finish");
       }
-      fin.degraded_to_local = degraded;
+      for (size_t i = 0; i < kFleetCounterFields.size(); ++i) {
+        const FleetCounterField& field = kFleetCounterFields[i];
+        if (!ExtractUint(line, std::string(field.key), replay.fleet.*field.member) &&
+            i < kFleetFinishRequiredCounters) {
+          return malformed("fleet_finish");
+        }
+      }
       replay.fleet_finished = true;
     } else if (event == "health") {
       JournalHealthEvent health;
       if (!ExtractString(line, "state", health.state) ||
           !ExtractString(line, "reason", health.reason) ||
-          !ExtractDouble(line, "statements_per_s", health.statements_per_s) ||
-          !ExtractDouble(line, "units_per_s", health.units_per_s) ||
-          !ExtractDouble(line, "bugs_per_s", health.bugs_per_s) ||
-          !ExtractDouble(line, "reclaims_per_s", health.reclaims_per_s) ||
-          !ExtractDouble(line, "redeliveries_per_s", health.redeliveries_per_s) ||
           !ExtractDouble(line, "wall_ms", health.wall_ms)) {
         return malformed("health");
+      }
+      for (const HealthRateField& field : kHealthRateFields) {
+        if (!ExtractDouble(line, std::string(field.key), health.rates.*field.member)) {
+          return malformed("health");
+        }
       }
       replay.health_events.push_back(std::move(health));
     } else if (event == "metrics_snapshot") {
@@ -699,20 +689,6 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
     return InvalidArgument("journal has no campaign_start event");
   }
   return replay;
-}
-
-Status WriteCampaignJournalFile(const std::string& path, const CampaignOptions& options,
-                                const CampaignResult& result, uint64_t wall_ns) {
-  // Serialize in memory, then write tmp+fsync+rename: the journal path
-  // either keeps its previous contents or gets the complete new stream —
-  // never a silent prefix (the pre-existing bug: write errors after a
-  // successful open were never checked).
-  std::ostringstream out;
-  WriteCampaignJournal(out, options, result, wall_ns);
-  if (!out) {
-    return IoError("serializing journal for '" + path + "' failed");
-  }
-  return io::WriteFileAtomic(path, out.str());
 }
 
 Result<JournalReplay> ReplayJournalFile(const std::string& path) {

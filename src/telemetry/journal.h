@@ -44,14 +44,12 @@
 //                    FIN it never saw: session, worker, unit
 //   net_dup_result   a double-delivered unit result was deduplicated at
 //                    merge: detail (match|stale), session, worker, unit
-//   fleet_finish     fleet campaign totals: units, workers_spawned,
-//                    worker_deaths, leases granted/reclaimed/stolen,
-//                    heartbeats, units completed/local/resumed/diverged,
+//   fleet_finish     fleet campaign totals: units, every
+//                    kFleetCounterFields counter (src/telemetry/telemetry.h),
 //                    degraded_to_local
 //   health           campaign-health doctor transition (streamed live):
-//                    state (ok|warn|stall), reason, rolling-window rates
-//                    (statements/units/bugs/reclaims/redeliveries per
-//                    second), wall_ms since campaign start
+//                    state (ok|warn|stall), reason, the kHealthRateFields
+//                    rolling-window rates, wall_ms since campaign start
 //   metrics_snapshot marker for a --metrics-out Prometheus snapshot write:
 //                    series count, cumulative statements, units_done,
 //                    health state at the snapshot, wall_ms
@@ -69,6 +67,7 @@
 #include <vector>
 
 #include "src/soft/campaign.h"
+#include "src/telemetry/telemetry.h"
 
 namespace soft {
 namespace telemetry {
@@ -95,9 +94,11 @@ void WriteChaosMarker(std::ostream& out, const std::string& spec);
 void WriteCampaignTail(std::ostream& out, const CampaignResult& result, uint64_t wall_ns);
 
 // One unit lease transition (written live by the unit spool's commit and
-// the fleet coordinator, replayed on --resume). The structs below are plain
-// data mirrors of the fleet subsystem's state — journal.h cannot depend on
-// src/fleet/ (fleet links telemetry, not the reverse).
+// the fleet coordinator, replayed on --resume). The event structs below are
+// plain data for the fleet subsystem's events — journal.h cannot depend on
+// src/fleet/ (fleet links telemetry, not the reverse) — so the fleet's
+// counters and doctor rates, which fleet_finish and health carry, are
+// declared in telemetry.h.
 struct JournalLeaseEvent {
   std::string action;  // grant | complete | reclaim | steal | local | resume
   int unit = 0;
@@ -118,34 +119,13 @@ struct JournalWorkerDeath {
   std::string reason;  // e.g. "eof", "signal 9", "lease expired"
 };
 
-// The fleet_finish event's counter snapshot. uint64_t throughout: a
-// week-long campaign's heartbeat counter alone overflows int32 in days.
-struct JournalFleetFinish {
-  uint64_t units = 0;
-  uint64_t workers_spawned = 0;
-  uint64_t worker_deaths = 0;
-  uint64_t leases_granted = 0;
-  uint64_t leases_reclaimed = 0;
-  uint64_t leases_stolen = 0;
-  uint64_t heartbeats = 0;
-  uint64_t units_completed = 0;
-  uint64_t units_run_locally = 0;
-  uint64_t units_resumed = 0;
-  uint64_t units_spool_diverged = 0;
-  bool degraded_to_local = false;
-};
-
 // One campaign-health doctor transition (docs/OBSERVABILITY.md, "Doctor").
 // Written only when the doctor's state *changes*, so a healthy week-long
 // journal carries one `health` line, not millions.
 struct JournalHealthEvent {
   std::string state;   // ok | warn | stall
   std::string reason;  // human-readable rule that fired, "ok" on recovery
-  double statements_per_s = 0.0;
-  double units_per_s = 0.0;
-  double bugs_per_s = 0.0;
-  double reclaims_per_s = 0.0;
-  double redeliveries_per_s = 0.0;
+  HealthRates rates;
   double wall_ms = 0.0;  // since campaign start
 };
 
@@ -176,7 +156,8 @@ struct JournalNetEvent {
 // Streaming writers for the fleet coordinator's journal.
 void WriteLeaseEvent(std::ostream& out, const JournalLeaseEvent& event);
 void WriteWorkerDeathEvent(std::ostream& out, const JournalWorkerDeath& event);
-void WriteFleetFinishEvent(std::ostream& out, const JournalFleetFinish& event);
+void WriteFleetFinishEvent(std::ostream& out, uint64_t units,
+                           const FleetCounters& counters, bool degraded_to_local);
 void WriteNetEvent(std::ostream& out, const JournalNetEvent& event);
 void WriteHealthEvent(std::ostream& out, const JournalHealthEvent& event);
 void WriteMetricsSnapshotEvent(std::ostream& out,
@@ -234,8 +215,13 @@ struct JournalReplay {
   std::vector<JournalNetEvent> net_events;       // fleet journals, stream order
   std::vector<JournalHealthEvent> health_events; // doctor transitions, stream order
   std::vector<JournalMetricsSnapshot> metrics_snapshots;  // stream order
-  bool fleet_finished = false;              // fleet_finish event present
-  JournalFleetFinish fleet;                 // valid when fleet_finished
+  // fleet_finish event present; the three fields below are valid only then.
+  // Journals written before fleet_finish carried every counter replay the
+  // missing ones as 0.
+  bool fleet_finished = false;
+  uint64_t fleet_units = 0;
+  bool fleet_degraded_to_local = false;
+  FleetCounters fleet;
   int statements_executed = 0;
   // Wrong-result oracle totals from campaign_finish (absent — and zero — in
   // journals written before the logic oracles existed).
@@ -268,10 +254,7 @@ struct JournalReplay {
 // recovery path depends on replaying the intact prefix.
 Result<JournalReplay> ReplayJournal(std::istream& in);
 
-// Convenience: file-path variants used by the CLI flags.
-Status WriteCampaignJournalFile(const std::string& path,
-                                const CampaignOptions& options,
-                                const CampaignResult& result, uint64_t wall_ns);
+// Convenience: the file-path variant used by the CLI flags.
 Result<JournalReplay> ReplayJournalFile(const std::string& path);
 
 // Exports the campaign's span trace (CampaignResult::trace) as Chrome

@@ -11,6 +11,8 @@
 //     deterministically across shards. The per-pattern counter set is
 //     declared once, in kPatternCounterFields; merge, wire row, JSON,
 //     Prometheus families, STATUS row and report table all iterate it.
+//     The fleet coordinator's counters and its doctor's rates are declared
+//     the same way (kFleetCounterFields, kHealthRateFields).
 //   * Recording: a campaign's CampaignRecorder (src/soft/campaign.h) writes
 //     the per-pattern counters into its own result; the engine's stage
 //     timers record into the calling thread's collector, which the recorder
@@ -190,6 +192,108 @@ inline void PatternCounters::MergeFrom(const PatternCounters& other) {
     this->*field.member += other.*field.member;
   }
 }
+
+// A fleet coordinator's campaign counters (src/fleet/coordinator.h's
+// FleetStats derives from this). uint64_t throughout: a week-long
+// campaign's heartbeat counter alone overflows int32 in days.
+struct FleetCounters {
+  uint64_t workers_spawned = 0;
+  uint64_t worker_deaths = 0;
+  uint64_t leases_granted = 0;
+  uint64_t leases_reclaimed = 0;
+  uint64_t leases_stolen = 0;         // grants of previously-reclaimed units
+  uint64_t heartbeats = 0;            // accepted (non-stale) heartbeats
+  uint64_t units_completed = 0;       // accepted unit results (any executor)
+  uint64_t units_run_locally = 0;     // executed in-process on the degrade path
+  uint64_t units_resumed = 0;         // re-admitted from the spool on resume
+  uint64_t units_spool_diverged = 0;  // spool digest mismatches (re-run instead)
+  // --- framed transport ---
+  uint64_t sessions_resumed = 0;    // HELLO with a known token after a disconnect
+  uint64_t grants_redelivered = 0;  // GRANTs re-sent to a resumed session
+  uint64_t dup_results_deduped = 0; // double-delivered unit results discarded
+  uint64_t conns_dropped = 0;       // connections condemned (bad frame, seq gap,
+                                    // heartbeat timeout, eof) — sessions survive
+  uint64_t status_overflow_drops = 0;  // status readers dropped for a full buffer
+  // --- campaign-health doctor and --metrics-out ---
+  uint64_t health_transitions = 0;  // doctor state changes
+  uint64_t health_stalls = 0;       // doctor transitions into stall
+  uint64_t metrics_snapshots = 0;   // --metrics-out files written
+};
+
+// The one declaration of the fleet counter set. The STATUS fleet_status
+// header, the METRICS counter families, the journal's fleet_finish event
+// and its replay all iterate this table in this order. New counters go at
+// the end: fleet_finish carried only the first ten before it carried them
+// all, so its replay requires those ten and reads the rest as optional.
+struct FleetCounterField {
+  uint64_t FleetCounters::*member;
+  std::string_view key;  // JSON key; the counter family is FleetCounterFamily(key)
+  std::string_view help;
+};
+
+inline constexpr std::array<FleetCounterField, 18> kFleetCounterFields = {{
+    {&FleetCounters::workers_spawned, "workers_spawned", "Worker processes forked"},
+    {&FleetCounters::worker_deaths, "worker_deaths", "Worker deaths observed"},
+    {&FleetCounters::leases_granted, "leases_granted", "Leases granted"},
+    {&FleetCounters::leases_reclaimed, "leases_reclaimed", "Expired leases reclaimed"},
+    {&FleetCounters::leases_stolen, "leases_stolen", "Grants of previously-reclaimed units"},
+    {&FleetCounters::heartbeats, "heartbeats", "Accepted worker heartbeats"},
+    {&FleetCounters::units_completed, "units_completed", "Accepted unit results"},
+    {&FleetCounters::units_run_locally, "units_run_locally",
+     "Units executed on the degrade-to-local path"},
+    {&FleetCounters::units_resumed, "units_resumed", "Units re-admitted from the spool"},
+    {&FleetCounters::units_spool_diverged, "units_spool_diverged",
+     "Spool digest mismatches (unit re-run)"},
+    {&FleetCounters::sessions_resumed, "sessions_resumed",
+     "Worker sessions resumed after a disconnect"},
+    {&FleetCounters::grants_redelivered, "grants_redelivered",
+     "GRANTs re-sent to resumed sessions"},
+    {&FleetCounters::dup_results_deduped, "dup_results_deduped",
+     "Double-delivered unit results discarded"},
+    {&FleetCounters::conns_dropped, "conns_dropped", "Connections condemned"},
+    {&FleetCounters::status_overflow_drops, "status_overflow_drops",
+     "Status readers dropped for a full buffer"},
+    {&FleetCounters::health_transitions, "health_transitions", "Doctor state changes"},
+    {&FleetCounters::health_stalls, "health_stalls", "Doctor transitions into stall"},
+    {&FleetCounters::metrics_snapshots, "metrics_snapshots", "--metrics-out files written"},
+}};
+
+// Prometheus counter family of a kFleetCounterFields key.
+inline std::string FleetCounterFamily(std::string_view key) {
+  return "soft_fleet_" + std::string(key) + "_total";
+}
+
+// The campaign-health doctor's per-second rates over its rolling window
+// (src/fleet/doctor.h); 0 while the window spans no time.
+struct HealthRates {
+  double statements_per_s = 0.0;
+  double units_per_s = 0.0;
+  double bugs_per_s = 0.0;
+  double reclaims_per_s = 0.0;
+  double redeliveries_per_s = 0.0;
+};
+
+// The one declaration of the doctor's rate set: the journal's health event,
+// its replay and the METRICS rate gauges iterate it in this order.
+struct HealthRateField {
+  double HealthRates::*member;
+  std::string_view key;     // health event JSON key
+  std::string_view family;  // Prometheus gauge family
+  std::string_view help;
+};
+
+inline constexpr std::array<HealthRateField, 5> kHealthRateFields = {{
+    {&HealthRates::statements_per_s, "statements_per_s",
+     "soft_fleet_statements_per_second", "Merged statement rate over the doctor window"},
+    {&HealthRates::units_per_s, "units_per_s", "soft_fleet_units_per_second",
+     "Unit completion rate over the doctor window"},
+    {&HealthRates::bugs_per_s, "bugs_per_s", "soft_fleet_bugs_per_second",
+     "Unique-bug discovery rate over the doctor window"},
+    {&HealthRates::reclaims_per_s, "reclaims_per_s", "soft_fleet_reclaims_per_second",
+     "Lease reclaim rate over the doctor window"},
+    {&HealthRates::redeliveries_per_s, "redeliveries_per_s",
+     "soft_fleet_redeliveries_per_second", "GRANT redelivery rate over the doctor window"},
+}};
 
 inline constexpr size_t kStageCount = 3;  // parse, optimize, execute
 

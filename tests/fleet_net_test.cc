@@ -16,7 +16,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,8 @@
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/wire.h"
+#include "src/telemetry/journal.h"
+#include "src/telemetry/telemetry.h"
 
 namespace soft {
 namespace fleet {
@@ -460,6 +466,64 @@ TEST(FleetPartition, FullPartitionDegradesToReclaimThenResumeDeduplicates) {
   EXPECT_FALSE(stats.degraded_to_local);
 }
 
+TEST(FleetPartition, EveryCounterReachesStatsJournalAndMetrics) {
+  // The partition campaign above, journaled and with a --metrics-out file,
+  // so the transport counters are non-zero too. Each fleet counter must
+  // read the same in FleetStats, the replayed fleet_finish event and the
+  // final snapshot's soft_fleet_<key>_total series.
+  CampaignOptions options = SmallCampaign();
+  options.max_statements = 600;
+  const std::string journal_path =
+      testing::TempDir() + "/soft_fnet_counters.ndjson";
+  const std::string metrics_path = testing::TempDir() + "/soft_fnet_counters.prom";
+  std::remove(journal_path.c_str());
+  std::remove(metrics_path.c_str());
+
+  FleetOptions fleet;
+  fleet.socket_path = SocketPath("counters");
+  fleet.workers = 1;
+  fleet.units = 2;
+  fleet.heartbeat_every = 50;
+  fleet.heartbeat_timeout_ms = 500;
+  fleet.lease_deadline_ms = 1000;
+  fleet.max_worker_respawns = 0;
+  fleet.test_partition_worker_at_unit = 0;
+  fleet.test_partition_ms = 1500;
+  fleet.journal_path = journal_path;
+  fleet.metrics_out = metrics_path;
+
+  const Result<FleetOutcome> outcome = RunFleetCampaign(kDialect, options, fleet);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const FleetStats& stats = outcome->stats;
+  EXPECT_GE(stats.conns_dropped, 1u);
+  EXPECT_GE(stats.sessions_resumed, 1u);
+  EXPECT_GE(stats.dup_results_deduped, 1u);
+
+  const Result<telemetry::JournalReplay> replay =
+      telemetry::ReplayJournalFile(journal_path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_TRUE(replay->fleet_finished);
+  EXPECT_EQ(replay->fleet_units, stats.units);
+
+  std::stringstream read;
+  read << std::ifstream(metrics_path).rdbuf();
+  const std::string exposition = read.str();
+  for (const telemetry::FleetCounterField& field : telemetry::kFleetCounterFields) {
+    SCOPED_TRACE(std::string(field.key));
+    const uint64_t value = stats.*field.member;
+    EXPECT_EQ(replay->fleet.*field.member, value);
+    const std::string prefix = telemetry::FleetCounterFamily(field.key) + " ";
+    const size_t at = exposition.find("\n" + prefix);
+    ASSERT_NE(at, std::string::npos);
+    const uint64_t exposed =
+        std::strtoull(exposition.c_str() + at + 1 + prefix.size(), nullptr, 10);
+    // The final snapshot is rendered before it is counted as written.
+    EXPECT_EQ(exposed, field.key == "metrics_snapshots" ? value - 1 : value);
+  }
+  std::remove(journal_path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Status endpoint under a hostile reader
 // ---------------------------------------------------------------------------
@@ -540,10 +604,19 @@ TEST(FleetStatusNet, WatchStreamsUnitCompletionsAndTraceSlicesLive) {
     request.endpoint.socket_path = fleet.socket_path;
     request.trace_slices = true;
     int snapshot = 0, unit_done = 0, slices = 0, end_markers = 0;
+    bool every_counter = true;
     Status streamed = IoError("never connected");
     for (int attempt = 0; attempt < 400; ++attempt) {
       streamed = StreamFleetStatus(request, [&](const std::string& line) {
-        snapshot += line.rfind("{\"event\":\"fleet_status\"", 0) == 0 ? 1 : 0;
+        if (line.rfind("{\"event\":\"fleet_status\"", 0) == 0) {
+          ++snapshot;
+          for (const telemetry::FleetCounterField& field :
+               telemetry::kFleetCounterFields) {
+            every_counter = every_counter &&
+                            line.find("\"" + std::string(field.key) + "\":") !=
+                                std::string::npos;
+          }
+        }
         unit_done += line.rfind("{\"event\":\"fleet_unit_done\"", 0) == 0 ? 1 : 0;
         slices += line.rfind("TRS ", 0) == 0 ? 1 : 0;
         end_markers += line == "{\"event\":\"fleet_status_end\"}" ? 1 : 0;
@@ -568,6 +641,9 @@ TEST(FleetStatusNet, WatchStreamsUnitCompletionsAndTraceSlicesLive) {
     }
     if (end_markers < 1) {
       ::_exit(94);
+    }
+    if (!every_counter) {
+      ::_exit(95);  // the fleet_status header lacks a fleet counter
     }
     ::_exit(0);
   }

@@ -540,11 +540,13 @@ TEST(FleetStatus, MetricsVerbServesALintablePrometheusExposition) {
 }
 
 TEST(FleetStatus, QueryFailsCleanlyWithNoCoordinatorListening) {
-  const Result<std::string> payload = QueryFleetStatus(SocketPath("nobody"));
-  ASSERT_FALSE(payload.ok());
-  EXPECT_NE(payload.status().message().find("no fleet coordinator"),
-            std::string::npos)
-      << payload.status().ToString();
+  FleetStatusRequest request;
+  request.endpoint.socket_path = SocketPath("nobody");
+  const Status status =
+      StreamFleetStatus(request, [](const std::string&) { return true; });
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("no fleet coordinator"), std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -615,7 +617,7 @@ TEST(FleetResume, CoordinatorKill9MidCampaignResumesBitIdentical) {
       telemetry::ReplayJournalFile(journal_path);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_TRUE(replay->fleet_finished);
-  EXPECT_EQ(replay->fleet.units, kUnits);
+  EXPECT_EQ(replay->fleet_units, kUnits);
   EXPECT_TRUE(replay->finished);
   std::remove(journal_path.c_str());
 }

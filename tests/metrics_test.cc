@@ -402,11 +402,11 @@ JournalHealthEvent TestHealth() {
   JournalHealthEvent event;
   event.state = "stall";
   event.reason = "no unit completion in 3 lease periods";
-  event.statements_per_s = 1234.5;
-  event.units_per_s = 0.25;
-  event.bugs_per_s = 0.125;
-  event.reclaims_per_s = 2.0;
-  event.redeliveries_per_s = 0.5;
+  event.rates.statements_per_s = 1234.5;
+  event.rates.units_per_s = 0.25;
+  event.rates.bugs_per_s = 0.125;
+  event.rates.reclaims_per_s = 2.0;
+  event.rates.redeliveries_per_s = 0.5;
   event.wall_ms = 1500.75;
   return event;
 }
@@ -433,11 +433,11 @@ TEST(MetricsJournal, HealthAndSnapshotEventsRoundTrip) {
   const JournalHealthEvent& health = replayed->health_events[0];
   EXPECT_EQ(health.state, "stall");
   EXPECT_EQ(health.reason, "no unit completion in 3 lease periods");
-  EXPECT_DOUBLE_EQ(health.statements_per_s, 1234.5);
-  EXPECT_DOUBLE_EQ(health.units_per_s, 0.25);
-  EXPECT_DOUBLE_EQ(health.bugs_per_s, 0.125);
-  EXPECT_DOUBLE_EQ(health.reclaims_per_s, 2.0);
-  EXPECT_DOUBLE_EQ(health.redeliveries_per_s, 0.5);
+  EXPECT_DOUBLE_EQ(health.rates.statements_per_s, 1234.5);
+  EXPECT_DOUBLE_EQ(health.rates.units_per_s, 0.25);
+  EXPECT_DOUBLE_EQ(health.rates.bugs_per_s, 0.125);
+  EXPECT_DOUBLE_EQ(health.rates.reclaims_per_s, 2.0);
+  EXPECT_DOUBLE_EQ(health.rates.redeliveries_per_s, 0.5);
   EXPECT_DOUBLE_EQ(health.wall_ms, 1500.75);
 
   ASSERT_EQ(replayed->metrics_snapshots.size(), 1u);
@@ -450,21 +450,26 @@ TEST(MetricsJournal, HealthAndSnapshotEventsRoundTrip) {
 }
 
 TEST(MetricsJournal, FleetFinishCountersSurviveBeyondInt32) {
-  JournalFleetFinish finish;
-  finish.units = 8;
-  finish.heartbeats = 10'000'000'000ull;  // a week of heartbeats
-  finish.leases_granted = 3'000'000'000ull;
-  finish.units_completed = 8;
+  // Every fleet counter round-trips, each with its own value past int32 (a
+  // week of heartbeats alone passes it).
+  FleetCounters counters;
+  uint64_t value = 3'000'000'000ull;
+  for (const FleetCounterField& field : kFleetCounterFields) {
+    counters.*field.member = value;
+    value += 1'000'000'007ull;
+  }
 
   std::stringstream stream;
   WriteStart(stream);
-  WriteFleetFinishEvent(stream, finish);
+  WriteFleetFinishEvent(stream, /*units=*/8, counters, /*degraded_to_local=*/true);
   const Result<JournalReplay> replayed = ReplayJournal(stream);
   ASSERT_TRUE(replayed.ok()) << replayed.status().message();
   ASSERT_TRUE(replayed->fleet_finished);
-  EXPECT_EQ(replayed->fleet.heartbeats, 10'000'000'000ull);
-  EXPECT_EQ(replayed->fleet.leases_granted, 3'000'000'000ull);
-  EXPECT_EQ(replayed->fleet.units_completed, 8u);
+  EXPECT_EQ(replayed->fleet_units, 8u);
+  EXPECT_TRUE(replayed->fleet_degraded_to_local);
+  for (const FleetCounterField& field : kFleetCounterFields) {
+    EXPECT_EQ(replayed->fleet.*field.member, counters.*field.member) << field.key;
+  }
 }
 
 TEST(MetricsJournal, MalformedHealthOrSnapshotLinesAreHardErrors) {
@@ -483,24 +488,45 @@ TEST(MetricsJournal, MalformedHealthOrSnapshotLinesAreHardErrors) {
 }
 
 TEST(MetricsJournal, LegacyFleetJournalWithoutNewEventsReplays) {
-  // A journal written before health/metrics_snapshot existed: only the old
-  // event vocabulary. It must replay with the new vectors empty.
-  std::stringstream legacy(
-      "{\"event\":\"campaign_start\",\"tool\":\"SOFT\",\"dialect\":\"duckdb\","
-      "\"seed\":1,\"budget\":10,\"shards\":1}\n"
-      "{\"event\":\"lease\",\"action\":\"grant\",\"unit\":0,\"worker\":1,"
-      "\"cases\":0,\"unit_digest\":0}\n"
+  // A journal written before health/metrics_snapshot existed, and before
+  // fleet_finish carried every fleet counter: only the old event
+  // vocabulary. It must replay with the new vectors empty.
+  const std::string legacy_fleet_finish =
       "{\"event\":\"fleet_finish\",\"units\":1,\"workers_spawned\":1,"
       "\"worker_deaths\":0,\"leases_granted\":1,\"leases_reclaimed\":0,"
       "\"leases_stolen\":0,\"heartbeats\":5,\"units_completed\":1,"
       "\"units_run_locally\":0,\"units_resumed\":0,"
-      "\"units_spool_diverged\":0,\"degraded_to_local\":0}\n");
+      "\"units_spool_diverged\":0,\"degraded_to_local\":0}\n";
+  const std::string legacy_head =
+      "{\"event\":\"campaign_start\",\"tool\":\"SOFT\",\"dialect\":\"duckdb\","
+      "\"seed\":1,\"budget\":10,\"shards\":1}\n"
+      "{\"event\":\"lease\",\"action\":\"grant\",\"unit\":0,\"worker\":1,"
+      "\"cases\":0,\"unit_digest\":0}\n";
+  std::stringstream legacy(legacy_head + legacy_fleet_finish);
   const Result<JournalReplay> replayed = ReplayJournal(legacy);
   ASSERT_TRUE(replayed.ok()) << replayed.status().message();
   EXPECT_TRUE(replayed->health_events.empty());
   EXPECT_TRUE(replayed->metrics_snapshots.empty());
   EXPECT_TRUE(replayed->fleet_finished);
+  EXPECT_EQ(replayed->fleet_units, 1u);
   EXPECT_EQ(replayed->fleet.heartbeats, 5u);
+  // The counters fleet_finish carried only later are absent and replay as 0.
+  int absent = 0;
+  for (const FleetCounterField& field : kFleetCounterFields) {
+    if (legacy_fleet_finish.find("\"" + std::string(field.key) + "\":") ==
+        std::string::npos) {
+      ++absent;
+      EXPECT_EQ(replayed->fleet.*field.member, 0u) << field.key;
+    }
+  }
+  EXPECT_EQ(absent, 8);
+
+  // The ten it always carried stay required.
+  std::string without_heartbeats = legacy_fleet_finish;
+  without_heartbeats.erase(without_heartbeats.find("\"heartbeats\":5,"),
+                           std::string("\"heartbeats\":5,").size());
+  std::stringstream malformed(legacy_head + without_heartbeats);
+  EXPECT_FALSE(ReplayJournal(malformed).ok());
 }
 
 TEST(MetricsJournal, TruncationAtEveryByteOffsetReplaysIntactPrefix) {

@@ -85,6 +85,12 @@ TEST_F(FunctionsTest, BitAndChecksum) {
   EXPECT_EQ(Eval("BIT_COUNT(-1)"), "64");
   EXPECT_EQ(Eval("CRC32('abc')"), Eval("CRC32('abc')"));
   EXPECT_NE(Eval("CRC32('abc')"), Eval("CRC32('abd')"));
+  // Known answers: zlib's crc32, and 'MySQL' is the MySQL manual's example.
+  EXPECT_EQ(Eval("CRC32('')"), "0");
+  EXPECT_EQ(Eval("CRC32('abc')"), "891568578");
+  EXPECT_EQ(Eval("CRC32('123456789')"), "3421780262");
+  EXPECT_EQ(Eval("CRC32('MySQL')"), "3259397556");
+  EXPECT_EQ(Eval("CRC32(REPEAT('ab', 1100000))"), "1387470030");
   EXPECT_EQ(Eval("RAND(42)"), Eval("RAND(42)"));  // deterministic
 }
 

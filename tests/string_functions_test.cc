@@ -2,6 +2,10 @@
 // category, so its boundary branches get the densest coverage here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/engine/database.h"
 
 namespace soft {
@@ -214,6 +218,9 @@ TEST_F(StringFunctionsTest, TranslateDeletesUnmapped) {
   EXPECT_EQ(Eval("TRANSLATE('abc', 'abc', 'xyz')"), "xyz");
   EXPECT_EQ(Eval("TRANSLATE('abc', 'ac', 'x')"), "xb");  // c deleted
   EXPECT_EQ(Eval("TRANSLATE('abc', '', '')"), "abc");
+  EXPECT_EQ(Eval("LENGTH(TRANSLATE(REPEAT('ab', 1100000), 'b', ''))"), "1100000");
+  const std::vector<std::string> keys = db_.coverage().BranchKeys();
+  EXPECT_NE(std::find(keys.begin(), keys.end(), "TRANSLATE#1"), keys.end());
 }
 
 TEST_F(StringFunctionsTest, RegexpLike) {
