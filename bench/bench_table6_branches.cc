@@ -37,9 +37,7 @@ void PrintTable6() {
   PrintRow({"DBMS", "SQUIRREL*", "SQLancer*", "SQLsmith*", "SOFT"}, {12, 18, 18, 18, 18});
 
   std::map<std::string, size_t> totals;
-  for (const std::string& dialect :
-       {"postgresql", "mysql", "mariadb", "clickhouse", "monetdb", "duckdb",
-        "virtuoso"}) {
+  for (const std::string& dialect : AllDialectNames()) {
     const std::vector<ToolRun> runs = RunAllTools(dialect, kBudget);
     std::vector<std::string> cells = {dialect};
     for (const char* tool : {"SQUIRREL*", "SQLancer*", "SQLsmith*", "SOFT"}) {

@@ -4,8 +4,8 @@
 //
 //   $ ./examples/find_bugs [dialect] [budget] [flags]
 //   $ ./examples/find_bugs virtuoso 100000
-//   $ ./examples/find_bugs duckdb 50000 --crash-mode=real --timeout-ms=200 \
-//         --telemetry=journal.ndjson
+//   $ ./examples/find_bugs duckdb 50000 --crash-mode=real --timeout-ms=200
+//         --telemetry=journal.ndjson   (one command, wrapped)
 //   $ ./examples/find_bugs --resume=journal.ndjson
 //
 // Flags:

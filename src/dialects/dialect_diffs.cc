@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sqlparser/parser.h"
-
 namespace soft {
 
 const std::vector<std::string>& VolatileFunctions() {
@@ -13,48 +11,45 @@ const std::vector<std::string>& VolatileFunctions() {
   return *kVolatile;
 }
 
-bool SqlReferencesFunction(const std::string& sql, const std::vector<std::string>& names) {
-  Result<Statement> parsed = ParseStatement(sql);
-  if (!parsed.ok()) {
+bool OracleComparable(const Statement& stmt) {
+  if (!stmt.is_select()) {
     return false;
   }
-  Statement stmt = std::move(parsed).value();
-  SelectStmt* sel = stmt.mutable_select();
-  if (sel == nullptr) {
-    return false;
-  }
+  // CollectFunctionCalls only gathers pointers; the tree is not modified.
   std::vector<Expr*> calls;
-  sel->CollectFunctionCalls(calls);
-  for (const Expr* call : calls) {
-    if (std::find(names.begin(), names.end(), call->func_name) != names.end()) {
-      return true;
-    }
-  }
-  return false;
+  const_cast<SelectStmt*>(stmt.select())->CollectFunctionCalls(calls);
+  const std::vector<std::string>& volatile_functions = VolatileFunctions();
+  return std::none_of(calls.begin(), calls.end(), [&](const Expr* call) {
+    return std::find(volatile_functions.begin(), volatile_functions.end(),
+                     call->func_name) != volatile_functions.end();
+  });
 }
 
-bool OracleComparable(const std::string& sql) {
-  Result<Statement> parsed = ParseStatement(sql);
-  if (!parsed.ok() || !parsed->is_select()) {
+namespace {
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) {
     return false;
   }
-  return !SqlReferencesFunction(sql, VolatileFunctions());
+  switch (a.kind()) {
+    case TypeKind::kString:
+      return a.string_value() == b.string_value();
+    case TypeKind::kBlob:
+      return a.blob_value() == b.blob_value();
+    default:
+      return a.ToDisplayString() == b.ToDisplayString();
+  }
 }
 
-std::string CanonicalResultKey(const StatementResult& r) {
-  std::string key = std::to_string(r.rows.size());
-  key += "x";
-  key += std::to_string(r.columns.size());
-  for (const ValueList& row : r.rows) {
-    key += "\n";
-    for (const Value& v : row) {
-      key += TypeKindName(v.kind());
-      key += ":";
-      key += v.ToDisplayString();
-      key += "|";
-    }
-  }
-  return key;
+bool SameRow(const ValueList& a, const ValueList& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameValue);
+}
+
+}  // namespace
+
+bool SameResultSet(const StatementResult& a, const StatementResult& b) {
+  return a.columns.size() == b.columns.size() &&
+         std::equal(a.rows.begin(), a.rows.end(), b.rows.begin(), b.rows.end(), SameRow);
 }
 
 std::string_view DialectDiffClassName(DialectDiffClass c) {
@@ -78,9 +73,8 @@ DialectDiffClass ClassifyDifferential(const StatementResult& main,
   if (!main.ok() || !sibling.ok()) {
     return DialectDiffClass::kDeclaredDifference;
   }
-  return CanonicalResultKey(main) == CanonicalResultKey(sibling)
-             ? DialectDiffClass::kIdentical
-             : DialectDiffClass::kDivergence;
+  return SameResultSet(main, sibling) ? DialectDiffClass::kIdentical
+                                      : DialectDiffClass::kDivergence;
 }
 
 }  // namespace soft

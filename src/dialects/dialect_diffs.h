@@ -24,24 +24,22 @@ namespace soft {
 // the answer, so a divergence proves nothing.
 const std::vector<std::string>& VolatileFunctions();
 
-// True when `sql` parses to a SELECT that references any of `names`.
-bool SqlReferencesFunction(const std::string& sql, const std::vector<std::string>& names);
+// True when `stmt` is a SELECT whose result sets are comparable across
+// re-executions and equivalent rewrites on the SAME dialect: it references
+// no volatile function.
+bool OracleComparable(const Statement& stmt);
 
-// True when `sql` is a SELECT whose result sets are comparable across
-// re-executions and equivalent rewrites on the SAME dialect: it parses, is a
-// SELECT, and references no volatile function.
-bool OracleComparable(const std::string& sql);
-
-// Canonical rendering of a result set for oracle comparison: row/column
-// counts plus each value's type and display text, in row order. Column
-// HEADERS are deliberately excluded — they render the statement text, which
-// equivalent rewrites intentionally change.
-std::string CanonicalResultKey(const StatementResult& r);
+// Oracle result-set equality: the same row and column counts and, row by
+// row, the same number of values, each of the same kind and display text.
+// Strings and blobs compare as bytes, so no value is rendered for them.
+// Column HEADERS are deliberately excluded — they render the statement
+// text, which equivalent rewrites intentionally change.
+bool SameResultSet(const StatementResult& a, const StatementResult& b);
 
 // Differential classification of one statement's outcome on the campaign
 // dialect vs a sibling dialect.
 enum class DialectDiffClass {
-  kIdentical,           // both OK with identical canonical result keys
+  kIdentical,           // both OK with the same result set (SameResultSet)
   kDeclaredDifference,  // outcome differs along a declared axis (either side
                         // errored or crashed: catalog pruning, cast
                         // strictness, or the sibling's own crash corpus)

@@ -47,6 +47,21 @@ class AlarmBackstop {
   bool armed_;
 };
 
+// Allocation failure anywhere in the pipeline must look like any other
+// engine resource limit — a clean kResourceExhausted statement status —
+// rather than an exception unwinding through the campaign loop. The oom
+// failpoint mode exercises exactly this boundary.
+template <typename Pipeline>
+StatementResult CatchAllocationFailure(Pipeline pipeline) {
+  try {
+    return pipeline();
+  } catch (const std::bad_alloc&) {
+    StatementResult result;
+    result.status = ResourceExhausted("allocation failure while executing statement");
+    return result;
+  }
+}
+
 }  // namespace
 
 Database::Database(EngineConfig config) : config_(std::move(config)) {
@@ -190,30 +205,14 @@ Status Database::Insert(const InsertStmt& stmt, std::optional<CrashInfo>* crash)
 }
 
 StatementResult Database::Execute(std::string_view sql) {
-  // Allocation failure anywhere in the pipeline must look like any other
-  // engine resource limit — a clean kResourceExhausted statement status —
-  // rather than an exception unwinding through the campaign loop. The oom
-  // failpoint mode exercises exactly this boundary.
-  try {
-    return ExecuteImpl(sql);
-  } catch (const std::bad_alloc&) {
-    StatementResult result;
-    result.status = ResourceExhausted("allocation failure while executing statement");
-    return result;
-  }
+  return CatchAllocationFailure([&] { return ExecuteImpl(sql, nullptr); });
 }
 
-StatementResult Database::ExecuteStatement(const Statement& stmt) {
-  try {
-    return ExecuteStatementImpl(stmt);
-  } catch (const std::bad_alloc&) {
-    StatementResult result;
-    result.status = ResourceExhausted("allocation failure while executing statement");
-    return result;
-  }
+StatementResult Database::Execute(std::string_view sql, const Statement& stmt) {
+  return CatchAllocationFailure([&] { return ExecuteImpl(sql, &stmt); });
 }
 
-StatementResult Database::ExecuteImpl(std::string_view sql) {
+StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* parsed) {
   StatementResult result;
   const AlarmBackstop backstop(crash_policy_.alarm_backstop,
                                config_.statement_limits.deadline_ms);
@@ -221,9 +220,10 @@ StatementResult Database::ExecuteImpl(std::string_view sql) {
   // --- Parse stage ---------------------------------------------------------
   // Telemetry hook: the parse-stage histogram covers the parse-stage fault
   // probe plus lexing/parsing proper. A parse error or parse-stage crash
-  // contributes a parse sample and nothing downstream.
+  // contributes a parse sample and nothing downstream. A caller that parsed
+  // `sql` already passes its tree; the probe still reads the text.
   result.stage = Stage::kParse;
-  Statement stmt;
+  Statement own;
   {
     const telemetry::ScopedStageTimer parse_timer(Stage::kParse);
     // Parse-stage injected bugs key on properties of the raw statement text.
@@ -236,16 +236,17 @@ StatementResult Database::ExecuteImpl(std::string_view sql) {
         return result;
       }
     }
-    Result<Statement> parsed = ParseStatement(sql);
-    if (!parsed.ok()) {
-      result.status = parsed.status();
-      return result;
+    if (parsed == nullptr) {
+      Result<Statement> own_parse = ParseStatement(sql);
+      if (!own_parse.ok()) {
+        result.status = own_parse.status();
+        return result;
+      }
+      own = std::move(own_parse).value();
+      parsed = &own;
     }
-    stmt = std::move(parsed).value();
   }
-
-  StatementResult exec = ExecuteStatementImpl(stmt);
-  return exec;
+  return ExecuteStatementImpl(*parsed);
 }
 
 StatementResult Database::ExecuteStatementImpl(const Statement& stmt_in) {
@@ -342,7 +343,7 @@ std::vector<StatementResult> Database::ExecuteScript(std::string_view sql) {
     return results;
   }
   for (const Statement& stmt : parsed.value()) {
-    StatementResult r = ExecuteStatement(stmt);
+    StatementResult r = CatchAllocationFailure([&] { return ExecuteStatementImpl(stmt); });
     const bool crashed = r.crashed();
     results.push_back(std::move(r));
     if (crashed) {

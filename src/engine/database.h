@@ -116,12 +116,15 @@ class Database {
   // escaping exception.
   StatementResult Execute(std::string_view sql);
 
-  // Executes a ';'-separated script, stopping at the first crash (a crashed
-  // server processes nothing further).
-  std::vector<StatementResult> ExecuteScript(std::string_view sql);
+  // Executes `stmt`, the parse of `sql`, exactly as Execute(sql) would: the
+  // parse-stage fault probe and timer still run on the text, but the text
+  // is not parsed again. The oracles use it to run one tree many ways.
+  StatementResult Execute(std::string_view sql, const Statement& stmt);
 
-  // Executes a pre-parsed statement (optimize + execute stages only).
-  StatementResult ExecuteStatement(const Statement& stmt);
+  // Executes a ';'-separated script, stopping at the first crash (a crashed
+  // server processes nothing further). The script is parsed as a whole, so
+  // its statements run the optimize and execute stages only.
+  std::vector<StatementResult> ExecuteScript(std::string_view sql);
 
   // Catalog access.
   const Table* FindTable(const std::string& name) const;
@@ -138,9 +141,10 @@ class Database {
   // is anchored at call time). Defined in database.cc, which sees ExecContext.
   void InitWatchdog(ExecContext& ec) const;
 
-  // Pipeline bodies; the public Execute/ExecuteStatement wrappers add the
-  // std::bad_alloc → kResourceExhausted boundary around them.
-  StatementResult ExecuteImpl(std::string_view sql);
+  // Pipeline bodies; the public Execute/ExecuteScript entry points add the
+  // std::bad_alloc → kResourceExhausted boundary around them. ExecuteImpl
+  // parses `sql` only when `parsed` is null.
+  StatementResult ExecuteImpl(std::string_view sql, const Statement* parsed);
   StatementResult ExecuteStatementImpl(const Statement& stmt);
 
   EngineConfig config_;

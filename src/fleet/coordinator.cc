@@ -790,12 +790,15 @@ class Coordinator {
     next_metrics_ns_ =
         now + static_cast<uint64_t>(std::max(fleet_.metrics_every_ms, 1)) *
                   1000000ull;
+    // Counted before rendering, so the file counts itself; a failed write
+    // takes the count back.
+    ++stats_.metrics_snapshots;
     const telemetry::MetricsRegistry reg = BuildMetrics();
     if (!io::WriteFileAtomic(fleet_.metrics_out, reg.RenderPrometheusText())
              .ok()) {
+      --stats_.metrics_snapshots;
       return;
     }
-    ++stats_.metrics_snapshots;
     telemetry::JournalMetricsSnapshot snap;
     snap.series = reg.series_count();
     snap.statements = statements_merged_;

@@ -5,7 +5,6 @@
 
 #include "src/dialects/dialect_diffs.h"
 #include "src/sqlast/ast.h"
-#include "src/sqlparser/parser.h"
 
 namespace soft {
 namespace {
@@ -38,8 +37,8 @@ ExprPtr CoalescePair(const Expr& e) {
 // Wraps every non-star select item of every UNION branch in COALESCE(e, e).
 // Equivalent because COALESCE returns its first non-null argument verbatim
 // (and NULL when both are) — but each wrapped call now sits one level deeper.
-std::string ShellCoalesceVariant(const SelectStmt& sel) {
-  const std::unique_ptr<SelectStmt> clone = sel.Clone();
+std::unique_ptr<SelectStmt> ShellCoalesceVariant(const SelectStmt& sel) {
+  std::unique_ptr<SelectStmt> clone = sel.Clone();
   bool changed = false;
   for (SelectStmt* s = clone.get(); s != nullptr; s = s->union_next.get()) {
     for (SelectItem& item : s->items) {
@@ -50,18 +49,19 @@ std::string ShellCoalesceVariant(const SelectStmt& sel) {
       changed = true;
     }
   }
-  return changed ? clone->ToSql() : std::string();
+  return changed ? std::move(clone) : nullptr;
 }
 
 // Wraps the top-level WHERE predicate: p AND TRUE / p OR FALSE / NOT (NOT p).
 // All three preserve three-valued row selection: WHERE keeps a row exactly
 // when the condition coerces to TRUE, and each wrapper maps
 // {TRUE, FALSE, NULL} onto itself.
-std::string PredicateVariant(const SelectStmt& sel, const std::string& shape) {
+std::unique_ptr<SelectStmt> PredicateVariant(const SelectStmt& sel,
+                                             const std::string& shape) {
   if (sel.where == nullptr) {
-    return std::string();
+    return nullptr;
   }
-  const std::unique_ptr<SelectStmt> clone = sel.Clone();
+  std::unique_ptr<SelectStmt> clone = sel.Clone();
   if (shape == "and_true") {
     clone->where = MakeBinaryOp("AND", std::move(clone->where),
                                 MakeLiteral(Value::Boolean(true)));
@@ -71,14 +71,14 @@ std::string PredicateVariant(const SelectStmt& sel, const std::string& shape) {
   } else {
     clone->where = MakeUnaryOp("NOT", MakeUnaryOp("NOT", std::move(clone->where)));
   }
-  return clone->ToSql();
+  return clone;
 }
 
 // Replaces the first constant function argument with the identity chain
 // COALESCE(c, c) — same value, but the argument expression is no longer
 // syntactically constant.
-std::string ArgIdentityVariant(const SelectStmt& sel) {
-  const std::unique_ptr<SelectStmt> clone = sel.Clone();
+std::unique_ptr<SelectStmt> ArgIdentityVariant(const SelectStmt& sel) {
+  std::unique_ptr<SelectStmt> clone = sel.Clone();
   std::vector<Expr*> calls;
   clone->CollectFunctionCalls(calls);
   for (Expr* call : calls) {
@@ -90,39 +90,35 @@ std::string ArgIdentityVariant(const SelectStmt& sel) {
         continue;
       }
       arg = CoalescePair(*arg);
-      return clone->ToSql();
+      return clone;
     }
   }
-  return std::string();
+  return nullptr;
 }
 
 }  // namespace
 
-std::vector<EetVariant> BuildEetVariants(const std::string& sql) {
+std::vector<EetVariant> BuildEetVariants(const Statement& stmt, const std::string& sql) {
   std::vector<EetVariant> variants;
-  if (!OracleComparable(sql)) {
+  if (!OracleComparable(stmt)) {
     return variants;
   }
-  Result<Statement> parsed = ParseStatement(sql);
-  if (!parsed.ok()) {
-    return variants;
-  }
-  Statement stmt = std::move(parsed).value();
-  const SelectStmt* sel = stmt.mutable_select();
-  if (sel == nullptr) {
-    return variants;
-  }
-
-  const auto add = [&](const char* label, std::string variant_sql) {
-    if (!variant_sql.empty() && variant_sql != sql) {
-      variants.push_back(EetVariant{label, std::move(variant_sql)});
+  const SelectStmt& sel = *stmt.select();
+  const auto add = [&](const char* label, std::unique_ptr<SelectStmt> variant) {
+    if (variant == nullptr) {
+      return;
+    }
+    std::string variant_sql = variant->ToSql();
+    if (variant_sql != sql) {
+      variants.push_back(
+          EetVariant{label, std::move(variant_sql), Statement{std::move(variant)}});
     }
   };
-  add("shell.coalesce", ShellCoalesceVariant(*sel));
-  add("pred.and_true", PredicateVariant(*sel, "and_true"));
-  add("pred.or_false", PredicateVariant(*sel, "or_false"));
-  add("pred.not_not", PredicateVariant(*sel, "not_not"));
-  add("arg.identity", ArgIdentityVariant(*sel));
+  add("shell.coalesce", ShellCoalesceVariant(sel));
+  add("pred.and_true", PredicateVariant(sel, "and_true"));
+  add("pred.or_false", PredicateVariant(sel, "or_false"));
+  add("pred.not_not", PredicateVariant(sel, "not_not"));
+  add("arg.identity", ArgIdentityVariant(sel));
   return variants;
 }
 

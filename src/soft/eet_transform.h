@@ -23,19 +23,23 @@
 #include <string>
 #include <vector>
 
+#include "src/sqlast/ast.h"
+
 namespace soft {
 
 struct EetVariant {
   std::string label;  // "shell.coalesce", "pred.and_true", ...
-  std::string sql;
+  std::string sql;    // the printed rewrite: the oracle's witness
+  Statement stmt;     // the rewrite's own tree, which the oracle executes
 };
 
-// Builds every applicable equivalent rewrite of `sql`. Returns an empty
-// vector when the statement is out of scope: not a parseable SELECT, or it
-// references a volatile function (dialect_diffs.h) whose value re-execution
-// legitimately changes. Variants that fail to execute are declared
-// differences for the caller to skip, never divergences.
-std::vector<EetVariant> BuildEetVariants(const std::string& sql);
+// Builds every applicable equivalent rewrite of `stmt`, the parse of `sql`.
+// Returns an empty vector when the statement is out of scope: not a SELECT,
+// or it references a volatile function (dialect_diffs.h) whose value
+// re-execution legitimately changes. A rewrite that prints back to `sql` is
+// dropped. Variants that fail to execute are declared differences for the
+// caller to skip, never divergences.
+std::vector<EetVariant> BuildEetVariants(const Statement& stmt, const std::string& sql);
 
 }  // namespace soft
 

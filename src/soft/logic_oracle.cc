@@ -7,7 +7,6 @@
 #include "src/dialects/dialects.h"
 #include "src/soft/boundary_values.h"
 #include "src/soft/eet_transform.h"
-#include "src/sqlparser/parser.h"
 #include "src/util/rng.h"
 
 namespace soft {
@@ -139,42 +138,36 @@ LogicCampaignResult RunLogicCampaign(Database& db, const std::string& table,
 
 namespace {
 
-// Shared scope test for the NoREC/TLP campaign adapters: a single-table
-// SELECT with a WHERE clause and no UNION tail. Returns the (table,
-// predicate-SQL) pair when in scope.
-std::optional<std::pair<std::string, std::string>> WhereShape(const std::string& sql) {
-  Result<Statement> parsed = ParseStatement(sql);
-  if (!parsed.ok()) {
-    return std::nullopt;
-  }
-  Statement stmt = std::move(parsed).value();
-  const SelectStmt* sel = stmt.mutable_select();
-  if (sel == nullptr || sel->where == nullptr || sel->from_table.empty() ||
+// Shared scope test for the NoREC/TLP campaign adapters: a comparable
+// single-table SELECT with a WHERE clause and no UNION tail. Returns the
+// (table, predicate-SQL) pair when in scope.
+std::optional<std::pair<std::string, std::string>> WhereShape(const Statement& stmt) {
+  const SelectStmt* sel = stmt.select();
+  if (!OracleComparable(stmt) || sel->where == nullptr || sel->from_table.empty() ||
       sel->union_next != nullptr) {
     return std::nullopt;
   }
   return std::make_pair(sel->from_table, sel->where->ToSql());
 }
 
-// EET: execute each equivalent rewrite on the same database and compare
-// canonical result keys. Variants that fail to execute (a crash spec newly
+// EET: execute each equivalent rewrite's tree on the same database and
+// compare result sets. Variants that fail to execute (a crash spec newly
 // reached through the deeper call chain, a pruned COALESCE) are skipped —
 // declared differences, not divergences.
 class EetOracle final : public LogicOracle {
  public:
   std::string_view name() const override { return "eet"; }
 
-  Verdict Check(Database& db, const std::string& sql,
+  Verdict Check(Database& db, const std::string& sql, const Statement& stmt,
                 const StatementResult& result) override {
     Verdict verdict;
-    const std::string original_key = CanonicalResultKey(result);
-    for (const EetVariant& variant : BuildEetVariants(sql)) {
-      const StatementResult v = db.Execute(variant.sql);
+    for (const EetVariant& variant : BuildEetVariants(stmt, sql)) {
+      const StatementResult v = db.Execute(variant.sql, variant.stmt);
       if (!v.ok()) {
         continue;
       }
       verdict.checked = true;
-      if (CanonicalResultKey(v) != original_key) {
+      if (!SameResultSet(v, result)) {
         verdict.divergence = true;
         verdict.witness = variant.sql;
         verdict.detail = variant.label + " variant returned a different result set";
@@ -185,7 +178,7 @@ class EetOracle final : public LogicOracle {
   }
 };
 
-// Differential: the same statement on the six sibling dialects, compared
+// Differential: the campaign's tree on the six sibling dialects, compared
 // modulo the declared difference table (dialect_diffs.h). Siblings run with
 // logic faults disabled — they are the clean reference.
 class DifferentialOracle final : public LogicOracle {
@@ -209,15 +202,15 @@ class DifferentialOracle final : public LogicOracle {
     }
   }
 
-  Verdict Check(Database& db, const std::string& sql,
+  Verdict Check(Database& db, const std::string& sql, const Statement& stmt,
                 const StatementResult& result) override {
     (void)db;
     Verdict verdict;
-    if (!OracleComparable(sql)) {
+    if (!OracleComparable(stmt)) {
       return verdict;
     }
     for (auto& [name, sibling] : siblings_) {
-      const StatementResult s = sibling->Execute(sql);
+      const StatementResult s = sibling->Execute(sql, stmt);
       switch (ClassifyDifferential(result, s)) {
         case DialectDiffClass::kDeclaredDifference:
           continue;
@@ -240,24 +233,24 @@ class DifferentialOracle final : public LogicOracle {
 };
 
 // NoREC/TLP as campaign oracles: applied to WHERE-shaped statements, reusing
-// the free-function checks above on the statement's own predicate.
-class NoRecOracle final : public LogicOracle {
+// the free-function checks above (CheckNoRec, CheckTlp) on the statement's
+// own predicate. They execute their own text queries.
+class PredicateOracle final : public LogicOracle {
  public:
-  std::string_view name() const override { return "norec"; }
+  using PredicateCheck = Result<std::optional<LogicBug>> (*)(Database&, const std::string&,
+                                                             const std::string&);
+  PredicateOracle(std::string_view name, PredicateCheck check) : name_(name), check_(check) {}
 
-  Verdict Check(Database& db, const std::string& sql,
+  std::string_view name() const override { return name_; }
+
+  Verdict Check(Database& db, const std::string& sql, const Statement& stmt,
                 const StatementResult& result) override {
-    (void)result;
     Verdict verdict;
-    if (!OracleComparable(sql)) {
-      return verdict;
-    }
-    const auto shape = WhereShape(sql);
+    const auto shape = WhereShape(stmt);
     if (!shape.has_value()) {
       return verdict;
     }
-    const Result<std::optional<LogicBug>> check =
-        CheckNoRec(db, shape->first, shape->second);
+    const Result<std::optional<LogicBug>> check = check_(db, shape->first, shape->second);
     if (!check.ok()) {
       return verdict;
     }
@@ -269,36 +262,10 @@ class NoRecOracle final : public LogicOracle {
     }
     return verdict;
   }
-};
 
-class TlpOracle final : public LogicOracle {
- public:
-  std::string_view name() const override { return "tlp"; }
-
-  Verdict Check(Database& db, const std::string& sql,
-                const StatementResult& result) override {
-    (void)result;
-    Verdict verdict;
-    if (!OracleComparable(sql)) {
-      return verdict;
-    }
-    const auto shape = WhereShape(sql);
-    if (!shape.has_value()) {
-      return verdict;
-    }
-    const Result<std::optional<LogicBug>> check =
-        CheckTlp(db, shape->first, shape->second);
-    if (!check.ok()) {
-      return verdict;
-    }
-    verdict.checked = true;
-    if (check->has_value()) {
-      verdict.divergence = true;
-      verdict.witness = shape->second;
-      verdict.detail = (*check)->detail;
-    }
-    return verdict;
-  }
+ private:
+  std::string_view name_;
+  PredicateCheck check_;
 };
 
 const char* const kOracleNames[] = {"eet", "diff", "norec", "tlp"};
@@ -339,9 +306,9 @@ std::vector<std::unique_ptr<LogicOracle>> MakeLogicOracles(
     } else if (name == "diff") {
       oracles.push_back(std::make_unique<DifferentialOracle>(dialect));
     } else if (name == "norec") {
-      oracles.push_back(std::make_unique<NoRecOracle>());
+      oracles.push_back(std::make_unique<PredicateOracle>("norec", CheckNoRec));
     } else if (name == "tlp") {
-      oracles.push_back(std::make_unique<TlpOracle>());
+      oracles.push_back(std::make_unique<PredicateOracle>("tlp", CheckTlp));
     }
   }
   return oracles;

@@ -44,10 +44,11 @@ class LogicOracle {
 
   virtual std::string_view name() const = 0;
 
-  // Examines one successfully executed campaign statement. Must be a pure
-  // function of (sql, current table state, armed faults) so partition-mode
-  // sharding reproduces serial verdicts exactly.
-  virtual Verdict Check(Database& db, const std::string& sql,
+  // Examines one successfully executed campaign SELECT. `stmt` is the parse
+  // of `sql`, made once and shared by every oracle, which never parses `sql`
+  // again. Must be a pure function of (sql, current table state, armed
+  // faults) so partition-mode sharding reproduces serial verdicts exactly.
+  virtual Verdict Check(Database& db, const std::string& sql, const Statement& stmt,
                         const StatementResult& result) = 0;
 
   // Successful non-SELECT campaign statements pass through here so stateful

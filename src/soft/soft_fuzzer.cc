@@ -16,11 +16,6 @@
 namespace soft {
 namespace {
 
-bool StatementIsSelect(const std::string& sql) {
-  const Result<Statement> parsed = ParseStatement(sql);
-  return parsed.ok() && parsed->is_select();
-}
-
 // Oracles need the simulated engine: a forked kReal worker cannot host the
 // differential siblings (CampaignOptions::logic_oracles).
 bool LogicMode(const CampaignOptions& campaign) {
@@ -227,13 +222,15 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
       // which needs the span open again.
       const std::string verdict = [&]() -> std::string {
         const trace::ScopedOracleExecution suppress_oracle_stage_spans;
-        if (!StatementIsSelect(test_case.sql)) {
+        // One parse of the statement, shared by every oracle.
+        const Result<Statement> parsed = ParseStatement(test_case.sql);
+        if (!parsed.ok() || !parsed->is_select()) {
           observe_side_effect(test_case.sql);
           return "skipped";
         }
         bool any_in_scope = false;
         for (const std::unique_ptr<LogicOracle>& oracle : oracles) {
-          const LogicOracle::Verdict v = oracle->Check(db, test_case.sql, r);
+          const LogicOracle::Verdict v = oracle->Check(db, test_case.sql, *parsed, r);
           if (!v.checked) {
             continue;
           }

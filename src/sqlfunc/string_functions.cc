@@ -154,12 +154,25 @@ Result<Value> PadImpl(FunctionContext& ctx, const ValueList& args, bool left) {
     ctx.Cover(4);
     return Value::Str("");  // MySQL: empty pad cannot reach target → ''
   }
-  std::string fill;
-  while (fill.size() < static_cast<size_t>(len) - s.size()) {
-    fill += pad;
+  // Fill by doubling, as REPEAT does: one copy of the pad, then the fill
+  // built so far appended to itself, the last chunk partial. The result is
+  // built in one buffer reserved to the target, so the self-append never
+  // reallocates.
+  std::string out;
+  out.reserve(static_cast<size_t>(len));
+  if (!left) {
+    out += s;
   }
-  fill.resize(static_cast<size_t>(len) - s.size());
-  return Value::Str(left ? fill + s : s + fill);
+  const size_t begin = out.size();
+  const size_t end = begin + (static_cast<size_t>(len) - s.size());
+  out.append(pad, 0, end - begin);
+  while (out.size() < end) {
+    out.append(out, begin, std::min(out.size() - begin, end - out.size()));
+  }
+  if (left) {
+    out += s;
+  }
+  return Value::Str(std::move(out));
 }
 
 Result<Value> FnLpad(FunctionContext& ctx, const ValueList& args) {

@@ -152,6 +152,14 @@ TEST(FaultEngine, EndToEndStageAttribution) {
   EXPECT_EQ(parse_result.crash->bug_id, 8);
   EXPECT_EQ(parse_result.crash->stage, Stage::kParse);
 
+  // A statement executed from its parsed tree still meets the probe.
+  const std::string parse_poc = "SELECT '((((((((((' ";
+  const Statement tree = ParseStatement(parse_poc).value();
+  const StatementResult tree_result = db.Execute(parse_poc, tree);
+  ASSERT_TRUE(tree_result.crashed());
+  EXPECT_EQ(tree_result.crash->bug_id, 8);
+  EXPECT_EQ(tree_result.crash->stage, Stage::kParse);
+
   // Execute-stage bugs on the same engine still attribute correctly.
   BugSpec exec = BaseSpec();
   exec.id = 9;

@@ -68,6 +68,12 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return out.str();
 }
 
+// Removes a campaign journal together with its unit spool directory.
+void RemoveJournal(const std::string& journal_path) {
+  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(SpoolDirFor(journal_path));
+}
+
 int CountSubstring(const std::string& haystack, const std::string& needle) {
   int count = 0;
   size_t pos = 0;
@@ -556,17 +562,19 @@ TEST(FleetStatus, QueryFailsCleanlyWithNoCoordinatorListening) {
 TEST(FleetResume, CoordinatorKill9MidCampaignResumesBitIdentical) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_kill9.ndjson";
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
 
   const CampaignResult reference = ShardedReference();
 
   // A real coordinator process, killed once at least one unit result is
-  // journaled complete (its spool write is already durable by then).
+  // journaled complete (its spool write is already durable by then). A
+  // killed coordinator never unlinks its socket, so the test does.
+  const std::string serve_socket = SocketPath("k9serve");
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     FleetOptions fleet;
-    fleet.socket_path = SocketPath("k9serve");
+    fleet.socket_path = serve_socket;
     fleet.workers = 2;
     fleet.units = kUnits;
     fleet.journal_path = journal_path;
@@ -585,6 +593,7 @@ TEST(FleetResume, CoordinatorKill9MidCampaignResumesBitIdentical) {
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
+  ::unlink(serve_socket.c_str());
   if (!killed) {
     // The campaign finished before the kill landed — the journal then holds
     // every unit and resume degenerates to the pure re-admission path, which
@@ -619,13 +628,13 @@ TEST(FleetResume, CoordinatorKill9MidCampaignResumesBitIdentical) {
   EXPECT_TRUE(replay->fleet_finished);
   EXPECT_EQ(replay->fleet_units, kUnits);
   EXPECT_TRUE(replay->finished);
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetResume, DivergedSpoolUnitIsDistrustedAndRerun) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_spool.ndjson";
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
   const CampaignResult reference = ShardedReference();
 
   FleetOptions fleet;
@@ -650,13 +659,13 @@ TEST(FleetResume, DivergedSpoolUnitIsDistrustedAndRerun) {
   EXPECT_EQ(DigestCampaignResult(resumed->result),
             DigestCampaignResult(reference))
       << "a corrupt spool entry re-runs; it must never merge";
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetResume, RejectsAJournalFromADifferentCampaign) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_foreign.ndjson";
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
   FleetOptions fleet;
   fleet.socket_path = SocketPath("foreign1");
   fleet.workers = 1;
@@ -673,13 +682,13 @@ TEST(FleetResume, RejectsAJournalFromADifferentCampaign) {
   ASSERT_FALSE(resumed.ok());
   EXPECT_NE(resumed.status().message().find("does not match"), std::string::npos)
       << resumed.status().ToString();
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetResume, ResumesAKilledShardedLocalJournal) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_local.ndjson";
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
   const CampaignResult reference = ShardedReference();
 
   // A local --shards=kUnits campaign (the same unit spool a fleet writes),
@@ -724,15 +733,13 @@ TEST(FleetResume, ResumesAKilledShardedLocalJournal) {
   EXPECT_EQ(resumed->stats.units_resumed, 1u);
   EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference))
       << "a fleet resume of a local journal must merge the uninterrupted result";
-  std::remove(journal_path.c_str());
-  std::filesystem::remove_all(SpoolDirFor(journal_path));
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetResume, FailedSpoolWriteIsReportedNotJournaledAsCommitted) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_spoolfail.ndjson";
-  std::remove(journal_path.c_str());
-  std::filesystem::remove_all(SpoolDirFor(journal_path));
+  RemoveJournal(journal_path);
   const CampaignResult reference = ShardedReference();
 
   // The first unit's spool rename fails: that unit must not be journaled
@@ -762,8 +769,7 @@ TEST(FleetResume, FailedSpoolWriteIsReportedNotJournaledAsCommitted) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->stats.units_resumed, static_cast<uint64_t>(kUnits - 1));
   EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
-  std::remove(journal_path.c_str());
-  std::filesystem::remove_all(SpoolDirFor(journal_path));
+  RemoveJournal(journal_path);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@
 //  - FullSetDigest: `find_bugs <dialect> 250000`'s campaign (seed 1, stop
 //    once the full bug set is found), pinned by its statement and bug counts
 //    and both digests `find_bugs` prints.
+//
+// And one pin per dialect for the logic oracles:
+//  - OracleDigest: a 20,000-statement seed-1 campaign with every logic
+//    oracle armed, over every pattern but P3.1 (the pool of the benchmark's
+//    `logic_oracles` workload), pinned by its statement and oracle counters
+//    and both its logic and outcome digests. It catches any change in what
+//    the oracles examine or conclude.
 // Suite names stay clear of the TSan lane's ctest pattern: these run whole
 // pools and campaigns, which is slow under TSan and exercises no threads.
 #include <gtest/gtest.h>
@@ -64,10 +71,30 @@ constexpr FullSetPin kFullSetPins[] = {
     {"virtuoso", 66858, 45, 0xb79373a1ceb4e656, 0x12ce3d5a08a97b5e},
 };
 
+struct OraclePin {
+  const char* dialect;
+  int statements;
+  int checks;               // logic_checks
+  int divergences;          // logic_divergences
+  uint64_t logic_digest;    // DigestLogicOutcome
+  uint64_t outcome_digest;  // DigestCampaignResult
+};
+
+constexpr OraclePin kOraclePins[] = {
+    {"postgresql", 20000, 22043, 133, 0x08cbf9f0230e3c43, 0x60c8d523dd064607},
+    {"mysql", 20000, 26774, 135, 0x0f3cc1c0809afb4d, 0x759954397f6e2eea},
+    {"mariadb", 20000, 26011, 112, 0x0e2b40afabea03dc, 0x2e7562c613c10cfb},
+    {"clickhouse", 20000, 26938, 112, 0xd5919f65dcbbe412, 0xa140b95ae688196e},
+    {"monetdb", 20000, 26116, 212, 0x76a0742890d74b05, 0x3f72c0ffcb4407ee},
+    {"duckdb", 20000, 22986, 161, 0x3d4de66a26d9ad5f, 0xfc0715f7acacbee1},
+    {"virtuoso", 20000, 26736, 103, 0xad4d664ab6de989c, 0xd749371010358431},
+};
+
 // gtest prints a parameter into its ctest name; print the dialect, not the
 // struct's bytes (which hold a pointer and so change from run to run).
 void PrintTo(const ResultsPin& pin, std::ostream* os) { *os << pin.dialect; }
 void PrintTo(const FullSetPin& pin, std::ostream* os) { *os << pin.dialect; }
+void PrintTo(const OraclePin& pin, std::ostream* os) { *os << pin.dialect; }
 
 constexpr std::string_view kPinnedCalls[] = {
     "REPEAT(",     "REGEXP_REPLACE(", "EXTRACTVALUE(", "UPDATEXML(",
@@ -145,6 +172,35 @@ TEST_P(FullSetDigest, MatchesPin) {
 
 INSTANTIATE_TEST_SUITE_P(Dialects, FullSetDigest, testing::ValuesIn(kFullSetPins),
                          [](const testing::TestParamInfo<FullSetPin>& info) {
+                           return std::string(info.param.dialect);
+                         });
+
+class OracleDigest : public testing::TestWithParam<OraclePin> {};
+
+TEST_P(OracleDigest, MatchesPin) {
+  const OraclePin& pin = GetParam();
+  CampaignOptions options;
+  options.seed = 1;
+  options.max_statements = 20000;
+  options.logic_oracles = {"all"};
+  SoftOptions soft_options;
+  soft_options.only_patterns = {"P1.2", "P1.3", "P1.4", "P2.1",
+                                "P2.2", "P2.3", "P3.2", "P3.3"};
+  const CampaignResult result = RunShardedSoftCampaign(pin.dialect, options, 1, soft_options);
+  EXPECT_EQ(result.statements_executed, pin.statements) << pin.dialect;
+  EXPECT_EQ(result.logic_checks, pin.checks) << pin.dialect;
+  EXPECT_EQ(result.logic_divergences, pin.divergences) << pin.dialect;
+  EXPECT_EQ(result.logic_false_positives, 0) << pin.dialect;
+  EXPECT_EQ(DigestLogicOutcome(result), pin.logic_digest)
+      << pin.dialect << std::hex << std::showbase << ": logic digest "
+      << DigestLogicOutcome(result);
+  EXPECT_EQ(DigestCampaignResult(result), pin.outcome_digest)
+      << pin.dialect << std::hex << std::showbase << ": outcome digest "
+      << DigestCampaignResult(result);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dialects, OracleDigest, testing::ValuesIn(kOraclePins),
+                         [](const testing::TestParamInfo<OraclePin>& info) {
                            return std::string(info.param.dialect);
                          });
 

@@ -88,10 +88,12 @@ TEST_P(GoldenLogicPocTest, EverySeededLogicBugIsStillCaughtByItsOracle) {
     ASSERT_TRUE(r.ok()) << dialect << ": logic PoC no longer executes: " << poc.sql;
     ASSERT_FALSE(r.logic_hits.empty())
         << dialect << ": PoC no longer fires its LogicBugSpec: " << poc.sql;
-    // Replay the campaign's attribution rule: first flagging oracle wins.
+    // Replay the campaign's attribution rule: first flagging oracle wins,
+    // every oracle reading the one parse of the PoC.
+    const Statement stmt = ParseStatement(poc.sql).value();
     std::string flagged_by;
     for (const std::unique_ptr<LogicOracle>& oracle : oracles) {
-      const LogicOracle::Verdict v = oracle->Check(*db, poc.sql, r);
+      const LogicOracle::Verdict v = oracle->Check(*db, poc.sql, stmt, r);
       if (v.checked && v.divergence) {
         flagged_by = std::string(oracle->name());
         break;

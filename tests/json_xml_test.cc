@@ -82,7 +82,7 @@ TEST(JsonDepth, ProbeCountsUnmatchedOpeners) {
 }
 
 TEST(JsonSerialize, RoundTrips) {
-  for (const std::string& text :
+  for (const char* text :
        {"null", "true", "[1,2,3]", "{\"a\":1,\"b\":[false,null]}", "\"x\\\"y\""}) {
     const JsonPtr doc = Parse(text);
     EXPECT_EQ(Parse(doc->Serialize())->Serialize(), doc->Serialize()) << text;

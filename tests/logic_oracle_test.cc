@@ -31,8 +31,8 @@ namespace {
 class LogicOracleDialectTest : public testing::TestWithParam<std::string> {};
 
 // Property 1: the transformer is sound. On a clean engine every variant of
-// every successfully executed comparable statement returns the identical
-// canonical result set. The statement pool is the registry's own example
+// every successfully executed comparable statement returns the same result
+// set (SameResultSet). The statement pool is the registry's own example
 // corpus plus randomized boundary arguments over the logic_t fixture —
 // 64 seeds so const folding, NULL propagation, and overflow edges all get
 // wrapped in COALESCE shells and identity chains.
@@ -74,17 +74,17 @@ TEST_P(LogicOracleDialectTest, EetVariantsAreResultIdenticalOnCleanEngine) {
   int variants_checked = 0;
   for (const std::string& sql : pool) {
     const StatementResult original = db->Execute(sql);
-    if (!original.ok() || !OracleComparable(sql)) {
+    const Result<Statement> parsed = ParseStatement(sql);
+    if (!original.ok() || !parsed.ok() || !OracleComparable(*parsed)) {
       continue;  // errors and volatile statements are out of oracle scope
     }
-    const std::string key = CanonicalResultKey(original);
-    for (const EetVariant& variant : BuildEetVariants(sql)) {
-      const StatementResult rewritten = db->Execute(variant.sql);
+    for (const EetVariant& variant : BuildEetVariants(*parsed, sql)) {
+      const StatementResult rewritten = db->Execute(variant.sql, variant.stmt);
       if (!rewritten.ok()) {
         continue;  // declared difference (e.g. depth-triggered crash corpus)
       }
       ++variants_checked;
-      EXPECT_EQ(CanonicalResultKey(rewritten), key)
+      EXPECT_TRUE(SameResultSet(rewritten, original))
           << GetParam() << ": false positive — " << variant.label
           << " diverged on a clean engine\n  original: " << sql
           << "\n  variant:  " << variant.sql;
@@ -92,6 +92,72 @@ TEST_P(LogicOracleDialectTest, EetVariantsAreResultIdenticalOnCleanEngine) {
   }
   // The sweep must actually exercise the transformer, not vacuously pass.
   EXPECT_GT(variants_checked, 200) << GetParam();
+}
+
+std::vector<int> LogicHitIds(const StatementResult& r) {
+  std::vector<int> ids;
+  for (const LogicBugInfo& hit : r.logic_hits) {
+    ids.push_back(hit.bug_id);
+  }
+  return ids;
+}
+
+// The EET oracle executes each variant's own tree, never a re-parse of its
+// printed SQL, so the two must agree. Over every SELECT case of every
+// dialect's seed-1 logic pool (every pattern but P3.1), each printed variant
+// re-parses and re-prints to itself; for every 4th such case, which keeps
+// the run to seconds, the variant's tree executes exactly as its text does.
+TEST(EetVariants, RunFromTheTreeAsFromTheirText) {
+  CampaignOptions options;
+  options.seed = 1;
+  options.logic_oracles = {"all"};
+  SoftOptions soft_options;
+  soft_options.only_patterns = {"P1.2", "P1.3", "P1.4", "P2.1",
+                                "P2.2", "P2.3", "P3.2", "P3.3"};
+  for (const std::string& dialect : AllDialectNames()) {
+    const std::shared_ptr<const CasePool> pool =
+        BuildCasePool(dialect, options, soft_options);
+    ASSERT_NE(pool, nullptr);
+    const std::unique_ptr<Database> db = MakeDialect(dialect);
+    for (const std::string& prereq : pool->prerequisites) {
+      db->Execute(prereq);
+    }
+    for (const std::string& prereq : LogicOraclePrerequisites()) {
+      db->Execute(prereq);
+    }
+    db->set_logic_faults_enabled(true);
+
+    size_t selects = 0, printed = 0, executed = 0;
+    for (const GeneratedCase& test_case : pool->cases) {
+      const Result<Statement> parsed = ParseStatement(test_case.sql);
+      if (!parsed.ok() || !parsed->is_select()) {
+        continue;
+      }
+      const bool execute = selects++ % 4 == 0;
+      for (const EetVariant& variant : BuildEetVariants(*parsed, test_case.sql)) {
+        ++printed;
+        const Result<Statement> reparsed = ParseStatement(variant.sql);
+        ASSERT_TRUE(reparsed.ok()) << dialect << ": " << variant.sql;
+        EXPECT_EQ(reparsed->ToSql(), variant.sql) << dialect;
+        if (!execute) {
+          continue;
+        }
+        ++executed;
+        const StatementResult tree = db->Execute(variant.sql, variant.stmt);
+        const StatementResult text = db->Execute(variant.sql);
+        EXPECT_EQ(tree.status.code(), text.status.code()) << variant.sql;
+        EXPECT_EQ(tree.status.message(), text.status.message()) << variant.sql;
+        EXPECT_EQ(tree.crashed() ? tree.crash->bug_id : 0,
+                  text.crashed() ? text.crash->bug_id : 0)
+            << variant.sql;
+        EXPECT_EQ(LogicHitIds(tree), LogicHitIds(text)) << variant.sql;
+        EXPECT_TRUE(SameResultSet(tree, text)) << variant.sql;
+      }
+    }
+    // Every pool must exercise the transformer, not vacuously pass.
+    EXPECT_GT(printed, 40000u) << dialect;
+    EXPECT_GT(executed, 10000u) << dialect;
+  }
 }
 
 // Property 2a: full recall with attribution. Every seeded LogicBugSpec is

@@ -76,6 +76,22 @@ TEST_F(StringFunctionsTest, PadBoundaries) {
   EXPECT_EQ(Eval("LPAD('a', -1, '0')"), "NULL");  // negative target
   EXPECT_EQ(Eval("LPAD('a', 5, '')"), "");        // empty pad
   EXPECT_EQ(Eval("LPAD('a', 3)"), "  a");         // default space pad
+  // The P1.2 pads: a 9,999,999-byte target, checked by length and both ends.
+  EXPECT_EQ(Eval("LENGTH(LPAD('5', 9999999, '0'))"), "9999999");
+  EXPECT_EQ(Eval("LEFT(LPAD('5', 9999999, '0'), 1)"), "0");
+  EXPECT_EQ(Eval("RIGHT(LPAD('5', 9999999, '0'), 1)"), "5");
+  EXPECT_EQ(Eval("LENGTH(RPAD('5', 9999999, '0'))"), "9999999");
+  EXPECT_EQ(Eval("LEFT(RPAD('5', 9999999, '0'), 1)"), "5");
+  EXPECT_EQ(Eval("RIGHT(RPAD('5', 9999999, '0'), 1)"), "0");
+  EXPECT_EQ(Eval("LENGTH(SPACE(9999999))"), "9999999");
+  // The last copy of a multi-byte pad is cut.
+  EXPECT_EQ(Eval("RPAD('a', 10, 'xyz')"), "axyzxyzxyz");
+  EXPECT_EQ(Eval("LPAD('a', 8, 'xyz')"), "xyzxyzxa");
+  // A target of exactly max_string_len (16 MiB) is built; one byte more is not.
+  EXPECT_EQ(Eval("LENGTH(RPAD('a', 16777216, 'bc'))"), "16777216");
+  EXPECT_EQ(Eval("RIGHT(LPAD('a', 16777216, 'bc'), 2)"), "ba");
+  EXPECT_EQ(Eval("RPAD('a', 16777217, 'bc')"), "<RESOURCE_EXHAUSTED>");
+  EXPECT_EQ(Message("LPAD('a', 16777217, 'bc')"), "pad target exceeds engine string limit");
 }
 
 TEST_F(StringFunctionsTest, TrimFamily) {
