@@ -15,8 +15,8 @@
 //                             interrupted run leaves a resumable journal
 //   --timeout-ms=<n>          statement watchdog deadline (docs/ROBUSTNESS.md)
 //   --crash-mode=sim|real     realize triggered bugs as simulated results
-//                             (default) or as real signals inside forked
-//                             workers
+//                             (default) or, in addition, as real signals
+//                             that kill a forked copy of the campaign
 //   --resume=<journal>        resume an interrupted campaign from its journal:
 //                             dialect, budget, seed, unit count, stop rule,
 //                             watchdog deadline and oracles come from the
@@ -348,8 +348,8 @@ int main(int argc, char** argv) {
   if (fleet_mode == "serve") {
     if (crash_mode == "real") {
       std::fprintf(stderr,
-                   "--fleet=serve runs simulated crash realization (workers are "
-                   "already process isolation); drop --crash-mode=real\n");
+                   "--fleet=serve runs simulated crash realization only; drop "
+                   "--crash-mode=real\n");
       return 1;
     }
     if (shards != 1) {
@@ -589,7 +589,7 @@ int main(int argc, char** argv) {
         std::printf("  [%d shards]", shards);
       }
       if (options.crash_realism == soft::CrashRealism::kReal) {
-        std::printf("  [real-crash workers]");
+        std::printf("  [real crashes]");
       }
       if (timeout_ms > 0) {
         std::printf("  [watchdog %d ms]", timeout_ms);

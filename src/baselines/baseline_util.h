@@ -19,7 +19,10 @@ inline std::string BenignDouble(Rng& rng) {
 }
 
 inline std::string BenignString(Rng& rng) {
-  return "'" + rng.NextIdentifier(1 + rng.NextBelow(8)) + "'";
+  std::string out = "'";
+  out += rng.NextIdentifier(1 + rng.NextBelow(8));
+  out.push_back('\'');
+  return out;
 }
 
 }  // namespace soft

@@ -43,8 +43,8 @@ class CoverageTracker {
   void Reset();
 
   // Raw branch keys ("FUNC#id"), sorted — with RestoreBranchKey this lets a
-  // worker child serialize its tracker over the supervisor pipe and the
-  // parent rebuild an identical one (src/soft/worker.cc).
+  // fleet worker or the unit spool serialize a tracker and the reader
+  // rebuild an identical one (src/soft/wire.cc).
   std::vector<std::string> BranchKeys() const;
   void RestoreBranchKey(const std::string& key);
 

@@ -3,13 +3,17 @@
 #include <algorithm>
 
 namespace soft {
+namespace {
 
+// Functions whose result depends on mutable session state.
 const std::vector<std::string>& VolatileFunctions() {
   static const std::vector<std::string>* const kVolatile = new std::vector<std::string>{
       "NEXTVAL", "LASTVAL", "SETVAL", "LAST_INSERT_ID",
   };
   return *kVolatile;
 }
+
+}  // namespace
 
 bool OracleComparable(const Statement& stmt) {
   if (!stmt.is_select()) {
@@ -50,18 +54,6 @@ bool SameRow(const ValueList& a, const ValueList& b) {
 bool SameResultSet(const StatementResult& a, const StatementResult& b) {
   return a.columns.size() == b.columns.size() &&
          std::equal(a.rows.begin(), a.rows.end(), b.rows.begin(), b.rows.end(), SameRow);
-}
-
-std::string_view DialectDiffClassName(DialectDiffClass c) {
-  switch (c) {
-    case DialectDiffClass::kIdentical:
-      return "identical";
-    case DialectDiffClass::kDeclaredDifference:
-      return "declared_difference";
-    case DialectDiffClass::kDivergence:
-      return "divergence";
-  }
-  return "?";
 }
 
 DialectDiffClass ClassifyDifferential(const StatementResult& main,

@@ -11,22 +11,15 @@
 #ifndef SRC_DIALECTS_DIALECT_DIFFS_H_
 #define SRC_DIALECTS_DIALECT_DIFFS_H_
 
-#include <string>
-#include <vector>
-
 #include "src/engine/database.h"
 
 namespace soft {
 
-// Functions whose result depends on mutable session state (sequences,
-// LAST_INSERT_ID). Statements referencing one are excluded from every
-// result-set oracle: re-executing or rewriting them legitimately changes
-// the answer, so a divergence proves nothing.
-const std::vector<std::string>& VolatileFunctions();
-
 // True when `stmt` is a SELECT whose result sets are comparable across
 // re-executions and equivalent rewrites on the SAME dialect: it references
-// no volatile function.
+// no function whose result depends on mutable session state (sequences,
+// LAST_INSERT_ID). Re-executing or rewriting such a statement legitimately
+// changes the answer, so a divergence proves nothing.
 bool OracleComparable(const Statement& stmt);
 
 // Oracle result-set equality: the same row and column counts and, row by
@@ -45,8 +38,6 @@ enum class DialectDiffClass {
                         // strictness, or the sibling's own crash corpus)
   kDivergence,          // both OK, different rows — a logic bug on one side
 };
-
-std::string_view DialectDiffClassName(DialectDiffClass c);
 
 DialectDiffClass ClassifyDifferential(const StatementResult& main,
                                       const StatementResult& sibling);

@@ -2,10 +2,10 @@
 // maintenance.
 #include "src/engine/database.h"
 
-#include <sys/time.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
-#include <csignal>
-
+#include <cerrno>
 #include <new>
 
 #include "src/engine/exec_internal.h"
@@ -15,37 +15,6 @@
 
 namespace soft {
 namespace {
-
-// Hard SIGALRM backstop for worker children (CrashRealismPolicy::
-// alarm_backstop): arms an interval timer at 8x the cooperative deadline so
-// it only fires when cooperation failed — the child then dies by SIGALRM and
-// the supervisor treats it as an unannounced death. Disarmed on destruction.
-class AlarmBackstop {
- public:
-  AlarmBackstop(bool requested, int64_t deadline_ms)
-      : armed_(requested && deadline_ms > 0) {
-    if (!armed_) {
-      return;
-    }
-    std::signal(SIGALRM, SIG_DFL);
-    const int64_t budget_ms = deadline_ms * 8;
-    itimerval timer = {};
-    timer.it_value.tv_sec = budget_ms / 1000;
-    timer.it_value.tv_usec = (budget_ms % 1000) * 1000;
-    setitimer(ITIMER_REAL, &timer, nullptr);
-  }
-  ~AlarmBackstop() {
-    if (armed_) {
-      itimerval timer = {};
-      setitimer(ITIMER_REAL, &timer, nullptr);
-    }
-  }
-  AlarmBackstop(const AlarmBackstop&) = delete;
-  AlarmBackstop& operator=(const AlarmBackstop&) = delete;
-
- private:
-  bool armed_;
-};
 
 // Allocation failure anywhere in the pipeline must look like any other
 // engine resource limit — a clean kResourceExhausted statement status —
@@ -68,25 +37,26 @@ Database::Database(EngineConfig config) : config_(std::move(config)) {
   RegisterAllBuiltins(registry_);
 }
 
-void Database::set_crash_realism(CrashRealismPolicy policy) {
-  crash_policy_ = std::move(policy);
-  crash_sim_remaining_ = crash_policy_.simulate_first;
-}
-
 void Database::OnCrashTriggered(const CrashInfo& info) {
-  if (crash_policy_.mode != CrashRealism::kReal) {
+  if (crash_realism_ != CrashRealism::kReal) {
     return;
   }
-  if (crash_sim_remaining_ > 0) {
-    // Deterministic replay after a worker restart: already-confirmed crashes
-    // take the simulated path again so the campaign retraces its stream.
-    --crash_sim_remaining_;
-    return;
+  // The copy dies by the real signal; this process takes the simulated path,
+  // so the campaign's outcome is the simulated one by construction. The
+  // worker.fork failpoint stands in for a failed fork (EAGAIN class).
+  RealizedCrash realized{info, false};
+  const pid_t pid = SOFT_FAILPOINT_HIT("worker.fork") ? -1 : ::fork();
+  if (pid == 0) {
+    RaiseRealCrashSignal(info.crash);
   }
-  if (crash_policy_.announce) {
-    crash_policy_.announce(info);
+  if (pid > 0) {
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    realized.died_by_expected_signal =
+        WIFSIGNALED(status) && WTERMSIG(status) == ExpectedSignalFor(info.crash);
   }
-  RaiseRealCrashSignal(info.crash);
+  realized_crashes_.push_back(std::move(realized));
 }
 
 void Database::InitWatchdog(ExecContext& ec) const {
@@ -214,8 +184,6 @@ StatementResult Database::Execute(std::string_view sql, const Statement& stmt) {
 
 StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* parsed) {
   StatementResult result;
-  const AlarmBackstop backstop(crash_policy_.alarm_backstop,
-                               config_.statement_limits.deadline_ms);
 
   // --- Parse stage ---------------------------------------------------------
   // Telemetry hook: the parse-stage histogram covers the parse-stage fault
@@ -230,7 +198,7 @@ StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* par
     {
       ValueList probe = {Value::Str(std::string(sql))};
       if (auto crash = faults_.CheckFunction("PARSER", probe, 0, false, Stage::kParse)) {
-        OnCrashTriggered(*crash);  // no return under real-crash mode
+        OnCrashTriggered(*crash);
         result.status = CrashStatus(crash->Summary());
         result.crash = std::move(*crash);
         return result;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/coverage/coverage.h"
@@ -47,6 +48,14 @@ struct EngineConfig {
   CastOptions cast_options;
   EngineLimits limits;
   StatementLimits statement_limits;
+};
+
+// One crash realized under CrashRealism::kReal (Database::OnCrashTriggered).
+struct RealizedCrash {
+  CrashInfo crash;
+  // The forked copy died by ExpectedSignalFor(crash.crash). False when the
+  // fork failed, so the crash stayed simulated, or the copy died otherwise.
+  bool died_by_expected_signal = false;
 };
 
 struct StatementResult {
@@ -91,10 +100,13 @@ class Database {
   }
   const StatementLimits& statement_limits() const { return config_.statement_limits; }
 
-  // Crash-realization policy (simulated vs real signals; see fault.h).
-  // Resets the simulate_first replay budget.
-  void set_crash_realism(CrashRealismPolicy policy);
-  const CrashRealismPolicy& crash_policy() const { return crash_policy_; }
+  // Crash realization (simulated vs real signals; see fault.h).
+  void set_crash_realism(CrashRealism realism) { crash_realism_ = realism; }
+
+  // The crashes realized since the last call, oldest first (kReal only).
+  std::vector<RealizedCrash> TakeRealizedCrashes() {
+    return std::exchange(realized_crashes_, {});
+  }
 
   // Arms the wrong-result fault corpus (LogicBugSpec). Off by default: the
   // dialect constructors seed the specs unconditionally, but they perturb
@@ -104,9 +116,9 @@ class Database {
   bool logic_faults_enabled() const { return logic_faults_enabled_; }
 
   // Invoked the moment an injected fault fires (ExecContext::RaiseCrash and
-  // the parse-stage probe). Under CrashRealism::kReal with the simulate_first
-  // budget exhausted this announces the crash and raises the real signal —
-  // it does not return. Otherwise it returns and the crash surfaces as a
+  // the parse-stage probe). Under CrashRealism::kReal it forks a copy that
+  // raises the real signal, waits for the copy to die and records the
+  // realization. Either way it returns, and the crash surfaces as a
   // simulated kCrash StatementResult.
   void OnCrashTriggered(const CrashInfo& info);
 
@@ -148,9 +160,9 @@ class Database {
   StatementResult ExecuteStatementImpl(const Statement& stmt);
 
   EngineConfig config_;
-  CrashRealismPolicy crash_policy_;
+  CrashRealism crash_realism_ = CrashRealism::kSimulated;
+  std::vector<RealizedCrash> realized_crashes_;
   bool logic_faults_enabled_ = false;
-  int64_t crash_sim_remaining_ = 0;
   FunctionRegistry registry_;
   FaultEngine faults_;
   CoverageTracker coverage_;

@@ -50,9 +50,8 @@ struct ExecContext {
     logic_hits.push_back(std::move(info));
   }
 
-  // Records a crash and produces the status that unwinds the evaluation. In
-  // real-crash mode the OnCrashTriggered call raises the actual signal and
-  // never returns.
+  // Records a crash and produces the status that unwinds the evaluation (in
+  // real-crash mode after OnCrashTriggered realized it in a forked copy).
   Status RaiseCrash(CrashInfo info) {
     if (db != nullptr) {
       db->OnCrashTriggered(info);

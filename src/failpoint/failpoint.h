@@ -121,7 +121,7 @@ struct SiteInfo {
 // this table; Arm/ArmFromSpec reject names that are not in it, so the table
 // cannot silently drift from the instrumentation (tests/failpoint_test.cc
 // cross-checks the macro call sites against it).
-inline constexpr std::array<SiteInfo, 32> kInventory = {{
+inline constexpr std::array<SiteInfo, 31> kInventory = {{
     {"parse.enter", SiteClass::kEngine, "ParseStatement entry (src/sqlparser/parser.cc)"},
     {"parse.expr", SiteClass::kEngine, "expression parser (src/sqlparser/parser.cc)"},
     {"optimize.enter", SiteClass::kEngine, "OptimizeStatement entry (src/engine/optimizer.cc)"},
@@ -141,9 +141,8 @@ inline constexpr std::array<SiteInfo, 32> kInventory = {{
     {"io.write", SiteClass::kIoError, "WriteFileAtomic write (src/util/io.cc)"},
     {"io.fsync", SiteClass::kIoError, "WriteFileAtomic fsync (src/util/io.cc)"},
     {"io.rename", SiteClass::kIoError, "WriteFileAtomic rename (src/util/io.cc)"},
-    {"worker.fork", SiteClass::kIoRetry, "worker fork (src/soft/worker.cc)"},
-    {"worker.pipe_write", SiteClass::kIoRetry, "worker pipe line write (src/soft/worker.cc)"},
-    {"worker.pipe_read", SiteClass::kIoRetry, "supervisor pipe read (src/soft/worker.cc)"},
+    {"worker.fork", SiteClass::kIoRetry, "crash realization fork (src/engine/database.cc)"},
+    {"worker.pipe_read", SiteClass::kIoRetry, "ReadRetrying pipe/socket read (src/util/io.cc)"},
     // Fleet sites are kIoRetry: the coordinator absorbs each fault through
     // reconnect / lease-reclaim / work-stealing, and the merged campaign
     // stays bit-identical. Their oracles live in the fleet's own enumerator

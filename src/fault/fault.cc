@@ -71,7 +71,7 @@ namespace {
 
 // Resets the fatal-signal dispositions sanitizers/harnesses may have
 // installed: real-crash mode wants the kernel default (terminate by signal)
-// so the supervisor can decode WTERMSIG, even under ASan.
+// so the waiting parent can decode WTERMSIG, even under ASan.
 void ResetFatalHandlers() {
   std::signal(SIGSEGV, SIG_DFL);
   std::signal(SIGBUS, SIG_DFL);
@@ -107,8 +107,8 @@ void RaiseRealCrashSignal(CrashType type) {
     case CrashType::kHeapBufferOverflow:
     case CrashType::kGlobalBufferOverflow:
       // Performing the literal bad access would be undefined behaviour the
-      // compiler may legally fold away; what the supervisor observes either
-      // way is death by SIGSEGV, so deliver exactly that.
+      // compiler may legally fold away; what the waiting parent observes
+      // either way is death by SIGSEGV, so deliver exactly that.
       std::raise(SIGSEGV);
       break;
     case CrashType::kAssertionFailure:

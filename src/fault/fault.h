@@ -13,7 +13,6 @@
 #ifndef SRC_FAULT_FAULT_H_
 #define SRC_FAULT_FAULT_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -179,28 +178,12 @@ enum class CrashRealism {
   // The fault surfaces as a kCrash StatementResult in-process — the default,
   // and the mode every deterministic comparison runs in.
   kSimulated,
-  // The fault raises the *actual* signal for its CrashType (SIGSEGV for the
-  // memory errors, SIGABRT for assertion failures, SIGFPE for divide-by-zero,
-  // real stack exhaustion for kStackOverflow), killing the process. Only
-  // meaningful inside a forked worker (src/soft/worker.h) whose supervisor
-  // decodes the death back into the same CrashInfo.
+  // The fault surfaces exactly as under kSimulated, and is also realized: a
+  // forked copy of the process raises the *actual* signal for its CrashType
+  // (SIGSEGV for the memory errors, SIGABRT for assertion failures, SIGFPE
+  // for divide-by-zero, real stack exhaustion for kStackOverflow) and dies
+  // by it, while the process itself carries on (Database::OnCrashTriggered).
   kReal,
-};
-
-// Per-database crash-realization policy. In kReal mode the first
-// `simulate_first` fault firings still take the simulated path — that is how
-// a restarted worker deterministically replays past its already-confirmed
-// crashes — and `announce` (when set) is invoked with the CrashInfo
-// immediately before the signal is raised, so the supervisor learns the
-// crash identity from the pipe rather than from the signal number alone.
-struct CrashRealismPolicy {
-  CrashRealism mode = CrashRealism::kSimulated;
-  int simulate_first = 0;
-  // Arm a SIGALRM hard backstop around each statement (worker children only;
-  // see Database::Execute). The itimer fires well after the cooperative
-  // watchdog deadline, so it only triggers when cooperation failed.
-  bool alarm_backstop = false;
-  std::function<void(const CrashInfo&)> announce;
 };
 
 // Signal the kernel would deliver for a CrashType (SIGSEGV/SIGABRT/SIGFPE).
@@ -210,7 +193,8 @@ int ExpectedSignalFor(CrashType type);
 // genuine null/wild dereferences for the pointer bugs, abort() for assertion
 // failures, a volatile division by zero for SIGFPE, and actual stack
 // exhaustion (with an alternate signal stack installed so sanitizer handlers
-// can still report) for kStackOverflow. Never returns.
+// can still report) for kStackOverflow. Never returns. Async-signal-safe,
+// so a child forked from any campaign thread may call it.
 [[noreturn]] void RaiseRealCrashSignal(CrashType type);
 
 class FaultEngine {

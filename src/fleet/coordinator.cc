@@ -984,8 +984,8 @@ class Coordinator {
 Result<FleetOutcome> Coordinator::Run() {
   if (options_.crash_realism != CrashRealism::kSimulated) {
     return InvalidArgument(
-        "fleet campaigns run simulated crash realization (workers are already "
-        "process isolation); drop --crash-mode=real");
+        "fleet campaigns run simulated crash realization only; drop "
+        "--crash-mode=real");
   }
   const Endpoint endpoint = ListenEndpoint(fleet_);
   if (endpoint.empty()) {

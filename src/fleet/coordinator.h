@@ -182,7 +182,7 @@ struct FleetOutcome {
 // in-process, workers forked (plus any external attachers). `options` is the
 // campaign spec shipped to workers inside GRANT lines; its progress callback
 // is ignored (workers install their own, for heartbeats) and crash_realism
-// must be kSimulated — fleet workers are already process isolation. Blocks
+// must be kSimulated (real crashes are not supported in a fleet). Blocks
 // until the merged campaign completes.
 Result<FleetOutcome> RunFleetCampaign(const std::string& dialect,
                                       const CampaignOptions& options,

@@ -15,6 +15,7 @@ CampaignRecorder::CampaignRecorder(std::string tool, Database& db,
   result_.tool = std::move(tool);
   result_.dialect = db.config().name;
   db.set_statement_limits(options.statement_limits);
+  db.set_crash_realism(options.crash_realism);
 }
 
 void CampaignRecorder::CountGenerated(const std::string& pattern, uint64_t n) {
@@ -31,12 +32,12 @@ StatementResult CampaignRecorder::Execute(const std::string& sql,
   if (on_the_fly_) {
     Count(&telemetry::PatternCounters::generated);
   }
-  // Flight ring entry and (sampled) statement span open before Execute: a
-  // real-signal crash inside Execute leaves exactly this context for the
-  // announcement to flush.
   trace::FlightBeginStatement(ordinal, pattern, sql);
   trace::BeginStatement(ordinal, pattern);
   StatementResult r = db_.Execute(sql);
+  if (options_.crash_realism == CrashRealism::kReal) {
+    RecordRealizedCrashes();
+  }
   if (r.crashed()) {
     outcome_ = "crash";
     ++result_.crashes_observed;
@@ -77,6 +78,22 @@ StatementResult CampaignRecorder::Execute(const std::string& sql,
     outcome_ = "ok";
   }
   return r;
+}
+
+void CampaignRecorder::RecordRealizedCrashes() {
+  for (const RealizedCrash& realized : db_.TakeRealizedCrashes()) {
+    trace::CrashFlightRecord flight;
+    flight.shard = options_.shard_index;
+    flight.worker_run = static_cast<int>(result_.crash_flights.size());
+    flight.announced = realized.died_by_expected_signal;
+    flight.bug_id = realized.crash.bug_id;
+    flight.entries = trace::FlightSnapshot();
+    if (!flight.entries.empty()) {
+      flight.entries.back().stage_reached = std::string(StageName(realized.crash.stage));
+      flight.entries.back().outcome = "crash";
+    }
+    result_.crash_flights.push_back(std::move(flight));
+  }
 }
 
 void CampaignRecorder::CountLogicCheck(bool divergence, bool attributed) {

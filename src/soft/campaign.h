@@ -38,10 +38,10 @@ struct CampaignOptions {
   int shard_index = 0;
   int shard_count = 1;
 
-  // Crash realization (src/fault/fault.h). kReal is honoured by the sharded
-  // runner, which dispatches each shard to a forked worker whose supervisor
-  // decodes the death; calling Fuzzer::Run directly under kReal would kill
-  // the calling process at the first triggered bug.
+  // Crash realization (src/fault/fault.h), applied to the campaign database
+  // at Run start. Under kReal each fired fault is also realized in a forked
+  // copy that dies by the real signal; the campaign itself carries on, so
+  // its outcome is the simulated one and crash_flights records each copy.
   CrashRealism crash_realism = CrashRealism::kSimulated;
 
   // Statement-watchdog budgets, applied to the campaign database at Run
@@ -53,8 +53,7 @@ struct CampaignOptions {
   // CampaignRecorder::Close) after each executed statement with the
   // statements executed so far. Strictly observational — it has no way to
   // stop or degrade the campaign. Fleet workers throttle it into
-  // heartbeats. A kReal shard runs its campaign in forked children, which
-  // do not forward it.
+  // heartbeats.
   std::function<void(int statements_executed)> progress;
 
   // Span tracing (src/telemetry/trace.h): 0 disables tracing (the default —
@@ -69,8 +68,9 @@ struct CampaignOptions {
   // wrong-result mode: the database arms its seeded LogicBugSpec corpus
   // after prerequisites, every seeded bug's PoC is queued ahead of the
   // generated pool, and each successfully executed SELECT is examined by
-  // every listed oracle. Requires CrashRealism::kSimulated — a forked kReal
-  // worker cannot host the differential siblings.
+  // every listed oracle. Requires CrashRealism::kSimulated: real crashes
+  // are realized for campaign statements, and oracle re-executions under
+  // kReal are not supported.
   std::vector<std::string> logic_oracles;
 };
 
@@ -164,7 +164,7 @@ struct CampaignResult {
   // comparisons.
   trace::TraceData trace;
 
-  // Flight records for every worker death in a kReal campaign, shard-index
+  // Flight records for every crash realized in a kReal campaign, shard-index
   // ordered (src/telemetry/trace.h). Exported as `crash_flight` journal
   // events. Empty for simulated campaigns.
   std::vector<trace::CrashFlightRecord> crash_flights;
@@ -172,11 +172,12 @@ struct CampaignResult {
 
 // The one statement-recording path of every fuzzer, SOFT and the baselines.
 // Constructed at the top of a Run, it owns the campaign's result, applies
-// the statement limits to the database, and installs the telemetry
-// collector (for the engine's stage timers), the statement tracer and the
-// flight recorder for the campaign's lifetime. Each campaign statement goes
-// through Execute, which runs it and folds its outcome into the result
-// totals, the per-pattern counters and the first-witness dedup, then Close,
+// the statement limits and crash realism to the database, and installs the
+// telemetry collector (for the engine's stage timers), the statement tracer
+// and, under kReal, the flight recorder for the campaign's lifetime. Each
+// campaign statement goes through Execute, which runs it and folds its
+// outcome into the result totals, the per-pattern counters, the
+// first-witness dedup and one flight record per realized crash, then Close,
 // which ends its span and flight entry. A caller may examine the open
 // statement in between (SOFT's logic oracles). Per-pattern counters and
 // wall stamps are written only while the collector is installed, so
@@ -213,6 +214,10 @@ class CampaignRecorder {
   CampaignResult Finish();
 
  private:
+  // Appends a flight record for each crash the database realized during the
+  // open statement: the ring as it stands, the statement itself newest.
+  void RecordRealizedCrashes();
+
   void Count(uint64_t telemetry::PatternCounters::*member) {
     if (counters_ != nullptr) {
       ++(counters_->*member);

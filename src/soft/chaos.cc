@@ -186,19 +186,19 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
   outcome.failpoint = std::string(site.name);
   outcome.site_class = std::string(failpoint::SiteClassName(site.site_class));
 
-  const bool worker_site = outcome.failpoint.rfind("worker.", 0) == 0;
-  if (worker_site && !include_worker_sites) {
+  const bool fork_site = outcome.failpoint == "worker.fork";
+  if (fork_site && !include_worker_sites) {
     outcome.spec = "(skipped)";
     outcome.ok = true;
-    outcome.detail = "worker sites disabled (no forking in this lane)";
+    outcome.detail = "fork site disabled (no forking in this lane)";
     return outcome;
   }
   outcome.ran = true;
 
-  if (!worker_site) {
-    // io.eintr / io.short_write: a payload written through RetryingWriter
-    // over a pipe arrives bit-identical despite the injected transient
-    // faults.
+  if (!fork_site) {
+    // io.eintr / io.short_write / worker.pipe_read: a payload written
+    // through RetryingWriter and read back through ReadRetrying over a pipe
+    // arrives bit-identical despite the injected transient faults.
     outcome.spec = outcome.failpoint + "=after:0:5";
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -218,8 +218,6 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
     }
     io::RetryingWriter writer(fds[1]);
     const Status write_status = writer.WriteAll(payload);
-    const failpoint::SiteStats stats = failpoint::Stats(site.name);
-    failpoint::DisarmAll();
     ::close(fds[1]);
     std::string received;
     char chunk[4096];
@@ -231,6 +229,8 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
       received.append(chunk, static_cast<size_t>(n));
     }
     ::close(fds[0]);
+    const failpoint::SiteStats stats = failpoint::Stats(site.name);
+    failpoint::DisarmAll();
     if (!write_status.ok()) {
       outcome.detail = "retrying write failed: " + write_status.ToString();
       return outcome;
@@ -249,14 +249,13 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
     return outcome;
   }
 
-  // worker.fork / worker.pipe_write / worker.pipe_read: a real-crash
-  // campaign with the transient fault armed merges bit-identical to the
-  // uninjected simulated reference (PR3's sim/real identity, preserved
-  // under injection because the fault is retried or absorbed by the
-  // supervisor's restart/backoff ladder).
+  // worker.fork: a realization whose fork fails leaves its crash simulated.
+  // A real-crash campaign with the fault armed merges bit-identical to the
+  // uninjected simulated reference, and exactly the crashes whose fork
+  // failed carry unannounced flight records.
   outcome.spec = outcome.failpoint + "=after:0:2";
-  CampaignOptions sim_options = SmokeOptions(budget);
-  const CampaignResult reference = RunShardedSoftCampaign(dialect, sim_options, 1);
+  const CampaignResult reference =
+      RunShardedSoftCampaign(dialect, SmokeOptions(budget), 1);
 
   failpoint::DisarmAll();
   if (Status armed = failpoint::ArmFromSpec(outcome.spec); !armed.ok()) {
@@ -266,6 +265,7 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
   CampaignOptions real_options = SmokeOptions(budget);
   real_options.crash_realism = CrashRealism::kReal;
   const CampaignResult injected = RunShardedSoftCampaign(dialect, real_options, 1);
+  const failpoint::SiteStats stats = failpoint::Stats(site.name);
   failpoint::DisarmAll();
 
   if (DigestCampaignResult(injected) != DigestCampaignResult(reference)) {
@@ -273,9 +273,25 @@ ChaosSiteOutcome CheckIoRetrySite(const failpoint::SiteInfo& site,
                      "under injected fault";
     return outcome;
   }
+  const auto unannounced = static_cast<uint64_t>(std::count_if(
+      injected.crash_flights.begin(), injected.crash_flights.end(),
+      [](const trace::CrashFlightRecord& flight) { return !flight.announced; }));
+  if (static_cast<int>(injected.crash_flights.size()) != injected.crashes_observed ||
+      stats.fires != std::min<uint64_t>(2, injected.crash_flights.size()) ||
+      unannounced != stats.fires) {
+    outcome.detail = "expected one flight record per crash and one unannounced record "
+                     "per failed fork; got " +
+                     std::to_string(injected.crash_flights.size()) + " records for " +
+                     std::to_string(injected.crashes_observed) + " crashes, " +
+                     std::to_string(unannounced) + " unannounced for " +
+                     std::to_string(stats.fires) + " failed fork(s)";
+    return outcome;
+  }
   outcome.ok = true;
   outcome.detail = "real-crash campaign bit-identical to simulated reference (" +
-                   std::to_string(injected.unique_bugs.size()) + " bugs)";
+                   std::to_string(injected.crash_flights.size()) +
+                   " crash(es) realized, " + std::to_string(stats.fires) +
+                   " left simulated by a failed fork)";
   return outcome;
 }
 

@@ -11,11 +11,12 @@
 //              thrown bad_alloc is caught at the Execute boundary; a small
 //              campaign with the site armed still completes its full budget
 //              and is run-to-run deterministic under the same armed spec.
-//   kIoRetry   the fault is absorbed by a retry loop: payloads and campaign
-//              results are bit-identical to the uninjected run (worker
-//              sites fork real children, so they are gated behind
-//              include_worker_sites for sanitizer lanes that must not fork
-//              with threads).
+//   kIoRetry   the fault is absorbed by a retry loop: payloads are
+//              bit-identical to the uninjected run. worker.fork makes crash
+//              realization fail, so the crash stays simulated and the
+//              campaign result is bit-identical to the simulated run; it
+//              forks real copies, so it is gated behind include_worker_sites
+//              for sanitizer lanes that must not fork with threads.
 //   kIoError   the artifact write fails with kIoError naming the path, the
 //              destination keeps its previous contents, no tmp file is left
 //              behind; after disarming, the identical artifact is produced.
@@ -87,7 +88,7 @@ uint64_t DigestLogicOutcome(const CampaignResult& result);
 
 // Runs the smoke oracle once per inventory site. `budget` bounds each smoke
 // campaign's statement count (<= 0 selects the default, 600).
-// `include_worker_sites` = false skips the fork-based worker.* sites
+// `include_worker_sites` = false skips the fork-based worker.fork site
 // (required under TSan, where fork-with-threads is undefined).
 ChaosReport RunChaosEnumeration(const std::string& dialect, int budget,
                                 bool include_worker_sites);

@@ -30,42 +30,23 @@ ParallelCampaignRunner::ParallelCampaignRunner(FuzzerFactory make_fuzzer,
 
 namespace {
 
-// Builds the shard's structural span (campaign → shard) and rebases the
-// shard-local spans already in `result.trace` onto the campaign clock.
-// For in-process (simulated) shards a synthetic worker-run span is added
-// first so the tree shape matches the forked path:
-// campaign → shard → worker-run → statement. Observational only.
+// Builds the shard's structural spans (campaign → shard → worker-run) and
+// rebases the shard-local spans already in `result.trace` onto the campaign
+// clock. The worker-run span is the one in-process run covering the whole
+// shard; statement spans (recorded with parent 0 — the fuzzer cannot know
+// its run) hang off it. Observational only.
 void AttachShardSpans(CampaignResult& result, int shard, uint64_t shard_start_ns,
-                      uint64_t shard_end_ns, bool in_process) {
+                      uint64_t shard_end_ns, CrashRealism realism) {
   const std::string& dialect = result.dialect;
   const uint64_t campaign_id =
       trace::SpanId(dialect, -1, trace::SpanKind::kCampaign, 0);
   const uint64_t shard_id = trace::SpanId(dialect, shard, trace::SpanKind::kShard, 0);
-  if (in_process) {
-    // One synthetic run covering the whole shard; statement spans (recorded
-    // with parent 0 — the fuzzer cannot know its run ordinal) hang off it.
-    const uint64_t run_id =
-        trace::SpanId(dialect, shard, trace::SpanKind::kWorkerRun, 0);
-    for (trace::TraceSpan& span : result.trace.spans) {
-      if (span.kind == trace::SpanKind::kStatement && span.parent_id == 0) {
-        span.parent_id = run_id;
-      }
-    }
-    trace::TraceSpan run;
-    run.id = run_id;
-    run.parent_id = shard_id;
-    run.kind = trace::SpanKind::kWorkerRun;
-    run.shard = shard;
-    run.start_ns = 0;
-    run.dur_ns = shard_end_ns - shard_start_ns;
-    run.args.emplace_back("run", "0");
-    run.args.emplace_back("verdict", "in-process");
-    result.trace.spans.insert(result.trace.spans.begin(), std::move(run));
-  }
-  // Rebase everything recorded so far (run/statement/stage spans are on the
-  // shard clock) onto the campaign clock, then prepend the shard span.
+  const uint64_t run_id = trace::SpanId(dialect, shard, trace::SpanKind::kWorkerRun, 0);
   for (trace::TraceSpan& span : result.trace.spans) {
-    span.start_ns += shard_start_ns;
+    if (span.kind == trace::SpanKind::kStatement && span.parent_id == 0) {
+      span.parent_id = run_id;
+    }
+    span.start_ns += shard_start_ns;  // shard clock → campaign clock
   }
   trace::TraceSpan shard_span;
   shard_span.id = shard_id;
@@ -76,40 +57,30 @@ void AttachShardSpans(CampaignResult& result, int shard, uint64_t shard_start_ns
   shard_span.dur_ns = shard_end_ns - shard_start_ns;
   shard_span.args.emplace_back("statements",
                                std::to_string(result.statements_executed));
-  shard_span.args.emplace_back("mode", in_process ? "sim" : "real");
+  shard_span.args.emplace_back("mode",
+                               realism == CrashRealism::kReal ? "real" : "sim");
+  trace::TraceSpan run;
+  run.id = run_id;
+  run.parent_id = shard_id;
+  run.kind = trace::SpanKind::kWorkerRun;
+  run.shard = shard;
+  run.start_ns = shard_start_ns;
+  run.dur_ns = shard_span.dur_ns;
+  run.args.emplace_back("run", "0");
+  run.args.emplace_back("verdict", "in-process");
+  result.trace.spans.insert(result.trace.spans.begin(), std::move(run));
   result.trace.spans.insert(result.trace.spans.begin(), std::move(shard_span));
 }
 
 }  // namespace
 
-ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
-                             const WorkerDatabaseFactory& make_database,
+ShardResult ExecuteShardPlan(const FuzzerFactory& make_fuzzer,
+                             const DatabaseFactory& make_database,
                              const ShardPlan& plan, uint64_t campaign_base_ns) {
   ShardResult outcome;
   const bool tracing = plan.options.trace_sample > 0;
   const uint64_t shard_start_ns =
       tracing ? telemetry::MonotonicNowNs() - campaign_base_ns : 0;
-  if (plan.options.crash_realism == CrashRealism::kReal) {
-    // Real crashes must not kill the campaign process: run the shard inside
-    // supervised forked workers. Deterministic replay makes the returned
-    // result bit-identical to the simulated in-process path.
-    WorkerShardOutcome worker = RunShardInWorkerProcess(
-        make_fuzzer, make_database, plan.options);
-    outcome.result = std::move(worker.result);
-    outcome.coverage = std::move(worker.coverage);
-    for (FoundBug& bug : outcome.result.unique_bugs) {
-      bug.shard = plan.shard;
-    }
-    for (FoundLogicBug& bug : outcome.result.logic_bugs) {
-      bug.shard = plan.shard;
-    }
-    if (tracing) {
-      AttachShardSpans(outcome.result, plan.shard, shard_start_ns,
-                       telemetry::MonotonicNowNs() - campaign_base_ns,
-                       /*in_process=*/false);
-    }
-    return outcome;
-  }
   std::unique_ptr<Database> db = make_database();
   std::unique_ptr<Fuzzer> fuzzer = make_fuzzer();
   if (db == nullptr || fuzzer == nullptr) {
@@ -126,7 +97,7 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
   if (tracing) {
     AttachShardSpans(outcome.result, plan.shard, shard_start_ns,
                      telemetry::MonotonicNowNs() - campaign_base_ns,
-                     /*in_process=*/true);
+                     plan.options.crash_realism);
   }
   return outcome;
 }

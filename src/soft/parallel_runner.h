@@ -41,9 +41,14 @@
 #include <vector>
 
 #include "src/soft/campaign.h"
-#include "src/soft/worker.h"
 
 namespace soft {
+
+// Both factories are called once per shard, possibly concurrently; they
+// must be safe to invoke from multiple threads (the dialect factories and
+// fuzzer constructors are).
+using FuzzerFactory = std::function<std::unique_ptr<Fuzzer>()>;
+using DatabaseFactory = std::function<std::unique_ptr<Database>()>;
 
 // One shard's campaign parameters: the base options with the shard's
 // (shard_index, shard_count) set.
@@ -64,16 +69,17 @@ struct ShardResult {
   CoverageTracker coverage;
 };
 
-// Executes one shard plan on the calling thread: honours
-// options.crash_realism (kReal dispatches to the forked-worker harness),
+// Executes one shard plan on the calling thread against a fresh database,
 // stamps FoundBug/FoundLogicBug::shard, and — when tracing — attaches the
 // shard/worker-run structural spans rebased onto `campaign_base_ns` (the
-// absolute MonotonicNowNs() reading at campaign start). This is the one
-// shard-execution path: ParallelCampaignRunner threads call it per shard,
-// and fleet workers (src/fleet/) call it per leased work unit, which is
-// what makes a fleet merge bit-identical to a sharded run by construction.
-ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
-                             const WorkerDatabaseFactory& make_database,
+// absolute MonotonicNowNs() reading at campaign start). Crash realism needs
+// nothing here: the campaign applies options.crash_realism to its database.
+// This is the one shard-execution path: ParallelCampaignRunner threads call
+// it per shard, and fleet workers (src/fleet/) call it per leased work unit,
+// which is what makes a fleet merge bit-identical to a sharded run by
+// construction.
+ShardResult ExecuteShardPlan(const FuzzerFactory& make_fuzzer,
+                             const DatabaseFactory& make_database,
                              const ShardPlan& plan, uint64_t campaign_base_ns = 0);
 
 // The deterministic shard merge (see the contract above): walks `outcomes`
@@ -90,12 +96,6 @@ class UnitSpool;
 
 class ParallelCampaignRunner {
  public:
-  using FuzzerFactory = std::function<std::unique_ptr<Fuzzer>()>;
-  using DatabaseFactory = std::function<std::unique_ptr<Database>()>;
-
-  // Both factories are called once per shard, possibly concurrently; they
-  // must be safe to invoke from multiple threads (the dialect factories and
-  // fuzzer constructors are).
   ParallelCampaignRunner(FuzzerFactory make_fuzzer, DatabaseFactory make_database);
 
   // Runs the shard plan with one thread per shard and merges. A single-shard

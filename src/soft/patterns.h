@@ -16,6 +16,7 @@
 #ifndef SRC_SOFT_PATTERNS_H_
 #define SRC_SOFT_PATTERNS_H_
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct GeneratedCase {
   std::string pattern;  // "P1.2" ... "P3.3"
 };
 
+inline constexpr int64_t kDefaultRepeatBounds[] = {16,     100,    2000,   6000,
+                                                  120000, 400000, 1100000};
+
 struct PatternOptions {
   // Finding-3 cutoff: seeds with more function calls than this are skipped.
   int max_seed_functions = 2;
@@ -37,7 +41,8 @@ struct PatternOptions {
   int donor_sample = 8;
   // Length bounds used by P3.1 (chosen to sweep across every dialect's
   // internal thresholds without exceeding engine limits).
-  std::vector<int64_t> repeat_bounds = {16, 100, 2000, 6000, 120000, 400000, 1100000};
+  std::vector<int64_t> repeat_bounds = std::vector<int64_t>(
+      std::begin(kDefaultRepeatBounds), std::end(kDefaultRepeatBounds));
 
   bool operator==(const PatternOptions&) const = default;
 };

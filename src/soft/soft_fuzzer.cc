@@ -16,8 +16,8 @@
 namespace soft {
 namespace {
 
-// Oracles need the simulated engine: a forked kReal worker cannot host the
-// differential siblings (CampaignOptions::logic_oracles).
+// Oracles run under simulated crash realization only
+// (CampaignOptions::logic_oracles).
 bool LogicMode(const CampaignOptions& campaign) {
   return !campaign.logic_oracles.empty() &&
          campaign.crash_realism == CrashRealism::kSimulated;

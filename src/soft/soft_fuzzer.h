@@ -32,7 +32,7 @@ struct SoftOptions {
 // Steps 1 and 2 of a campaign, done once: the suite prerequisites and the
 // deduplicated, shuffled case order. A pure function of its key (collection
 // and generation read only the dialect's registry and fault corpus), so
-// shard threads, real-crash children and fleet workers share one, const.
+// shard threads and fleet workers share one, const.
 struct CasePool {
   // The key.
   std::string dialect;

@@ -76,7 +76,7 @@ Result<SpooledRun> RunUnits(std::ofstream& journal, const std::string& journal_p
                             int units, const UnitResume* resume) {
   journal.flush();  // the header must survive a kill before the first commit
   const telemetry::WallTimer timer;
-  // Built once: every unit's thread (and its kReal children) runs this pool.
+  // Built once: every unit's thread runs this pool.
   std::shared_ptr<const CasePool> pool = BuildCasePool(dialect, options);
   if (pool == nullptr) {
     return InvalidArgument("unknown dialect '" + dialect + "'");

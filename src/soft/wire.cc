@@ -48,6 +48,9 @@ std::string HexDecode(const std::string& s) {
 
 // --- sub-record serialization ----------------------------------------------
 
+namespace {
+
+// Sub-records only BUG and FLR lines carry.
 std::string EncodeCrash(const CrashInfo& info) {
   std::ostringstream out;
   out << info.bug_id << ' ' << HexEncode(info.dbms) << ' ' << HexEncode(info.function)
@@ -90,6 +93,8 @@ bool DecodeFlightEntry(std::istringstream& in, trace::FlightEntry& e) {
   e.outcome = HexDecode(outcome);
   return true;
 }
+
+}  // namespace
 
 std::string EncodeSpan(const trace::TraceSpan& s) {
   std::ostringstream out;

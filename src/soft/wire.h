@@ -1,11 +1,10 @@
 // Shared line-oriented wire codec for campaign results and progress records.
 //
-// Two transports speak this format: the fork+pipe worker harness
-// (src/soft/worker.cc, PR 3/5) and the fleet coordinator's Unix-domain
-// socket protocol (src/fleet/). Both move '\n'-terminated records of
-// space-separated tokens, strings hex-encoded with "-" for empty, so a
-// record is torn if and only if its newline is missing — the same framing
-// invariant the NDJSON journal relies on (docs/ROBUSTNESS.md).
+// The fleet protocol (src/fleet/) and the unit spool (src/soft/unit_spool.h)
+// speak this format: '\n'-terminated records of space-separated tokens,
+// strings hex-encoded with "-" for empty, so a record is torn if and only if
+// its newline is missing — the same framing invariant the NDJSON journal
+// relies on (docs/ROBUSTNESS.md).
 //
 // Record tags of a serialized result block, in emission order:
 //
@@ -25,13 +24,13 @@
 //   END  terminates the block
 //
 // Progress records outside result blocks (transport-specific dispatch):
-// the worker pipe's F/C lines and the fleet protocol's HELLO/REQ/GRANT/
-// HB/UNIT/FIN lines reuse the token and sub-record encoders below. The unit
-// spool (src/soft/unit_spool.h) stores result blocks in this format too.
+// the fleet protocol's HELLO/REQ/GRANT/HB/UNIT/FIN lines reuse the token and
+// sub-record encoders below. The unit spool stores result blocks.
 //
-// Framing comes in two strengths. The worker pipe (same host, trusted fd)
-// keeps the bare '\n' framing via LineBuffer. The fleet transport — which
-// may cross a real network over TCP — wraps every record line in a binary
+// Framing comes in two strengths. Spool files (same host, written
+// atomically) keep the bare '\n' framing via LineBuffer. The fleet
+// transport — which may cross a real network over TCP — wraps every record
+// line in a binary
 // frame (EncodeFrame / FrameDecoder / FramedWriter below): a 16-byte header
 // carrying magic, protocol version, a per-session monotonic sequence
 // number, the payload length, and a CRC32 over header+payload. The decoder
@@ -63,12 +62,6 @@ std::string HexDecode(const std::string& s);
 
 // --- sub-record serialization ---------------------------------------------
 
-std::string EncodeCrash(const CrashInfo& info);
-bool DecodeCrash(std::istringstream& in, CrashInfo& info);
-
-std::string EncodeFlightEntry(const trace::FlightEntry& e);
-bool DecodeFlightEntry(std::istringstream& in, trace::FlightEntry& e);
-
 std::string EncodeSpan(const trace::TraceSpan& s);
 bool DecodeSpan(std::istringstream& in, trace::TraceSpan& s);
 
@@ -99,7 +92,7 @@ struct ResultBlock {
 
 // Feeds one record line into `block`. Returns true when the tag was a
 // result-block tag (consumed), false for anything else — the caller owns
-// transport-specific records (C/F, fleet control lines) and torn tails — and
+// transport-specific records (fleet control lines) and torn tails — and
 // for a TLS or TLP row that does not parse (e.g. a v2 TLP row).
 bool ConsumeResultLine(const std::string& line, ResultBlock& block);
 

@@ -46,17 +46,43 @@ std::string Expr::ToSql() const {
       return out;
     }
     case ExprKind::kCast: {
-      std::string type_text =
-          cast_type_text.empty() ? std::string(TypeKindName(cast_type)) : cast_type_text;
-      return "CAST(" + args[0]->ToSql() + " AS " + type_text + ")";
-    }
-    case ExprKind::kBinaryOp:
-      return "(" + args[0]->ToSql() + " " + op + " " + args[1]->ToSql() + ")";
-    case ExprKind::kUnaryOp:
-      if (op == "IS NULL" || op == "IS NOT NULL") {
-        return "(" + args[0]->ToSql() + " " + op + ")";
+      std::string out = "CAST(";
+      out += args[0]->ToSql();
+      out += " AS ";
+      if (cast_type_text.empty()) {
+        out += TypeKindName(cast_type);
+      } else {
+        out += cast_type_text;
       }
-      return "(" + op + (op == "NOT" ? " " : "") + args[0]->ToSql() + ")";
+      out.push_back(')');
+      return out;
+    }
+    case ExprKind::kBinaryOp: {
+      std::string out = "(";
+      out += args[0]->ToSql();
+      out.push_back(' ');
+      out += op;
+      out.push_back(' ');
+      out += args[1]->ToSql();
+      out.push_back(')');
+      return out;
+    }
+    case ExprKind::kUnaryOp: {
+      std::string out = "(";
+      if (op == "IS NULL" || op == "IS NOT NULL") {
+        out += args[0]->ToSql();
+        out.push_back(' ');
+        out += op;
+      } else {
+        out += op;
+        if (op == "NOT") {
+          out.push_back(' ');
+        }
+        out += args[0]->ToSql();
+      }
+      out.push_back(')');
+      return out;
+    }
     case ExprKind::kRowCtor: {
       std::string out = "ROW(";
       for (size_t i = 0; i < args.size(); ++i) {
@@ -79,8 +105,12 @@ std::string Expr::ToSql() const {
       out.push_back(']');
       return out;
     }
-    case ExprKind::kSubquery:
-      return "(" + subquery->ToSql() + ")";
+    case ExprKind::kSubquery: {
+      std::string out = "(";
+      out += subquery->ToSql();
+      out.push_back(')');
+      return out;
+    }
   }
   return "?";
 }

@@ -125,7 +125,7 @@ Result<Decimal> Decimal::FromString(std::string_view s) {
     return InvalidArgument("malformed DECIMAL literal");
   }
   if (int_part.empty()) {
-    int_part = "0";
+    int_part.push_back('0');
   }
   if ((!AllDigits(int_part)) || (!frac_part.empty() && !AllDigits(frac_part))) {
     return InvalidArgument("malformed DECIMAL literal");
@@ -249,7 +249,7 @@ Decimal Decimal::Rounded(int new_scale) const {
   std::string kept = digits_.substr(0, digits_.size() - static_cast<size_t>(drop));
   const char next = digits_[digits_.size() - static_cast<size_t>(drop)];
   if (kept.empty()) {
-    kept = "0";
+    kept.push_back('0');
   }
   if (next >= '5') {
     // Increment the kept magnitude by one unit.
@@ -406,7 +406,7 @@ Result<Decimal> Decimal::Div(const Decimal& a, const Decimal& b, int result_scal
     // Strip leading zeros in remainder for compare speed.
     const size_t nz = remainder.find_first_not_of('0');
     if (nz == std::string::npos) {
-      remainder = "0";
+      remainder.assign(1, '0');
     } else if (nz > 0) {
       remainder.erase(0, nz);
     }

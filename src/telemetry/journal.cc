@@ -274,7 +274,9 @@ std::string CampaignTelemetry::ToJson() const {
       out += ',';
     }
     first = false;
-    out += "\"" + EscapeJson(pattern) + "\":{";
+    out.push_back('"');
+    out += EscapeJson(pattern);
+    out += "\":{";
     const char* separator = "";
     for (const PatternCounterField& field : kPatternCounterFields) {
       out.append(separator).append("\"").append(field.key).append("\":");

@@ -24,10 +24,11 @@
 //                    function, effect, scope, case_index (shard-invariant),
 //                    statement_index + shard (shard-local attribution), poc,
 //                    witness (the diverging rewrite / sibling dialect)
-//   crash_flight     one per worker death in a real-crash campaign: shard,
-//                    worker_run, announced, bug_id, and the flushed
-//                    flight-ring entries (the last entry of an announced
-//                    crash is the crashing statement itself)
+//   crash_flight     one per crash realized in a real-crash campaign: shard,
+//                    worker_run (the realization ordinal), announced (the
+//                    forked copy died by its expected signal), bug_id, and
+//                    the flight-ring entries (the last entry is the
+//                    crashing statement itself)
 //   lease            unit transition (streamed live): action
 //                    (grant|complete|reclaim|steal|local|resume), unit,
 //                    worker, cases, unit_digest. Fleet coordinators write

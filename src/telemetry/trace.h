@@ -7,13 +7,13 @@
 //   campaign → shard → worker-run → statement → parse/optimize/execute
 //
 // as spans with deterministic IDs, and keeps a fixed-size ring buffer of the
-// last executed statements per worker (the flight recorder) so a real-signal
-// crash ships its own minimal repro context. Three parts:
+// last executed statements per campaign thread (the flight recorder) so each
+// real-signal crash carries its own minimal repro context. Three parts:
 //
 //   * Data model: TraceSpan/TraceData and FlightEntry/CrashFlightRecord.
 //     These ride along in CampaignResult; the structural spans (campaign,
-//     shard, worker-run) are created by the parallel runner and the worker
-//     supervisor whenever tracing is requested.
+//     shard, worker-run) are created by the parallel runner whenever
+//     tracing is requested.
 //   * Recording hooks: a thread-local statement tracer installed by each
 //     campaign's CampaignRecorder (sampled every trace_sample-th statement)
 //     and a thread-local flight ring installed for kReal campaigns.
@@ -48,7 +48,7 @@ namespace trace {
 enum class SpanKind {
   kCampaign = 0,
   kShard,
-  kWorkerRun,  // one forked worker lifetime (or the in-process run for sim)
+  kWorkerRun,  // the in-process run of a shard's campaign
   kStatement,
   kParse,
   kOptimize,
@@ -69,9 +69,9 @@ struct TraceSpan {
   uint64_t parent_id = 0;  // 0 = root
   SpanKind kind = SpanKind::kStatement;
   int shard = 0;
-  // Wall-clock placement relative to the campaign origin (the shard's
-  // supervision entry for worker-run/statement/stage spans, rebased to the
-  // campaign origin at merge). Observational only — never compared by the
+  // Wall-clock placement relative to the campaign origin (the shard's start
+  // for worker-run/statement/stage spans, rebased to the campaign origin at
+  // merge). Observational only — never compared by the
   // determinism tests and never part of the outcome digest.
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
@@ -110,15 +110,16 @@ struct FlightEntry {
   bool operator==(const FlightEntry&) const = default;
 };
 
-// One worker death's flight record, assembled supervisor-side. An announced
-// crash carries the ring flushed over the pipe just before the signal was
-// raised (entries.back() is the crashing statement); an unannounced death
-// (SIGKILL, OOM killer) carries no entries.
+// One realized crash's flight record (CampaignRecorder, kReal campaigns):
+// the ring as it stood when the crash fired; entries.back() is the crashing
+// statement.
 struct CrashFlightRecord {
   int shard = 0;
-  int worker_run = 0;  // fork ordinal within the shard (0-based)
+  int worker_run = 0;  // realization ordinal within the shard (0-based)
+  // The forked copy died by ExpectedSignalFor of the crash type; false when
+  // the fork failed (the crash stayed simulated) or the copy died otherwise.
   bool announced = false;
-  int bug_id = 0;  // 0 when unannounced
+  int bug_id = 0;
   std::vector<FlightEntry> entries;
 
   bool operator==(const CrashFlightRecord&) const = default;
@@ -132,9 +133,8 @@ struct CrashFlightRecord {
 // Installs `sink` as the calling thread's statement tracer for the scope
 // lifetime. Every sample_every-th statement (1 = all) gets a kStatement span
 // with kParse/kOptimize/kExecute children. A null sink installs nothing.
-// Statement spans are recorded with parent_id = 0; the runner/worker
-// supervisor re-parents them under the owning worker-run span (the child
-// process cannot know its own fork ordinal).
+// Statement spans are recorded with parent_id = 0; the parallel runner
+// re-parents them under the shard's worker-run span.
 class ScopedStatementTracer {
  public:
   ScopedStatementTracer(TraceData* sink, std::string dialect, int shard,
@@ -189,9 +189,8 @@ bool FlightInstalled();
 
 // Flight ring lifecycle: Begin pushes the statement (evicting the oldest
 // beyond kFlightRingCapacity), NoteStage advances its deepest-stage marker
-// from inside the stage timers, End stamps the outcome. A statement that
-// dies mid-execute keeps "execute" as stage_reached with no End — exactly
-// the state the crash announcement flushes.
+// from inside the stage timers, End stamps the outcome. A crashing
+// statement is still open when its realized crash is recorded.
 void FlightBeginStatement(int statement_index, std::string_view pattern,
                           std::string_view sql);
 void FlightNoteStage(Stage stage);

@@ -3,10 +3,9 @@
 // Two failure families killed campaign artifacts before this layer existed
 // (see docs/ROBUSTNESS.md, "Failpoints and chaos campaigns"):
 //
-//  * transient fd-level failures — EINTR, EAGAIN, short writes — which the
-//    worker pipe loop (src/soft/worker.cc) used to half-handle and every
-//    other writer ignored; RetryingWriter absorbs them with bounded
-//    exponential backoff and turns exhaustion into kIoError;
+//  * transient fd-level failures — EINTR, EAGAIN, short writes;
+//    RetryingWriter absorbs them with bounded exponential backoff and turns
+//    exhaustion into kIoError;
 //  * torn artifact files — a journal or PoC file that dies mid-write looks
 //    complete to the caller; WriteFileAtomic writes tmp + fsync + rename so
 //    the destination path either holds the previous contents or the full
@@ -37,9 +36,7 @@ struct RetryPolicy {
 };
 
 // Writes whole buffers to a file descriptor, retrying EINTR / EAGAIN /
-// zero-progress writes under the policy. Replaces the hand-rolled partial
-// write loop the worker pipe protocol used (and which gave up on the first
-// EINTR).
+// zero-progress writes under the policy.
 class RetryingWriter {
  public:
   explicit RetryingWriter(int fd, RetryPolicy policy = RetryPolicy())
@@ -48,7 +45,7 @@ class RetryingWriter {
   // Writes all of `data`, or returns kIoError after the policy is exhausted.
   Status WriteAll(std::string_view data);
 
-  // WriteAll(line + '\n') — the NDJSON / pipe-protocol framing invariant:
+  // WriteAll(line + '\n') — the NDJSON / wire-protocol framing invariant:
   // the terminating newline is the last byte of a record, so a record
   // missing it is by definition torn (see ReplayJournal's torn-tail rule).
   Status WriteLine(std::string_view line);
@@ -60,18 +57,18 @@ class RetryingWriter {
   RetryPolicy policy_;
 };
 
-// read(2) that retries EINTR (failpoint io.eintr aside, a real EINTR from a
-// supervisor's SIGCHLD must not be misread as end-of-stream). Returns the
+// read(2) that retries EINTR (the worker.pipe_read failpoint injects one; a
+// real EINTR from a SIGCHLD must not be misread as end-of-stream). Returns the
 // read count, 0 at end-of-stream, -1 with errno set on a real error.
 int64_t ReadRetrying(int fd, char* buf, uint64_t count);
 
 // Ignores SIGPIPE for the calling process (idempotent, call_once-guarded).
 // Every process that writes pipe/socket frames to a peer that can die —
-// forked campaign workers, the fleet coordinator and its workers — must
-// call this before its first frame: with SIGPIPE at SIG_DFL, a peer
-// vanishing mid-frame kills the writer outright; with it ignored, the
-// write fails with EPIPE, which RetryingWriter surfaces as a clean
-// kIoError the supervision/degradation paths already handle.
+// the fleet coordinator and its workers — must call this before its first
+// frame: with SIGPIPE at SIG_DFL, a peer vanishing mid-frame kills the
+// writer outright; with it ignored, the write fails with EPIPE, which
+// RetryingWriter surfaces as a clean kIoError the fleet's reclaim paths
+// already handle.
 void IgnoreSigpipe();
 
 // Atomically replaces `path` with `contents`: writes `path`.tmp.<pid>,

@@ -3,8 +3,8 @@
 // clean Status, no crash, campaign outcomes bit-identical wherever the fault
 // is retried or absorbed.
 //
-// These tests fork (worker sites, kReal campaigns): keep them out of the
-// TSan lane like the worker harness tests (tests/CMakeLists.txt). The ASan
+// These tests fork (the worker.fork site, kReal campaigns): keep them out of
+// the TSan lane like worker_harness_test (tests/CMakeLists.txt). The ASan
 // chaos CI lane runs them plus `find_bugs --chaos=enumerate`.
 #include <gtest/gtest.h>
 
@@ -62,15 +62,15 @@ TEST_F(ChaosTest, EnumerationOracleHoldsForInProcessSites) {
     EXPECT_TRUE(outcome.ok) << outcome.failpoint << " [" << outcome.site_class
                             << "]: " << outcome.detail;
   }
-  // Worker sites were skipped and fleet/net sites delegated (their oracles
+  // The fork site was skipped and fleet/net sites delegated (their oracles
   // run in soft::fleet::RunFleetChaosEnumeration and RunNetChaosEnumeration
   // — they need a live socket topology soft_core cannot link); everything
   // else actually ran.
   for (const ChaosSiteOutcome& outcome : report.outcomes) {
-    const bool worker_site = outcome.failpoint.rfind("worker.", 0) == 0;
+    const bool fork_site = outcome.failpoint == "worker.fork";
     const bool fleet_site = outcome.failpoint.rfind("fleet.", 0) == 0;
     const bool net_site = outcome.failpoint.rfind("net.", 0) == 0;
-    EXPECT_EQ(outcome.ran, !worker_site && !fleet_site && !net_site)
+    EXPECT_EQ(outcome.ran, !fork_site && !fleet_site && !net_site)
         << outcome.failpoint;
     if (fleet_site) {
       EXPECT_NE(outcome.detail.find("RunFleetChaosEnumeration"), std::string::npos)
@@ -84,8 +84,8 @@ TEST_F(ChaosTest, EnumerationOracleHoldsForInProcessSites) {
 }
 
 TEST_F(ChaosTest, WorkerSitesHoldUnderForkedCampaigns) {
-  // The worker.* slice of the enumeration, exercised through real forked
-  // campaigns (the part EnumerationOracleHoldsForInProcessSites skips).
+  // The worker.* slice of the enumeration, worker.fork through a real-crash
+  // campaign (the part EnumerationOracleHoldsForInProcessSites skips).
   const ChaosReport report =
       RunChaosEnumeration(kDialect, kBudget, /*include_worker_sites=*/true);
   for (const ChaosSiteOutcome& outcome : report.outcomes) {
@@ -98,17 +98,15 @@ TEST_F(ChaosTest, WorkerSitesHoldUnderForkedCampaigns) {
 }
 
 TEST_F(ChaosTest, ShardedCampaignBitIdenticalUnderInjectedWorkerFaults) {
-  // K=2 real-crash campaign with transient worker faults armed vs the K=2
-  // uninjected simulated reference: retried/absorbed faults must leave the
-  // merged result bit-identical — regardless of which shard drew the fault.
+  // K=2 real-crash campaign with failed realization forks armed vs the K=2
+  // uninjected simulated reference: a crash whose fork fails stays
+  // simulated, so the merged result is bit-identical — regardless of which
+  // shard drew the fault — and two records say their fork failed.
   telemetry::SetRuntimeEnabled(false);
   const CampaignResult reference =
       RunShardedSoftCampaign(kDialect, ChaosOptions(600), /*shards=*/2);
 
-  ASSERT_TRUE(failpoint::ArmFromSpec(
-                  "worker.fork=after:0:2,worker.pipe_write=after:0:3,"
-                  "worker.pipe_read=after:0:3")
-                  .ok());
+  ASSERT_TRUE(failpoint::ArmFromSpec("worker.fork=after:0:2").ok());
   CampaignOptions real = ChaosOptions(600);
   real.crash_realism = CrashRealism::kReal;
   const CampaignResult injected =
@@ -118,6 +116,12 @@ TEST_F(ChaosTest, ShardedCampaignBitIdenticalUnderInjectedWorkerFaults) {
 
   EXPECT_EQ(DigestCampaignResult(injected), DigestCampaignResult(reference));
   EXPECT_FALSE(injected.journal_degraded);
+  int unannounced = 0;
+  for (const trace::CrashFlightRecord& flight : injected.crash_flights) {
+    unannounced += flight.announced ? 0 : 1;
+  }
+  EXPECT_EQ(static_cast<int>(injected.crash_flights.size()), injected.crashes_observed);
+  EXPECT_EQ(unannounced, 2);
 }
 
 TEST_F(ChaosTest, SinkLossLatchesDegradedWithoutChangingTheOutcome) {

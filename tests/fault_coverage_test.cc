@@ -217,10 +217,10 @@ TEST(Coverage, MergeAndReset) {
 }
 
 TEST(Coverage, BranchKeysRoundTripThroughRestore) {
-  // The worker pipe protocol serializes a child's tracker as raw branch keys
-  // and rebuilds it in the supervisor (src/soft/worker.cc): key export must
-  // be lossless, including function names containing '#'-adjacent characters
-  // and multi-digit branch ids.
+  // Wire result blocks (fleet units, the unit spool) serialize a tracker as
+  // raw branch keys and rebuild it on the reading side (src/soft/wire.cc):
+  // key export must be lossless, including function names containing
+  // '#'-adjacent characters and multi-digit branch ids.
   CoverageTracker original;
   original.Hit("SUBSTR", 0);
   original.Hit("SUBSTR", 12);

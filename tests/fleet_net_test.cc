@@ -612,8 +612,8 @@ TEST(FleetStatusNet, WatchStreamsUnitCompletionsAndTraceSlicesLive) {
           for (const telemetry::FleetCounterField& field :
                telemetry::kFleetCounterFields) {
             every_counter = every_counter &&
-                            line.find("\"" + std::string(field.key) + "\":") !=
-                                std::string::npos;
+                            line.find(std::string("\"").append(field.key).append(
+                                "\":")) != std::string::npos;
           }
         }
         unit_done += line.rfind("{\"event\":\"fleet_unit_done\"", 0) == 0 ? 1 : 0;

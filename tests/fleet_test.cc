@@ -368,7 +368,7 @@ TEST(FleetCampaign, MetricsSnapshotsAreObservationalAndJournaled) {
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_metrics.ndjson";
   std::remove(metrics_path.c_str());
-  std::remove(journal_path.c_str());
+  RemoveJournal(journal_path);
 
   FleetOptions fleet;
   fleet.socket_path = SocketPath("metrics");
@@ -418,13 +418,16 @@ TEST(FleetCampaign, MetricsSnapshotsAreObservationalAndJournaled) {
   EXPECT_EQ(replayed->metrics_snapshots.back().units_done,
             outcome->stats.units_completed);
   EXPECT_GT(replayed->metrics_snapshots.back().series, 0u);
+  std::remove(metrics_path.c_str());
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetCampaign, StallIsJournaledAndStaysUnackedThroughDegrade) {
   const CampaignResult reference = ShardedReference();
   const std::string journal_path =
       testing::TempDir() + "/soft_fleet_stall.ndjson";
-  std::remove(journal_path.c_str());
+  std::remove((journal_path + ".prom").c_str());
+  RemoveJournal(journal_path);
 
   // No workers ever form a pool and the stall SLO is one lease period, so
   // the doctor flags a stall before the degrade ladder completes units
@@ -468,6 +471,8 @@ TEST(FleetCampaign, StallIsJournaledAndStaysUnackedThroughDegrade) {
     }
   }
   EXPECT_TRUE(saw_stall) << "the stall transition must be journaled";
+  std::remove(fleet.metrics_out.c_str());
+  RemoveJournal(journal_path);
 }
 
 TEST(FleetCampaign, WorkerCompletionAcknowledgesAStall) {

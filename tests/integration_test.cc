@@ -1,10 +1,9 @@
 // Cross-module integration tests: table-backed crash paths (Finding 4
-// shapes), PoC builder properties, report rendering, dialect isolation, and
-// end-to-end script behaviour after a crash.
+// shapes), PoC builder properties, dialect isolation, and end-to-end script
+// behaviour after a crash.
 #include <gtest/gtest.h>
 
 #include "src/dialects/dialects.h"
-#include "src/soft/report.h"
 #include "src/soft/soft_fuzzer.h"
 
 namespace soft {
@@ -99,33 +98,6 @@ TEST(Integration, Table4CorpusIsExecuteStage) {
       EXPECT_EQ(r.crash->stage, Stage::kExecute) << name << " bug " << spec.id;
     }
   }
-}
-
-TEST(Integration, ReportRendering) {
-  auto db = MakeMonetdbDialect();
-  SoftFuzzer fuzzer;
-  CampaignOptions options;
-  options.max_statements = 30000;
-  options.stop_when_all_bugs_found = true;
-  const CampaignResult result = fuzzer.Run(*db, options);
-  ASSERT_FALSE(result.unique_bugs.empty());
-
-  const std::string report = RenderCampaignReport(*db, result);
-  EXPECT_NE(report.find("# SOFT campaign report — monetdb"), std::string::npos);
-  EXPECT_NE(report.find("| unique bugs | " +
-                        std::to_string(result.unique_bugs.size())),
-            std::string::npos);
-  EXPECT_NE(report.find("```sql"), std::string::npos);
-  // Every finding's summary appears.
-  for (const FoundBug& bug : result.unique_bugs) {
-    EXPECT_NE(report.find("BUG-monetdb-" + std::to_string(bug.crash.bug_id)),
-              std::string::npos);
-  }
-  // The recorded snapshot renders as the report's Telemetry section.
-  ASSERT_FALSE(result.telemetry.empty());
-  EXPECT_NE(report.find("## Telemetry"), std::string::npos);
-  EXPECT_NE(report.find("| parse |"), std::string::npos);
-  EXPECT_NE(report.find("| execute |"), std::string::npos);
 }
 
 TEST(Integration, CoverageAccumulatesAcrossCampaigns) {

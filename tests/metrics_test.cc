@@ -513,7 +513,7 @@ TEST(MetricsJournal, LegacyFleetJournalWithoutNewEventsReplays) {
   // The counters fleet_finish carried only later are absent and replay as 0.
   int absent = 0;
   for (const FleetCounterField& field : kFleetCounterFields) {
-    if (legacy_fleet_finish.find("\"" + std::string(field.key) + "\":") ==
+    if (legacy_fleet_finish.find(std::string("\"").append(field.key).append("\":")) ==
         std::string::npos) {
       ++absent;
       EXPECT_EQ(replayed->fleet.*field.member, 0u) << field.key;

@@ -7,7 +7,6 @@
 
 #include "src/baselines/comparison.h"
 #include "src/dialects/dialects.h"
-#include "src/soft/worker.h"
 #include "src/soft/boundary_values.h"
 #include "src/soft/expr_collection.h"
 #include "src/soft/patterns.h"
@@ -81,25 +80,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FuzzerRobustness, VanillaTwinSurvivesRealCrashMode) {
   // With no fault corpus there is nothing to realize: under
-  // CrashRealism::kReal the worker harness must complete the campaign in a
-  // single forked worker with zero signals — and match the in-process
-  // simulated run exactly.
+  // CrashRealism::kReal the campaign runs its full budget without a crash,
+  // a forked copy or a flight record.
   CampaignOptions options;
   options.seed = 17;
   options.max_statements = 1500;
   options.crash_realism = CrashRealism::kReal;
 
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [] { return std::make_unique<SoftFuzzer>(); },
-      [] { return VanillaTwin("mariadb"); }, options);
+  auto db = VanillaTwin("mariadb");
+  SoftFuzzer fuzzer;
+  const CampaignResult result = fuzzer.Run(*db, options);
 
-  EXPECT_EQ(outcome.stats.forks, 1);
-  EXPECT_EQ(outcome.stats.real_crashes, 0);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 0);
-  EXPECT_FALSE(outcome.stats.degraded_to_simulated);
-  EXPECT_EQ(outcome.result.crashes_observed, 0);
-  EXPECT_TRUE(outcome.result.unique_bugs.empty());
-  EXPECT_EQ(outcome.result.statements_executed, 1500);
+  EXPECT_EQ(result.crashes_observed, 0);
+  EXPECT_TRUE(result.unique_bugs.empty());
+  EXPECT_TRUE(result.crash_flights.empty());
+  EXPECT_EQ(result.statements_executed, 1500);
 }
 
 class PatternSqlValidityTest : public testing::TestWithParam<std::string> {};

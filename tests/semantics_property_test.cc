@@ -11,7 +11,7 @@ namespace {
 std::string Eval(Database& db, const std::string& expr) {
   const StatementResult r = db.Execute("SELECT " + expr);
   if (!r.ok()) {
-    return "<" + std::string(StatusCodeName(r.status.code())) + ">";
+    return std::string("<").append(StatusCodeName(r.status.code())).append(">");
   }
   return r.rows[0][0].ToDisplayString();
 }
@@ -113,7 +113,8 @@ TEST(GroupByInvariant, GroupSizesSumToRowCount) {
   ASSERT_TRUE(db.Execute("CREATE TABLE t (g INT, v INT)").ok());
   std::string insert = "INSERT INTO t VALUES ";
   for (int i = 0; i < 60; ++i) {
-    insert += "(" + std::to_string(i % 7) + ", " + std::to_string(i) + ")";
+    insert.append("(").append(std::to_string(i % 7)).append(", ");
+    insert.append(std::to_string(i)).append(")");
     insert += (i + 1 < 60) ? ", " : "";
   }
   ASSERT_TRUE(db.Execute(insert).ok());

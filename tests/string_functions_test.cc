@@ -16,7 +16,7 @@ class StringFunctionsTest : public testing::Test {
   std::string Eval(const std::string& expr) {
     const StatementResult r = db_.Execute("SELECT " + expr);
     if (!r.ok()) {
-      return "<" + std::string(StatusCodeName(r.status.code())) + ">";
+      return std::string("<").append(StatusCodeName(r.status.code())).append(">");
     }
     return r.rows[0][0].ToDisplayString();
   }

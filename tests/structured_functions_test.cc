@@ -12,7 +12,7 @@ class StructuredTest : public testing::Test {
   std::string Eval(const std::string& expr) {
     const StatementResult r = db_.Execute("SELECT " + expr);
     if (!r.ok()) {
-      return "<" + std::string(StatusCodeName(r.status.code())) + ">";
+      return std::string("<").append(StatusCodeName(r.status.code())).append(">");
     }
     return r.rows[0][0].ToDisplayString();
   }
@@ -238,7 +238,7 @@ class AggregateTest : public testing::Test {
   std::string Eval(const std::string& expr) {
     const StatementResult r = db_.Execute("SELECT " + expr + " FROM t");
     if (!r.ok()) {
-      return "<" + std::string(StatusCodeName(r.status.code())) + ">";
+      return std::string("<").append(StatusCodeName(r.status.code())).append(">");
     }
     return r.rows[0][0].ToDisplayString();
   }

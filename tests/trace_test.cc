@@ -7,8 +7,8 @@
 //    with tracing on and off, in simulated and real-crash mode alike.
 //  * The --trace-sample knob thins statement spans without touching the
 //    structural campaign/shard/worker-run spans.
-//  * Real-crash campaigns flush a bounded flight ring per worker death; an
-//    announced crash's last ring entry is the crashing statement itself.
+//  * Real-crash campaigns record a bounded flight ring per realized crash;
+//    its last entry is the crashing statement itself.
 //  * The Chrome trace-event export is well-formed (deep validation lives in
 //    tools/check_trace_json.py, wired as TraceLint.ChromeTraceValidates).
 //
@@ -27,7 +27,6 @@
 #include "src/dialects/dialects.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
-#include "src/soft/worker.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/trace.h"
 
@@ -233,28 +232,37 @@ TEST(RealCrashTrace, DigestMatchesSimulatedAndUntraced) {
 }
 
 TEST(RealCrashTrace, WorkerRunSpansCarryVerdicts) {
-  const CampaignResult result =
-      RunShardedSoftCampaign("duckdb", SmallCampaign(800, true, true), 1);
-  int crashed_runs = 0;
-  int completed_runs = 0;
-  for (const trace::TraceSpan& span : result.trace.spans) {
-    if (span.kind != trace::SpanKind::kWorkerRun) {
-      continue;
-    }
-    std::string verdict;
-    for (const auto& [key, value] : span.args) {
-      if (key == "verdict") {
-        verdict = value;
+  // A real-crash shard runs in-process like a simulated one: its trace has
+  // the simulated trace's span shapes, one in-process worker-run per shard,
+  // and differs only in the shard span's mode.
+  const CampaignResult real =
+      RunShardedSoftCampaign("duckdb", SmallCampaign(800, true, true), 2);
+  const CampaignResult sim =
+      RunShardedSoftCampaign("duckdb", SmallCampaign(800, true, false), 2);
+  ASSERT_GT(real.crashes_observed, 0);
+
+  std::vector<SpanShape> real_shapes = Shapes(real.trace);
+  int real_modes = 0;
+  int runs = 0;
+  for (SpanShape& shape : real_shapes) {
+    for (auto& [key, value] : std::get<4>(shape)) {
+      if (std::get<2>(shape) == trace::SpanKind::kShard && key == "mode") {
+        real_modes += value == "real" ? 1 : 0;
+        value = "sim";
+      }
+      if (std::get<2>(shape) == trace::SpanKind::kWorkerRun && key == "verdict") {
+        runs += value == "in-process" ? 1 : 0;
       }
     }
-    crashed_runs += verdict == "crashed" ? 1 : 0;
-    completed_runs += verdict == "completed" ? 1 : 0;
   }
-  EXPECT_EQ(crashed_runs, result.crashes_observed);
-  EXPECT_EQ(completed_runs, 1);  // the final, completing worker
+  EXPECT_EQ(real_modes, 2);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(real_shapes, Shapes(sim.trace));
 }
 
 TEST(RealCrashFlight, EveryAnnouncedCrashFlushesTheRing) {
+  // Each realized crash records the ring as it stood, ending in the
+  // crashing statement; `announced` says its copy died by the real signal.
   const CampaignResult result =
       RunShardedSoftCampaign("duckdb", SmallCampaign(2000, false, true), 1);
   ASSERT_FALSE(result.unique_bugs.empty());
@@ -313,8 +321,8 @@ std::vector<GoldenPoc> LoadGoldenPocs(const std::string& dialect) {
   return pocs;
 }
 
-// Minimal fuzzer replaying a fixed statement list with the flight recorder
-// installed — the shape a real campaign loop has, without the generator.
+// Minimal fuzzer replaying a fixed statement list through the campaign
+// recorder — the shape a real campaign loop has, without the generator.
 class GoldenReplayFuzzer : public Fuzzer {
  public:
   explicit GoldenReplayFuzzer(std::vector<std::string> script)
@@ -322,38 +330,15 @@ class GoldenReplayFuzzer : public Fuzzer {
   std::string name() const override { return "golden-replay"; }
 
   CampaignResult Run(Database& db, const CampaignOptions& options) override {
-    const trace::ScopedFlightRecorder flight(options.crash_realism ==
-                                             CrashRealism::kReal);
-    CampaignResult result;
-    result.tool = name();
-    result.dialect = db.config().name;
-    std::set<int> found;
+    CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/true);
     for (const std::string& sql : script_) {
-      if (result.statements_executed >= options.max_statements) {
+      if (recorder.result().statements_executed >= options.max_statements) {
         break;
       }
-      trace::FlightBeginStatement(result.statements_executed + 1, "golden", sql);
-      const StatementResult r = db.Execute(sql);
-      ++result.statements_executed;
-      std::string_view outcome = "ok";
-      if (r.crashed()) {
-        outcome = "crash";
-        ++result.crashes_observed;
-        if (found.insert(r.crash->bug_id).second) {
-          FoundBug bug;
-          bug.crash = *r.crash;
-          bug.poc_sql = sql;
-          bug.found_by = name();
-          bug.statements_until_found = result.statements_executed;
-          result.unique_bugs.push_back(std::move(bug));
-        }
-      } else if (!r.ok()) {
-        ++result.sql_errors;
-        outcome = "sql_error";
-      }
-      trace::FlightEndStatement(outcome);
+      recorder.Execute(sql, "golden");
+      recorder.Close();
     }
-    return result;
+    return recorder.Finish();
   }
 
  private:
@@ -361,8 +346,8 @@ class GoldenReplayFuzzer : public Fuzzer {
 };
 
 // The acceptance bar: every golden-corpus bug, realized as a real signal in
-// a forked worker, leaves a crash_flight record whose final ring entry is
-// the exact crashing statement.
+// a forked copy, leaves a crash_flight record whose final ring entry is the
+// exact crashing statement.
 TEST(RealCrashFlight, EveryGoldenCorpusBugLeavesItsPocOnTheRecord) {
   for (const std::string& dialect : AllDialectNames()) {
     SCOPED_TRACE(dialect);
@@ -376,15 +361,14 @@ TEST(RealCrashFlight, EveryGoldenCorpusBugLeavesItsPocOnTheRecord) {
     CampaignOptions options;
     options.max_statements = static_cast<int>(script.size());
     options.crash_realism = CrashRealism::kReal;
-    const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-        [&script] { return std::make_unique<GoldenReplayFuzzer>(script); },
-        [&dialect] { return MakeDialect(dialect); }, options);
+    GoldenReplayFuzzer fuzzer(script);
+    const CampaignResult result = fuzzer.Run(*MakeDialect(dialect), options);
 
-    ASSERT_EQ(outcome.result.unique_bugs.size(), pocs.size());
-    ASSERT_EQ(outcome.result.crash_flights.size(), pocs.size());
-    for (const FoundBug& bug : outcome.result.unique_bugs) {
+    ASSERT_EQ(result.unique_bugs.size(), pocs.size());
+    ASSERT_EQ(result.crash_flights.size(), pocs.size());
+    for (const FoundBug& bug : result.unique_bugs) {
       bool witnessed = false;
-      for (const trace::CrashFlightRecord& flight : outcome.result.crash_flights) {
+      for (const trace::CrashFlightRecord& flight : result.crash_flights) {
         if (flight.announced && flight.bug_id == bug.crash.bug_id &&
             !flight.entries.empty() && flight.entries.back().sql == bug.poc_sql &&
             flight.entries.back().outcome == "crash") {

@@ -1,16 +1,15 @@
-// Crash-realistic execution harness (docs/ROBUSTNESS.md): forked-worker
-// supervision, the statement watchdog, and kill -9 resume through the unit
-// spool.
+// Crash-realistic execution (docs/ROBUSTNESS.md): real crashes realized in
+// forked copies, the statement watchdog, and kill -9 resume through the
+// unit spool.
 //
-//  * Every CrashType round-trips through a real signal in a forked worker
-//    back to the exact CrashInfo the simulated path reports.
+//  * Every CrashType is realized as a real signal that kills a forked copy
+//    of the campaign, while the campaign records the exact CrashInfo the
+//    simulated path reports.
 //  * Real-crash campaigns are bit-identical to simulated campaigns for every
 //    dialect, serial and sharded (the determinism contract excludes only
 //    wall-clock quantities: found_wall_ns and the stage-latency histograms).
 //  * The cooperative watchdog kills pathological statements within its
 //    deadline; fuel and row budgets kill deterministically.
-//  * Unannounced worker deaths back off and degrade to in-process simulated
-//    execution without losing the campaign.
 //  * A campaign killed with SIGKILL mid-run — serial, --shards, simulated
 //    or real crashes — resumes from its journal and unit spool to the
 //    bit-identical result of the uninterrupted run with the same shard
@@ -29,7 +28,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,7 +37,6 @@
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/unit_spool.h"
-#include "src/soft/worker.h"
 
 namespace soft {
 namespace {
@@ -84,46 +81,23 @@ std::vector<std::string> CrashMatrixScript() {
   return script;
 }
 
-// Minimal deterministic Fuzzer executing a fixed statement list; mirrors the
-// counting/dedup conventions of the real execution loops.
+// Minimal deterministic Fuzzer executing a fixed statement list through the
+// campaign recorder every real fuzzer uses.
 class ScriptedFuzzer : public Fuzzer {
  public:
   explicit ScriptedFuzzer(std::vector<std::string> script) : script_(std::move(script)) {}
   std::string name() const override { return "scripted"; }
 
   CampaignResult Run(Database& db, const CampaignOptions& options) override {
-    db.set_statement_limits(options.statement_limits);
-    CampaignResult result;
-    result.tool = name();
-    result.dialect = db.config().name;
-    std::set<int> found_ids;
+    CampaignRecorder recorder(name(), db, options, /*on_the_fly=*/true);
     for (const std::string& sql : script_) {
-      if (result.statements_executed >= options.max_statements) {
+      if (recorder.result().statements_executed >= options.max_statements) {
         break;
       }
-      const StatementResult r = db.Execute(sql);
-      ++result.statements_executed;
-      if (r.crashed()) {
-        ++result.crashes_observed;
-        if (found_ids.insert(r.crash->bug_id).second) {
-          FoundBug bug;
-          bug.crash = *r.crash;
-          bug.poc_sql = sql;
-          bug.found_by = name();
-          bug.statements_until_found = result.statements_executed;
-          result.unique_bugs.push_back(std::move(bug));
-        }
-      } else if (r.status.code() == StatusCode::kTimeout) {
-        ++result.watchdog_timeouts;
-      } else if (r.status.code() == StatusCode::kResourceExhausted) {
-        ++result.false_positives;
-      } else if (!r.ok()) {
-        ++result.sql_errors;
-      }
+      recorder.Execute(sql, name());
+      recorder.Close();
     }
-    result.functions_triggered = db.coverage().TriggeredFunctionCount();
-    result.branches_covered = db.coverage().CoveredBranchCount();
-    return result;
+    return recorder.Finish();
   }
 
  private:
@@ -167,31 +141,36 @@ TEST(WorkerHarness, AllCrashTypesRoundTripToIdenticalCrashInfo) {
   CampaignOptions options;
   options.max_statements = 100;
 
-  // Simulated reference, in-process.
+  // Simulated reference.
   ScriptedFuzzer reference_fuzzer(script);
   auto reference_db = MakeCrashMatrixDb();
   const CampaignResult reference = reference_fuzzer.Run(*reference_db, options);
   ASSERT_EQ(reference.unique_bugs.size(), kAllCrashTypes.size());
+  EXPECT_TRUE(reference.crash_flights.empty());
 
-  // Real crashes in forked workers.
+  // Real crashes: each one kills a forked copy of this process, and the
+  // campaign carries on down the simulated path.
   CampaignOptions real = options;
   real.crash_realism = CrashRealism::kReal;
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [&script] { return std::make_unique<ScriptedFuzzer>(script); },
-      [] { return MakeCrashMatrixDb(); }, real);
+  ScriptedFuzzer real_fuzzer(script);
+  auto real_db = MakeCrashMatrixDb();
+  const CampaignResult result = real_fuzzer.Run(*real_db, real);
+  ExpectSameCampaign(reference, result);
 
-  // One real signal per crash type, each announce matching the exit signal,
-  // plus the final completing worker.
-  EXPECT_EQ(outcome.stats.real_crashes, static_cast<int>(kAllCrashTypes.size()));
-  EXPECT_EQ(outcome.stats.matched_signals, static_cast<int>(kAllCrashTypes.size()));
-  EXPECT_EQ(outcome.stats.mismatched_signals, 0);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 0);
-  EXPECT_EQ(outcome.stats.forks, static_cast<int>(kAllCrashTypes.size()) + 1);
-  EXPECT_FALSE(outcome.stats.degraded_to_simulated);
-
-  ExpectSameCampaign(reference, outcome.result);
-  EXPECT_EQ(outcome.coverage.CoveredBranchCount(), reference.branches_covered);
-  EXPECT_EQ(outcome.coverage.TriggeredFunctionCount(), reference.functions_triggered);
+  // One flight record per crash type, in order; `announced` says the copy
+  // died by ExpectedSignalFor of that type.
+  ASSERT_EQ(result.crash_flights.size(), kAllCrashTypes.size());
+  for (size_t i = 0; i < kAllCrashTypes.size(); ++i) {
+    const trace::CrashFlightRecord& flight = result.crash_flights[i];
+    EXPECT_TRUE(flight.announced)
+        << CrashTypeName(kAllCrashTypes[i]) << ": the copy did not die by signal "
+        << ExpectedSignalFor(kAllCrashTypes[i]);
+    EXPECT_EQ(flight.worker_run, static_cast<int>(i));
+    EXPECT_EQ(flight.bug_id, 100 + static_cast<int>(i));
+    ASSERT_FALSE(flight.entries.empty());
+    EXPECT_EQ(flight.entries.back().sql, script[i]);
+    EXPECT_EQ(flight.entries.back().outcome, "crash");
+  }
 }
 
 TEST(WorkerHarness, ExpectedSignalCoversEveryCrashType) {
@@ -361,82 +340,6 @@ TEST(StatementWatchdog, CampaignCountsTimeoutsSeparately) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervision: backoff, degradation, the SIGALRM backstop
-// ---------------------------------------------------------------------------
-
-TEST(WorkerSupervision, SilentStartupDeathsRecoverWithBackoff) {
-  const std::vector<std::string> script = CrashMatrixScript();
-  CampaignOptions options;
-  options.max_statements = 100;
-  options.crash_realism = CrashRealism::kReal;
-  WorkerOptions worker;
-  worker.max_consecutive_deaths = 3;
-  worker.backoff_initial_ms = 1;
-  worker.backoff_max_ms = 4;
-  worker.test_silent_deaths = 2;  // fewer than the degradation threshold
-
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [&script] { return std::make_unique<ScriptedFuzzer>(script); },
-      [] { return MakeCrashMatrixDb(); }, options, worker);
-
-  EXPECT_FALSE(outcome.stats.degraded_to_simulated);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 2);
-  EXPECT_EQ(outcome.stats.real_crashes, static_cast<int>(kAllCrashTypes.size()));
-  EXPECT_EQ(outcome.result.unique_bugs.size(), kAllCrashTypes.size());
-}
-
-TEST(WorkerSupervision, RepeatedUnannouncedDeathsDegradeToSimulated) {
-  const std::vector<std::string> script = CrashMatrixScript();
-  CampaignOptions options;
-  options.max_statements = 100;
-  options.crash_realism = CrashRealism::kReal;
-  WorkerOptions worker;
-  worker.max_consecutive_deaths = 3;
-  worker.backoff_initial_ms = 1;
-  worker.backoff_max_ms = 4;
-  worker.test_kill9_at_crash = 0;  // every worker SIGKILLs at its first crash
-
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [&script] { return std::make_unique<ScriptedFuzzer>(script); },
-      [] { return MakeCrashMatrixDb(); }, options, worker);
-
-  // The shard degrades but still completes with the full bug set — identical
-  // to the simulated reference.
-  EXPECT_TRUE(outcome.stats.degraded_to_simulated);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 3);
-  ScriptedFuzzer reference_fuzzer(script);
-  auto reference_db = MakeCrashMatrixDb();
-  CampaignOptions sim;
-  sim.max_statements = 100;
-  const CampaignResult reference = reference_fuzzer.Run(*reference_db, sim);
-  ExpectSameCampaign(reference, outcome.result);
-}
-
-TEST(WorkerSupervision, AlarmBackstopKillsHungWorker) {
-  const std::vector<std::string> script = CrashMatrixScript();
-  CampaignOptions options;
-  options.max_statements = 100;
-  options.crash_realism = CrashRealism::kReal;
-  options.statement_limits.deadline_ms = 50;  // arms the 8x SIGALRM backstop
-  WorkerOptions worker;
-  worker.max_consecutive_deaths = 2;
-  worker.backoff_initial_ms = 1;
-  worker.backoff_max_ms = 4;
-  worker.test_hang_at_crash = 0;  // hang instead of announcing
-
-  const WorkerShardOutcome outcome = RunShardInWorkerProcess(
-      [&script] { return std::make_unique<ScriptedFuzzer>(script); },
-      [] { return MakeCrashMatrixDb(); }, options, worker);
-
-  // Every hung worker was reaped by the backstop, never left running; the
-  // shard then degraded and completed.
-  EXPECT_EQ(outcome.stats.alarm_kills, 2);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 2);
-  EXPECT_TRUE(outcome.stats.degraded_to_simulated);
-  EXPECT_EQ(outcome.result.unique_bugs.size(), kAllCrashTypes.size());
-}
-
-// ---------------------------------------------------------------------------
 // Kill -9 resume through the unit spool
 // ---------------------------------------------------------------------------
 
@@ -457,7 +360,7 @@ std::string ReadFileOrEmpty(const std::string& path) {
 }
 
 // Runs a journaled campaign in a forked process (its own process group, so
-// one kill also takes kReal worker children). `hold_at` > 0 installs a
+// one kill also takes a copy forked to realize a crash). `hold_at` > 0 installs a
 // progress callback that lets the first shard reaching that statement run
 // on and parks every later one there, so exactly one unit commits before
 // the kill (shards == 1: none does).
@@ -572,24 +475,21 @@ TEST(SpoolResume, ShardedKill9ResumesSpooledUnits) {
 TEST(SpoolResume, RealCrashShardedKill9ResumesBitIdentical) {
   const std::string journal_path = testing::TempDir() + "/soft_kill9_real.ndjson";
   RemoveJournal(journal_path);
-  // Real crashes reproduce the simulated campaign bit for bit. A smaller
-  // budget: every real crash forks a worker that replays from case 0.
-  CampaignOptions sim = ResumeCampaign();
-  sim.max_statements = 4000;
-  const CampaignResult reference = RunShardedSoftCampaign(kResumeDialect, sim, 2);
+  // Real crashes reproduce the simulated campaign bit for bit.
+  const CampaignResult reference =
+      RunShardedSoftCampaign(kResumeDialect, ResumeCampaign(), 2);
 
-  CampaignOptions real = sim;
+  // One shard parks at statement 200; the other finishes and commits.
+  CampaignOptions real = ResumeCampaign();
   real.crash_realism = CrashRealism::kReal;
-  const pid_t pid = ForkJournaledCampaign(journal_path, real, 2, /*hold_at=*/0);
+  const pid_t pid = ForkJournaledCampaign(journal_path, real, 2, 200);
   ASSERT_GE(pid, 0);
-  // Forked real-crash children do not report progress, so nothing holds the
-  // second shard back: when it also finished before the kill landed, the
-  // resume re-admits both units, which is still worth asserting.
-  const bool killed = KillOnceAUnitCommits(pid, journal_path);
+  ASSERT_TRUE(KillOnceAUnitCommits(pid, journal_path));
 
   const Result<SpooledRun> resumed = ResumeJournal(journal_path, real);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_GE(resumed->units_resumed, killed ? 1 : 2);
+  EXPECT_EQ(resumed->units_resumed, 1);
+  EXPECT_EQ(resumed->units_spool_diverged, 0);
   ExpectSameCampaign(reference, resumed->result);
   EXPECT_EQ(DigestCampaignResult(resumed->result), DigestCampaignResult(reference));
   RemoveJournal(journal_path);
@@ -621,8 +521,8 @@ TEST(SpoolResume, CorruptSpooledUnitIsDistrustedAndRerun) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkerHarness, VanillaTwinSurvivesRealCrashModeWithZeroSignals) {
-  // A database with no fault corpus cannot raise: one fork, no crashes, and
-  // the real-mode result equals the simulated one trivially.
+  // A database with no fault corpus cannot raise: no crash, no fork, and the
+  // real-mode result equals the simulated one trivially.
   CampaignOptions options;
   options.seed = 17;
   options.max_statements = 400;
@@ -636,20 +536,17 @@ TEST(WorkerHarness, VanillaTwinSurvivesRealCrashModeWithZeroSignals) {
 
   CampaignOptions real = options;
   real.crash_realism = CrashRealism::kReal;
-  const WorkerShardOutcome outcome =
-      RunShardInWorkerProcess(make_fuzzer, make_db, real);
+  auto real_db = make_db();
+  const CampaignResult result = make_fuzzer()->Run(*real_db, real);
 
-  EXPECT_EQ(outcome.stats.forks, 1);
-  EXPECT_EQ(outcome.stats.real_crashes, 0);
-  EXPECT_EQ(outcome.stats.unexpected_deaths, 0);
-  EXPECT_FALSE(outcome.stats.degraded_to_simulated);
-  EXPECT_EQ(outcome.result.crashes_observed, 0);
-  EXPECT_TRUE(outcome.result.unique_bugs.empty());
+  EXPECT_EQ(result.crashes_observed, 0);
+  EXPECT_TRUE(result.unique_bugs.empty());
+  EXPECT_TRUE(result.crash_flights.empty());
 
   auto db = make_db();
   SoftFuzzer fuzzer;
   const CampaignResult reference = fuzzer.Run(*db, options);
-  ExpectSameCampaign(reference, outcome.result);
+  ExpectSameCampaign(reference, result);
 }
 
 }  // namespace
