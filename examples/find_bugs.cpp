@@ -96,7 +96,9 @@
 //                             Arms the seeded wrong-result corpus, checks
 //                             every successful SELECT, and reports logic
 //                             bugs + a shard-invariant `logic digest`.
-//                             Requires --crash-mode=sim (the default).
+//                             Under --crash-mode=real only campaign
+//                             statements are realized, not oracle
+//                             re-executions.
 //
 // Exit codes: 0 success, 1 bad usage / hard failure, 2 chaos oracle failed,
 // 3 campaign finished but a unit result could not be spooled (a resume of
@@ -388,12 +390,6 @@ int main(int argc, char** argv) {
                      name.c_str());
         return 1;
       }
-    }
-    if (crash_mode == "real") {
-      std::fprintf(stderr,
-                   "--oracle needs simulated crash realization; drop "
-                   "--crash-mode=real\n");
-      return 1;
     }
   }
 

@@ -41,13 +41,13 @@ Result<Value> FnBlobToString(FunctionContext& ctx, const ValueList& args) {
     return Value::Str(args[0].blob_value());
   }
   ctx.Cover(1);
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  return Value::Str(std::move(s));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  return Value::Str(std::string(s));
 }
 
 Result<Value> FnStringToBlob(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  return Value::BlobVal(std::move(s));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  return Value::BlobVal(std::string(s));
 }
 
 Result<Value> FnVector(FunctionContext& ctx, const ValueList& args) {
@@ -90,7 +90,7 @@ Result<Value> FnTxnKill(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnSysStat(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string name, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view name, ctx.ArgString(args[0]));
   if (name == "st_dbms_ver") {
     ctx.Cover(1);
     return Value::Str("07.20.3240");

@@ -361,15 +361,16 @@ Result<Value> Evaluator::EvalBinaryOp(const Expr& e, const RowBinding& row) {
     if (a.is_null() || b.is_null()) {
       return Value::Null();
     }
-    SOFT_ASSIGN_OR_RETURN(Value sa, CoerceValue(a, TypeKind::kString,
-                                                ec_.db->config().cast_options));
-    SOFT_ASSIGN_OR_RETURN(Value sb, CoerceValue(b, TypeKind::kString,
-                                                ec_.db->config().cast_options));
-    if (sa.string_value().size() + sb.string_value().size() >
-        ec_.db->config().limits.max_string_len) {
+    FunctionContext ctx = MakeFunctionContext(ec_);
+    SOFT_ASSIGN_OR_RETURN(std::string_view sa, ctx.ArgString(a));
+    SOFT_ASSIGN_OR_RETURN(std::string_view sb, ctx.ArgString(b));
+    if (sa.size() + sb.size() > ec_.db->config().limits.max_string_len) {
       return ResourceExhausted("concatenation exceeds engine string limit");
     }
-    return Value::Str(sa.string_value() + sb.string_value());
+    std::string out;
+    out.reserve(sa.size() + sb.size());
+    out.append(sa).append(sb);
+    return Value::Str(std::move(out));
   }
   if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") {
     return EvalArithmetic(ec_, op, a, b);
@@ -378,8 +379,10 @@ Result<Value> Evaluator::EvalBinaryOp(const Expr& e, const RowBinding& row) {
     if (a.is_null() || b.is_null()) {
       return Value::Null();
     }
-    SOFT_ASSIGN_OR_RETURN(std::string text, MakeFunctionContext(ec_).ArgString(a));
-    SOFT_ASSIGN_OR_RETURN(std::string pattern, MakeFunctionContext(ec_).ArgString(b));
+    // A named context: the views of coerced operands live as long as it does.
+    FunctionContext ctx = MakeFunctionContext(ec_);
+    SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(a));
+    SOFT_ASSIGN_OR_RETURN(std::string_view pattern, ctx.ArgString(b));
     if (text.size() > 4096 || pattern.size() > 1024) {
       return ResourceExhausted("LIKE operands exceed engine matcher limits");
     }

@@ -299,7 +299,7 @@ bool TriggerMatches(const Spec& spec, const ValueList& args, int call_depth,
 std::optional<CrashInfo> FaultEngine::CheckFunction(std::string_view function,
                                                     const ValueList& args, int call_depth,
                                                     bool distinct, Stage stage) const {
-  const auto it = by_function_.find(AsciiUpper(function));
+  const auto it = FindUpperCase(by_function_, function);
   if (it == by_function_.end()) {
     return std::nullopt;
   }
@@ -455,13 +455,13 @@ bool FaultEngine::HasLogicBugs(std::string_view function) const {
   if (logic_by_function_.empty()) {
     return false;
   }
-  return logic_by_function_.find(AsciiUpper(function)) != logic_by_function_.end();
+  return FindUpperCase(logic_by_function_, function) != logic_by_function_.end();
 }
 
 std::optional<LogicBugInfo> FaultEngine::CheckLogicFunction(
     std::string_view function, const ValueList& args, int call_depth, bool const_args,
     bool in_where) const {
-  const auto it = logic_by_function_.find(AsciiUpper(function));
+  const auto it = FindUpperCase(logic_by_function_, function);
   if (it == logic_by_function_.end()) {
     return std::nullopt;
   }

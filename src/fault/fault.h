@@ -13,6 +13,7 @@
 #ifndef SRC_FAULT_FAULT_H_
 #define SRC_FAULT_FAULT_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -229,10 +230,21 @@ class FaultEngine {
                                                  bool const_args, bool in_where) const;
 
  private:
-  std::unordered_map<std::string, std::vector<BugSpec>> by_function_;
+  // Transparent hash: the maps below are searched by string_view, without a
+  // copy of the name.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename Spec>
+  using ByName = std::unordered_map<std::string, std::vector<Spec>, NameHash, std::equal_to<>>;
+
+  ByName<BugSpec> by_function_;
   std::vector<BugSpec> all_;
   size_t total_bugs_ = 0;
-  std::unordered_map<std::string, std::vector<LogicBugSpec>> logic_by_function_;
+  ByName<LogicBugSpec> logic_by_function_;
   std::vector<LogicBugSpec> all_logic_;
 };
 

@@ -68,9 +68,9 @@ struct CampaignOptions {
   // wrong-result mode: the database arms its seeded LogicBugSpec corpus
   // after prerequisites, every seeded bug's PoC is queued ahead of the
   // generated pool, and each successfully executed SELECT is examined by
-  // every listed oracle. Requires CrashRealism::kSimulated: real crashes
-  // are realized for campaign statements, and oracle re-executions under
-  // kReal are not supported.
+  // every listed oracle. Under CrashRealism::kReal only campaign statements
+  // are realized: oracle re-executions run simulated, so a run's checks,
+  // logic bugs and digests are the simulated run's.
   std::vector<std::string> logic_oracles;
 };
 

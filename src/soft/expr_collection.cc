@@ -1,6 +1,5 @@
 #include "src/soft/expr_collection.h"
 
-#include <cctype>
 #include <set>
 
 #include "src/util/str_util.h"
@@ -9,7 +8,7 @@ namespace soft {
 namespace {
 
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return IsAsciiAlnum(c) || c == '_';
 }
 
 // Finds the matching ')' for the '(' at `open`, honouring string literals.
@@ -54,7 +53,7 @@ std::vector<std::string> ExtractFunctionExpressions(const std::string& sql,
     }
     // Token immediately before the '(' (skipping spaces).
     size_t end = i;
-    while (end > 0 && std::isspace(static_cast<unsigned char>(sql[end - 1])) != 0) {
+    while (end > 0 && IsAsciiSpace(sql[end - 1])) {
       --end;
     }
     size_t start = end;

@@ -16,12 +16,24 @@
 namespace soft {
 namespace {
 
-// Oracles run under simulated crash realization only
-// (CampaignOptions::logic_oracles).
-bool LogicMode(const CampaignOptions& campaign) {
-  return !campaign.logic_oracles.empty() &&
-         campaign.crash_realism == CrashRealism::kSimulated;
-}
+bool LogicMode(const CampaignOptions& campaign) { return !campaign.logic_oracles.empty(); }
+
+// Oracle re-executions run under simulated crash realization, whatever the
+// campaign's (CampaignOptions::logic_oracles); the campaign's is restored
+// when the scope ends.
+class SimulatedCrashScope {
+ public:
+  SimulatedCrashScope(Database& db, CrashRealism campaign) : db_(db), campaign_(campaign) {
+    db_.set_crash_realism(CrashRealism::kSimulated);
+  }
+  ~SimulatedCrashScope() { db_.set_crash_realism(campaign_); }
+  SimulatedCrashScope(const SimulatedCrashScope&) = delete;
+  SimulatedCrashScope& operator=(const SimulatedCrashScope&) = delete;
+
+ private:
+  Database& db_;
+  CrashRealism campaign_;
+};
 
 uint64_t FnvField(uint64_t digest, const std::string& bytes) {
   return FnvMixByte(FnvMix(digest, bytes), 0xFF);  // separator: fields stay apart
@@ -222,6 +234,7 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
       // which needs the span open again.
       const std::string verdict = [&]() -> std::string {
         const trace::ScopedOracleExecution suppress_oracle_stage_spans;
+        const SimulatedCrashScope simulated(db, options.crash_realism);
         // One parse of the statement, shared by every oracle.
         const Result<Statement> parsed = ParseStatement(test_case.sql);
         if (!parsed.ok() || !parsed->is_select()) {

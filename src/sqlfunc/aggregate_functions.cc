@@ -140,8 +140,9 @@ class GroupConcatAggregator : public Aggregator {
     if (args[0].is_null()) {
       return OkStatus();
     }
-    SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-    std::string sep = ",";
+    // The views die with this call: out_ keeps copies.
+    SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+    std::string_view sep = ",";
     if (args.size() >= 2) {
       SOFT_ASSIGN_OR_RETURN(sep, ctx.ArgString(args[1]));
     }
@@ -263,7 +264,7 @@ class JsonObjectAggAggregator : public Aggregator {
       ctx.Cover(2);
       return InvalidArgument("JSONB_OBJECT_AGG key must not be NULL");
     }
-    SOFT_ASSIGN_OR_RETURN(std::string key, ctx.ArgString(args[0]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view key, ctx.ArgString(args[0]));
     JsonPtr val;
     switch (args[1].kind()) {
       case TypeKind::kNull:
@@ -282,11 +283,11 @@ class JsonObjectAggAggregator : public Aggregator {
         val = args[1].json_value();
         break;
       default: {
-        SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(args[1]));
-        val = JsonValue::MakeString(std::move(text));
+        SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(args[1]));
+        val = JsonValue::MakeString(std::string(text));
       }
     }
-    members_.emplace_back(std::move(key), std::move(val));
+    members_.emplace_back(std::string(key), std::move(val));
     return OkStatus();
   }
 
@@ -315,8 +316,8 @@ class JsonArrayAggAggregator : public Aggregator {
         items_.push_back(args[0].json_value());
         break;
       default: {
-        SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(args[0]));
-        items_.push_back(JsonValue::MakeString(std::move(text)));
+        SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(args[0]));
+        items_.push_back(JsonValue::MakeString(std::string(text)));
       }
     }
     return OkStatus();

@@ -16,11 +16,11 @@ Result<Value> FnConvert(FunctionContext& ctx, const ValueList& args) {
   // CONVERT(value, 'TYPE') — the type name arrives as a string argument
   // (MySQL also allows bare keywords; the parser delivers them as column
   // refs which the engine stringifies before this point).
-  SOFT_ASSIGN_OR_RETURN(std::string type_name, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view type_name, ctx.ArgString(args[1]));
   const std::optional<TypeKind> kind = ParseTypeName(type_name);
   if (!kind.has_value()) {
     ctx.Cover(1);
-    return InvalidArgument("unknown conversion type '" + type_name + "'");
+    return InvalidArgument("unknown conversion type '" + std::string(type_name) + "'");
   }
   return CastValue(args[0], *kind, ctx.cast_options());
 }
@@ -51,7 +51,7 @@ Result<Value> FnToDecimalString(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnInet6Aton(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(args[0]));
   const Result<InetAddr> addr = ParseInet(text);
   if (!addr.ok()) {
     ctx.Cover(1);
@@ -74,7 +74,7 @@ Result<Value> FnInet6Ntoa(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnInetAton(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(args[0]));
   const Result<InetAddr> addr = ParseInet(text);
   if (!addr.ok() || !addr->is_v4) {
     ctx.Cover(1);

@@ -145,48 +145,61 @@ Result<Value> FnDateFormat(FunctionContext& ctx, const ValueList& args) {
     return Value::Null();
   }
   const DateTime dt = dv.datetime_value();
-  SOFT_ASSIGN_OR_RETURN(std::string fmt, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view fmt, ctx.ArgString(args[1]));
   // The numeric fields by specifier, each rendered on its first use: a long
   // format repeats a few specifiers many times.
-  constexpr std::string_view kFields = "YmdHisjw";
+  static constexpr std::string_view kFields = "YmdHisjw";
+  // kFields' index of each byte, -1 for a byte that names no field.
+  static constexpr std::array<int, 256> kFieldOf = [] {
+    std::array<int, 256> index{};
+    index.fill(-1);
+    for (size_t f = 0; f < kFields.size(); ++f) {
+      index[static_cast<unsigned char>(kFields[f])] = static_cast<int>(f);
+    }
+    return index;
+  }();
   static constexpr const char* kFieldFormats[] = {"%04d", "%02d", "%02d", "%02d",
                                                   "%02d", "%02d", "%03d", "%d"};
   const int values[] = {dt.date.year, dt.date.month, dt.date.day, dt.hour, dt.minute,
                         dt.second, DayOfYear(dt.date), DayOfWeek(dt.date) - 1};
   std::array<std::string, kFields.size()> rendered;
   bool unknown_seen = false;
-  std::string out;
-  out.reserve(fmt.size());
-  size_t i = 0;
-  while (i < fmt.size()) {
-    // Copy the text up to the next specifier in one append.
-    const size_t percent = fmt.find('%', i);
-    if (percent == std::string::npos || percent + 1 == fmt.size()) {
-      out.append(fmt, i);  // a trailing '%' is text
-      break;
+  // One pass writes the output in place. A specifier renders at most four
+  // bytes for a valid date, so twice the format is room enough; the buffer
+  // still doubles whenever less than one rendering's room (15 bytes) is left.
+  char buf[16];
+  std::string out(2 * fmt.size() + sizeof(buf), '\0');
+  size_t n = 0;
+  for (size_t i = 0; i < fmt.size(); ++i) {
+    if (out.size() - n < sizeof(buf)) {
+      out.resize(2 * out.size());
     }
-    out.append(fmt, i, percent - i);
-    const char specifier = fmt[percent + 1];
-    i = percent + 2;
-    const size_t field = kFields.find(specifier);
-    if (field != std::string_view::npos) {
+    if (fmt[i] != '%' || i + 1 == fmt.size()) {
+      out[n++] = fmt[i];  // text, and a trailing '%'
+      continue;
+    }
+    const char specifier = fmt[++i];
+    const int field = kFieldOf[static_cast<unsigned char>(specifier)];
+    if (field >= 0) {
       if (rendered[field].empty()) {
-        char buf[16];
         std::snprintf(buf, sizeof(buf), kFieldFormats[field], values[field]);
         rendered[field] = buf;
       }
-      out += rendered[field];
+      for (char c : rendered[field]) {
+        out[n++] = c;
+      }
     } else if (specifier == '%') {
-      out.push_back('%');
+      out[n++] = '%';
     } else {
       if (!unknown_seen) {
         ctx.Cover(2);  // unknown specifier passes through
         unknown_seen = true;
       }
-      out.push_back('%');
-      out.push_back(specifier);
+      out[n++] = '%';
+      out[n++] = specifier;
     }
   }
+  out.resize(n);
   return Value::Str(std::move(out));
 }
 

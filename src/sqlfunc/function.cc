@@ -38,12 +38,19 @@ std::string_view FunctionTypeName(FunctionType type) {
   return "unknown";
 }
 
-Result<std::string> FunctionContext::ArgString(const Value& v) const {
+Result<std::string_view> FunctionContext::ArgString(const Value& v) {
+  if (v.kind() == TypeKind::kString) {
+    return std::string_view(v.string_value());
+  }
+  if (v.kind() == TypeKind::kBlob) {
+    return std::string_view(v.blob_value());
+  }
   SOFT_ASSIGN_OR_RETURN(Value s, CoerceValue(v, TypeKind::kString, cast_options_));
   if (s.is_null()) {
     return TypeError("NULL where string argument required");
   }
-  return s.string_value();
+  coerced_.push_front(std::move(s));
+  return std::string_view(coerced_.front().string_value());
 }
 
 Result<int64_t> FunctionContext::ArgInt(const Value& v) const {
@@ -76,8 +83,7 @@ void FunctionRegistry::Register(FunctionDef def) {
 }
 
 const FunctionDef* FunctionRegistry::Find(std::string_view name) const {
-  const std::string upper = AsciiUpper(name);
-  const auto it = functions_.find(upper);
+  const auto it = FindUpperCase(functions_, name);
   return it == functions_.end() ? nullptr : &it->second;
 }
 

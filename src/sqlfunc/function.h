@@ -11,6 +11,7 @@
 #define SRC_SQLFUNC_FUNCTION_H_
 
 #include <cstdint>
+#include <forward_list>
 #include <functional>
 #include <map>
 #include <memory>
@@ -58,7 +59,7 @@ struct EngineLimits {
 
 // Session state shared by system/sequence functions.
 struct SessionState {
-  std::map<std::string, int64_t> sequences;
+  std::map<std::string, int64_t, std::less<>> sequences;
   int64_t last_sequence_value = 0;
   uint64_t connection_id = 1;
 };
@@ -93,7 +94,13 @@ class FunctionContext {
   }
 
   // Convenience coercions honouring the dialect's cast strictness.
-  Result<std::string> ArgString(const Value& v) const;
+  //
+  // ArgString reads a STRING argument in place, and a BLOB one too (its
+  // cast to STRING is its bytes unchanged). Any other kind is coerced into
+  // storage this context owns. The view stays valid while both `v` and this
+  // context live, so a body that keeps the text past its return, or rewrites
+  // it, copies it.
+  Result<std::string_view> ArgString(const Value& v);
   Result<int64_t> ArgInt(const Value& v) const;
   Result<double> ArgDouble(const Value& v) const;
   Result<Decimal> ArgDecimal(const Value& v) const;
@@ -105,6 +112,9 @@ class FunctionContext {
   SessionState* session_;
   int call_depth_ = 1;
   std::string current_function_;
+  // Coerced ArgString results; a list, so a view into one outlives later
+  // insertions.
+  std::forward_list<Value> coerced_;
 };
 
 using ScalarFunction = std::function<Result<Value>(FunctionContext&, const ValueList&)>;

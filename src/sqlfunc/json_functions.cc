@@ -13,7 +13,7 @@ Result<JsonPtr> ArgJson(FunctionContext& ctx, const Value& v) {
   if (v.kind() == TypeKind::kJson) {
     return v.json_value();
   }
-  SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(v));
+  SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(v));
   SOFT_ASSIGN_OR_RETURN(JsonParseResult parsed,
                         ParseJson(text, ctx.limits().json_depth_limit));
   return parsed.value;
@@ -24,7 +24,7 @@ Result<Value> FnJsonValid(FunctionContext& ctx, const ValueList& args) {
     ctx.Cover(1);
     return Value::Boolean(true);
   }
-  SOFT_ASSIGN_OR_RETURN(std::string text, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view text, ctx.ArgString(args[0]));
   const Result<JsonParseResult> parsed = ParseJson(text, ctx.limits().json_depth_limit);
   if (!parsed.ok() && parsed.status().code() == StatusCode::kResourceExhausted) {
     ctx.Cover(2);
@@ -43,7 +43,7 @@ Result<Value> FnJsonLength(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(JsonPtr doc, ArgJson(ctx, args[0]));
   JsonPtr target = doc;
   if (args.size() >= 2) {
-    SOFT_ASSIGN_OR_RETURN(std::string path, ctx.ArgString(args[1]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view path, ctx.ArgString(args[1]));
     SOFT_ASSIGN_OR_RETURN(target, EvalJsonPath(doc, path));
     if (target == nullptr) {
       ctx.Cover(1);
@@ -63,7 +63,7 @@ Result<Value> FnJsonLength(FunctionContext& ctx, const ValueList& args) {
 
 Result<Value> FnJsonExtract(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(JsonPtr doc, ArgJson(ctx, args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string path, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view path, ctx.ArgString(args[1]));
   SOFT_ASSIGN_OR_RETURN(JsonPtr target, EvalJsonPath(doc, path));
   if (target == nullptr) {
     ctx.Cover(1);
@@ -120,8 +120,8 @@ Result<JsonPtr> SqlValueToJson(FunctionContext& ctx, const Value& v) {
     case TypeKind::kJson:
       return v.json_value();
     default: {
-      SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(v));
-      return JsonValue::MakeString(std::move(s));
+      SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(v));
+      return JsonValue::MakeString(std::string(s));
     }
   }
 }
@@ -142,16 +142,16 @@ Result<Value> FnJsonObject(FunctionContext& ctx, const ValueList& args) {
   }
   JsonValue::Object members;
   for (size_t i = 0; i < args.size(); i += 2) {
-    SOFT_ASSIGN_OR_RETURN(std::string key, ctx.ArgString(args[i]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view key, ctx.ArgString(args[i]));
     SOFT_ASSIGN_OR_RETURN(JsonPtr val, SqlValueToJson(ctx, args[i + 1]));
-    members.emplace_back(std::move(key), std::move(val));
+    members.emplace_back(key, std::move(val));
   }
   return Value::JsonVal(JsonValue::MakeObject(std::move(members)));
 }
 
 Result<Value> FnJsonQuote(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  return Value::Str(JsonValue::MakeString(s)->Serialize());
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  return Value::Str(JsonValue::MakeString(std::string(s))->Serialize());
 }
 
 Result<Value> FnJsonUnquote(FunctionContext& ctx, const ValueList& args) {
@@ -184,7 +184,7 @@ Result<Value> FnJsonMergePreserve(FunctionContext& ctx, const ValueList& args) {
 
 Result<Value> FnJsonContainsPath(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(JsonPtr doc, ArgJson(ctx, args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string path, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view path, ctx.ArgString(args[1]));
   const Result<JsonPtr> target = EvalJsonPath(doc, path);
   if (!target.ok()) {
     ctx.Cover(1);
@@ -202,16 +202,15 @@ Result<Value> FnColumnCreate(FunctionContext& ctx, const ValueList& args) {
   }
   JsonValue::Object members;
   for (size_t i = 0; i < args.size(); i += 2) {
-    SOFT_ASSIGN_OR_RETURN(std::string key, ctx.ArgString(args[i]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view key, ctx.ArgString(args[i]));
     // Decimal values keep their full digit string (the MDEV-8407 surface).
     if (args[i + 1].kind() == TypeKind::kDecimal) {
       ctx.Cover(2);
-      members.emplace_back(std::move(key),
-                           JsonValue::MakeString(args[i + 1].decimal_value().ToString()));
+      members.emplace_back(key, JsonValue::MakeString(args[i + 1].decimal_value().ToString()));
       continue;
     }
     SOFT_ASSIGN_OR_RETURN(JsonPtr val, SqlValueToJson(ctx, args[i + 1]));
-    members.emplace_back(std::move(key), std::move(val));
+    members.emplace_back(key, std::move(val));
   }
   return Value::BlobVal(JsonValue::MakeObject(std::move(members))->Serialize());
 }

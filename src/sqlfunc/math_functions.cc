@@ -297,7 +297,7 @@ Result<Value> FnDegrees(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnCrc32(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Int(Crc32(0, s.data(), s.size()));
 }
 

@@ -8,19 +8,19 @@ namespace soft {
 namespace {
 
 Result<Value> FnNextval(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string name, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view name, ctx.ArgString(args[0]));
   if (name.empty()) {
     ctx.Cover(1);
     return InvalidArgument("sequence name must not be empty");
   }
   SessionState* session = ctx.session();
-  const int64_t next = ++session->sequences[name];
+  const int64_t next = ++session->sequences[std::string(name)];
   session->last_sequence_value = next;
   return Value::Int(next);
 }
 
 Result<Value> FnLastval(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string name, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view name, ctx.ArgString(args[0]));
   SessionState* session = ctx.session();
   const auto it = session->sequences.find(name);
   if (it == session->sequences.end()) {
@@ -31,14 +31,14 @@ Result<Value> FnLastval(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnSetval(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string name, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view name, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t value, ctx.ArgInt(args[1]));
   if (name.empty()) {
     ctx.Cover(1);
     return InvalidArgument("sequence name must not be empty");
   }
   SessionState* session = ctx.session();
-  session->sequences[name] = value;
+  session->sequences[std::string(name)] = value;
   session->last_sequence_value = value;
   return Value::Int(value);
 }

@@ -29,7 +29,7 @@ Result<Geometry> ArgGeometry(FunctionContext& ctx, const Value& v) {
 }
 
 Result<Value> FnStGeomFromText(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string wkt, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view wkt, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(Geometry g, ParseWkt(wkt));
   return Value::GeoVal(std::move(g));
 }

@@ -6,7 +6,7 @@
 // past-the-end indexes, oversized repeats) and report them through
 // FunctionContext::Cover so the coverage experiments measure real behaviour.
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <cstdio>
 
 #include "src/sqlfunc/function.h"
@@ -16,7 +16,7 @@ namespace soft {
 namespace {
 
 Result<Value> FnLength(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   if (s.empty()) {
     ctx.Cover(1);
   }
@@ -24,19 +24,19 @@ Result<Value> FnLength(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnUpper(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Str(AsciiUpper(s));
 }
 
 Result<Value> FnLower(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Str(AsciiLower(s));
 }
 
 Result<Value> FnConcat(FunctionContext& ctx, const ValueList& args) {
   std::string out;
   for (const Value& v : args) {
-    SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(v));
+    SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(v));
     if (out.size() + s.size() > ctx.limits().max_string_len) {
       ctx.Cover(1);
       return ResourceExhausted("CONCAT result exceeds engine string limit");
@@ -47,7 +47,7 @@ Result<Value> FnConcat(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnConcatWs(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string sep, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view sep, ctx.ArgString(args[0]));
   std::string out;
   bool first = true;
   for (size_t i = 1; i < args.size(); ++i) {
@@ -55,7 +55,7 @@ Result<Value> FnConcatWs(FunctionContext& ctx, const ValueList& args) {
       ctx.Cover(1);  // CONCAT_WS skips NULLs rather than propagating
       continue;
     }
-    SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[i]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[i]));
     if (!first) {
       out += sep;
     }
@@ -72,7 +72,7 @@ Result<Value> FnConcatWs(FunctionContext& ctx, const ValueList& args) {
 // SUBSTR(s, pos[, len]) with 1-based positions; negative pos counts from the
 // end (MySQL semantics).
 Result<Value> FnSubstr(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t pos, ctx.ArgInt(args[1]));
   int64_t len = static_cast<int64_t>(s.size());
   if (args.size() >= 3) {
@@ -100,11 +100,11 @@ Result<Value> FnSubstr(FunctionContext& ctx, const ValueList& args) {
   }
   const size_t start = static_cast<size_t>(pos - 1);
   const size_t count = std::min<size_t>(static_cast<size_t>(len), s.size() - start);
-  return Value::Str(s.substr(start, count));
+  return Value::Str(std::string(s.substr(start, count)));
 }
 
 Result<Value> FnLeft(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t n, ctx.ArgInt(args[1]));
   if (n <= 0) {
     ctx.Cover(1);
@@ -112,13 +112,13 @@ Result<Value> FnLeft(FunctionContext& ctx, const ValueList& args) {
   }
   if (n >= static_cast<int64_t>(s.size())) {
     ctx.Cover(2);
-    return Value::Str(std::move(s));
+    return Value::Str(std::string(s));
   }
-  return Value::Str(s.substr(0, static_cast<size_t>(n)));
+  return Value::Str(std::string(s.substr(0, static_cast<size_t>(n))));
 }
 
 Result<Value> FnRight(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t n, ctx.ArgInt(args[1]));
   if (n <= 0) {
     ctx.Cover(1);
@@ -126,15 +126,15 @@ Result<Value> FnRight(FunctionContext& ctx, const ValueList& args) {
   }
   if (n >= static_cast<int64_t>(s.size())) {
     ctx.Cover(2);
-    return Value::Str(std::move(s));
+    return Value::Str(std::string(s));
   }
-  return Value::Str(s.substr(s.size() - static_cast<size_t>(n)));
+  return Value::Str(std::string(s.substr(s.size() - static_cast<size_t>(n))));
 }
 
 Result<Value> PadImpl(FunctionContext& ctx, const ValueList& args, bool left) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t len, ctx.ArgInt(args[1]));
-  std::string pad = " ";
+  std::string_view pad = " ";
   if (args.size() >= 3) {
     SOFT_ASSIGN_OR_RETURN(pad, ctx.ArgString(args[2]));
   }
@@ -148,7 +148,7 @@ Result<Value> PadImpl(FunctionContext& ctx, const ValueList& args, bool left) {
   }
   if (static_cast<size_t>(len) <= s.size()) {
     ctx.Cover(3);
-    return Value::Str(s.substr(0, static_cast<size_t>(len)));
+    return Value::Str(std::string(s.substr(0, static_cast<size_t>(len))));
   }
   if (pad.empty()) {
     ctx.Cover(4);
@@ -183,7 +183,7 @@ Result<Value> FnRpad(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> TrimImpl(FunctionContext& ctx, const ValueList& args, bool left, bool right) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   size_t begin = 0;
   size_t end = s.size();
   if (left) {
@@ -199,7 +199,7 @@ Result<Value> TrimImpl(FunctionContext& ctx, const ValueList& args, bool left, b
   if (begin == end) {
     ctx.Cover(1);
   }
-  return Value::Str(s.substr(begin, end - begin));
+  return Value::Str(std::string(s.substr(begin, end - begin)));
 }
 
 Result<Value> FnTrim(FunctionContext& ctx, const ValueList& args) {
@@ -213,24 +213,16 @@ Result<Value> FnRtrim(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnReplace(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string from, ctx.ArgString(args[1]));
-  SOFT_ASSIGN_OR_RETURN(std::string to, ctx.ArgString(args[2]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view from, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view to, ctx.ArgString(args[2]));
   if (from.empty()) {
     ctx.Cover(1);
-    return Value::Str(std::move(s));
+    return Value::Str(std::string(s));
   }
   if (to.size() > from.size() && !s.empty()) {
     // Growth path: check the worst-case output size before substituting.
-    const size_t occurrences = [&] {
-      size_t n = 0;
-      size_t pos = 0;
-      while ((pos = s.find(from, pos)) != std::string::npos) {
-        ++n;
-        pos += from.size();
-      }
-      return n;
-    }();
+    const size_t occurrences = CountOccurrences(s, from);
     if (s.size() + occurrences * (to.size() - from.size()) > ctx.limits().max_string_len) {
       ctx.Cover(2);
       return ResourceExhausted("REPLACE result exceeds engine string limit");
@@ -240,7 +232,7 @@ Result<Value> FnReplace(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnRepeat(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t n, ctx.ArgInt(args[1]));
   if (n <= 0) {
     ctx.Cover(1);
@@ -254,8 +246,9 @@ Result<Value> FnRepeat(FunctionContext& ctx, const ValueList& args) {
   // Fill by doubling: append the part built so far to itself, the last chunk
   // partial. The reserve keeps the self-append from reallocating.
   const size_t total = s.size() * static_cast<size_t>(n);
-  std::string out = std::move(s);
+  std::string out;
   out.reserve(total);
+  out.append(s);
   while (out.size() < total) {
     out.append(out, 0, std::min(out.size(), total - out.size()));
   }
@@ -263,20 +256,19 @@ Result<Value> FnRepeat(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnReverse(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  std::reverse(s.begin(), s.end());
-  return Value::Str(std::move(s));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  return Value::Str(std::string(s.rbegin(), s.rend()));
 }
 
 Result<Value> FnInstr(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string sub, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view sub, ctx.ArgString(args[1]));
   if (sub.empty()) {
     ctx.Cover(1);
     return Value::Int(1);
   }
   const size_t pos = s.find(sub);
-  if (pos == std::string::npos) {
+  if (pos == std::string_view::npos) {
     ctx.Cover(2);
     return Value::Int(0);
   }
@@ -284,8 +276,8 @@ Result<Value> FnInstr(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnLocate(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string sub, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view sub, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[1]));
   int64_t start = 1;
   if (args.size() >= 3) {
     SOFT_ASSIGN_OR_RETURN(start, ctx.ArgInt(args[2]));
@@ -295,11 +287,11 @@ Result<Value> FnLocate(FunctionContext& ctx, const ValueList& args) {
     return Value::Int(0);
   }
   const size_t pos = s.find(sub, static_cast<size_t>(start - 1));
-  return Value::Int(pos == std::string::npos ? 0 : static_cast<int64_t>(pos) + 1);
+  return Value::Int(pos == std::string_view::npos ? 0 : static_cast<int64_t>(pos) + 1);
 }
 
 Result<Value> FnAscii(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   if (s.empty()) {
     ctx.Cover(1);
     return Value::Int(0);
@@ -356,10 +348,10 @@ Result<Value> FnFormat(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(Decimal num, ctx.ArgDecimal(args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t places, ctx.ArgInt(args[1]));
   if (args.size() >= 3) {
-    SOFT_ASSIGN_OR_RETURN(std::string locale, ctx.ArgString(args[2]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view locale, ctx.ArgString(args[2]));
     if (locale.size() != 5 || locale[2] != '_') {
       ctx.Cover(1);
-      return InvalidArgument("unknown locale '" + locale + "'");
+      return InvalidArgument("unknown locale '" + std::string(locale) + "'");
     }
   }
   if (places < 0) {
@@ -389,7 +381,7 @@ Result<Value> FnFormat(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnHex(FunctionContext& ctx, const ValueList& args) {
-  std::string bytes;
+  std::string_view bytes;
   if (args[0].kind() == TypeKind::kBlob) {
     ctx.Cover(1);
     bytes = args[0].blob_value();
@@ -403,23 +395,22 @@ Result<Value> FnHex(FunctionContext& ctx, const ValueList& args) {
     SOFT_ASSIGN_OR_RETURN(bytes, ctx.ArgString(args[0]));
   }
   static const char* kHex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(bytes.size() * 2);
+  std::string out(bytes.size() * 2, '\0');
+  char* p = out.data();
   for (unsigned char c : bytes) {
-    out.push_back(kHex[c >> 4]);
-    out.push_back(kHex[c & 0xF]);
+    *p++ = kHex[c >> 4];
+    *p++ = kHex[c & 0xF];
   }
   return Value::Str(std::move(out));
 }
 
 Result<Value> FnUnhex(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   if (s.size() % 2 != 0) {
     ctx.Cover(1);
     return Value::Null();  // MySQL returns NULL for odd-length input
   }
-  std::string out;
-  out.reserve(s.size() / 2);
+  std::string out(s.size() / 2, '\0');
   for (size_t i = 0; i < s.size(); i += 2) {
     auto nibble = [](char c) -> int {
       if (c >= '0' && c <= '9') {
@@ -439,7 +430,7 @@ Result<Value> FnUnhex(FunctionContext& ctx, const ValueList& args) {
       ctx.Cover(2);
       return Value::Null();
     }
-    out.push_back(static_cast<char>((hi << 4) | lo));
+    out[i / 2] = static_cast<char>((hi << 4) | lo);
   }
   return Value::BlobVal(std::move(out));
 }
@@ -447,7 +438,7 @@ Result<Value> FnUnhex(FunctionContext& ctx, const ValueList& args) {
 // Deterministic 64-bit FNV-1a rendered as hex. Stands in for MD5/SHA1: the
 // bug study only needs hash *functions* (fixed-width digest of a string),
 // not cryptographic strength.
-std::string FnvDigest(const std::string& s, int width) {
+std::string FnvDigest(std::string_view s, int width) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : s) {
     h ^= c;
@@ -466,18 +457,18 @@ std::string FnvDigest(const std::string& s, int width) {
 }
 
 Result<Value> FnMd5(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Str(FnvDigest(s, 32));
 }
 
 Result<Value> FnSha1(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Str(FnvDigest(s, 40));
 }
 
 Result<Value> FnStrcmp(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string a, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string b, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view a, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view b, ctx.ArgString(args[1]));
   const int c = a.compare(b);
   return Value::Int(c < 0 ? -1 : (c > 0 ? 1 : 0));
 }
@@ -492,9 +483,9 @@ Result<Value> FnElt(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnField(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string needle, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view needle, ctx.ArgString(args[0]));
   for (size_t i = 1; i < args.size(); ++i) {
-    SOFT_ASSIGN_OR_RETURN(std::string hay, ctx.ArgString(args[i]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view hay, ctx.ArgString(args[i]));
     if (hay == needle) {
       return Value::Int(static_cast<int64_t>(i));
     }
@@ -504,8 +495,8 @@ Result<Value> FnField(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnSplitPart(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string delim, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view delim, ctx.ArgString(args[1]));
   SOFT_ASSIGN_OR_RETURN(int64_t n, ctx.ArgInt(args[2]));
   if (n == 0) {
     ctx.Cover(1);
@@ -513,79 +504,80 @@ Result<Value> FnSplitPart(FunctionContext& ctx, const ValueList& args) {
   }
   if (delim.empty()) {
     ctx.Cover(2);
-    return (n == 1 || n == -1) ? Value::Str(std::move(s)) : Value::Str("");
+    return (n == 1 || n == -1) ? Value::Str(std::string(s)) : Value::Str("");
   }
   // Parts are split by non-overlapping matches, left to right. A negative n
   // counts from the end, so count the parts first.
   int64_t idx = n - 1;
   if (n < 0) {
-    int64_t parts = 1;
-    for (size_t hit = s.find(delim); hit != std::string::npos;
-         hit = s.find(delim, hit + delim.size())) {
-      ++parts;
-    }
-    idx = parts + n;
+    idx = static_cast<int64_t>(CountOccurrences(s, delim)) + 1 + n;
   }
   // Walk past idx delimiters and copy out only the part that follows.
   size_t begin = 0;
-  for (int64_t i = 0; i < idx && begin != std::string::npos; ++i) {
+  for (int64_t i = 0; i < idx && begin != std::string_view::npos; ++i) {
     const size_t hit = s.find(delim, begin);
-    begin = hit == std::string::npos ? hit : hit + delim.size();
+    begin = hit == std::string_view::npos ? hit : hit + delim.size();
   }
-  if (idx < 0 || begin == std::string::npos) {
+  if (idx < 0 || begin == std::string_view::npos) {
     ctx.Cover(3);
     return Value::Str("");
   }
   const size_t end = s.find(delim, begin);
-  return Value::Str(s.substr(begin, end == std::string::npos ? end : end - begin));
+  return Value::Str(std::string(s.substr(begin, end == std::string_view::npos ? end : end - begin)));
 }
 
 Result<Value> FnTranslate(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string from, ctx.ArgString(args[1]));
-  SOFT_ASSIGN_OR_RETURN(std::string to, ctx.ArgString(args[2]));
-  // In place: the write index never passes the read index.
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view from, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view to, ctx.ArgString(args[2]));
+  // Each byte's image, from its first occurrence in `from`: itself when it
+  // has none, nothing when `to` is too short.
+  std::array<int, 256> image;
+  for (int c = 0; c < 256; ++c) {
+    image[c] = c;
+  }
+  for (size_t i = from.size(); i-- > 0;) {
+    image[static_cast<unsigned char>(from[i])] =
+        i < to.size() ? static_cast<unsigned char>(to[i]) : -1;
+  }
+  std::string out(s.size(), '\0');
   size_t kept = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const size_t idx = from.find(s[i]);
-    if (idx == std::string::npos) {
-      s[kept++] = s[i];
-    } else if (idx < to.size()) {
-      s[kept++] = to[idx];
+  for (char c : s) {
+    const int mapped = image[static_cast<unsigned char>(c)];
+    if (mapped >= 0) {
+      out[kept++] = static_cast<char>(mapped);
     }
   }
   if (kept < s.size()) {
     ctx.Cover(1);  // a character mapped to nothing: deletion path
-    s.resize(kept);
+    out.resize(kept);
   }
-  return Value::Str(std::move(s));
+  return Value::Str(std::move(out));
 }
 
 Result<Value> FnInitcap(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view arg, ctx.ArgString(args[0]));
+  std::string s(arg);
+  // A word starts after any byte that is not alphanumeric. Case maps leave
+  // such a byte alone, so every byte can be mapped without a branch.
   bool start = true;
   for (char& c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0) {
-      start = true;
-    } else if (start) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-      start = false;
-    } else {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
+    const bool alnum = IsAsciiAlnum(c);
+    c = start ? ToAsciiUpper(c) : ToAsciiLower(c);
+    start = !alnum;
   }
   return Value::Str(std::move(s));
 }
 
 Result<Value> FnQuote(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   return Value::Str(SqlQuote(s));
 }
 
 Result<Value> FnSoundex(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   auto code = [](char c) -> char {
-    switch (std::toupper(static_cast<unsigned char>(c))) {
+    switch (ToAsciiUpper(c)) {
       case 'B':
       case 'F':
       case 'P':
@@ -614,14 +606,16 @@ Result<Value> FnSoundex(FunctionContext& ctx, const ValueList& args) {
         return '0';
     }
   };
+  // The first letter, then at most three codes: the scan stops at four.
   std::string out;
   char last = '0';
-  for (char c : s) {
-    if (std::isalpha(static_cast<unsigned char>(c)) == 0) {
+  for (size_t i = 0; i < s.size() && out.size() < 4; ++i) {
+    const char c = s[i];
+    if (!IsAsciiAlpha(c)) {
       continue;
     }
     if (out.empty()) {
-      out.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
+      out.push_back(ToAsciiUpper(c));
       last = code(c);
       continue;
     }
@@ -635,17 +629,15 @@ Result<Value> FnSoundex(FunctionContext& ctx, const ValueList& args) {
     ctx.Cover(1);
     return Value::Str("");
   }
-  while (out.size() < 4) {
-    out.push_back('0');
-  }
-  return Value::Str(out.substr(0, 4));
+  out.resize(4, '0');
+  return Value::Str(std::move(out));
 }
 
 constexpr char kBase64Chars[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 Result<Value> FnToBase64(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
   std::string out;
   out.reserve((s.size() + 2) / 3 * 4);
   for (size_t i = 0; i < s.size(); i += 3) {
@@ -667,35 +659,34 @@ Result<Value> FnToBase64(FunctionContext& ctx, const ValueList& args) {
   return Value::Str(std::move(out));
 }
 
+// Each byte's 6-bit value in kBase64Chars; '=' and whitespace are skipped,
+// and any other byte is malformed input.
+constexpr int kBase64Skip = -2;
+constexpr int kBase64Bad = -1;
+constexpr std::array<int, 256> kBase64Values = [] {
+  std::array<int, 256> values{};
+  for (int c = 0; c < 256; ++c) {
+    values[c] = c == '=' || IsAsciiSpace(static_cast<char>(c)) ? kBase64Skip : kBase64Bad;
+  }
+  for (int i = 0; i < 64; ++i) {
+    values[static_cast<unsigned char>(kBase64Chars[i])] = i;
+  }
+  return values;
+}();
+
 Result<Value> FnFromBase64(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  auto decode = [](char c) -> int {
-    if (c >= 'A' && c <= 'Z') {
-      return c - 'A';
-    }
-    if (c >= 'a' && c <= 'z') {
-      return c - 'a' + 26;
-    }
-    if (c >= '0' && c <= '9') {
-      return c - '0' + 52;
-    }
-    if (c == '+') {
-      return 62;
-    }
-    if (c == '/') {
-      return 63;
-    }
-    return -1;
-  };
-  std::string out;
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  // Every kept character carries 6 bits: size the buffer for all of them.
+  std::string out(s.size() / 4 * 3 + 2, '\0');
+  size_t written = 0;
   uint32_t acc = 0;
   int bits = 0;
   for (char c : s) {
-    if (c == '=' || std::isspace(static_cast<unsigned char>(c)) != 0) {
+    const int v = kBase64Values[static_cast<unsigned char>(c)];
+    if (v == kBase64Skip) {
       continue;
     }
-    const int v = decode(c);
-    if (v < 0) {
+    if (v == kBase64Bad) {
       ctx.Cover(1);
       return Value::Null();
     }
@@ -703,9 +694,10 @@ Result<Value> FnFromBase64(FunctionContext& ctx, const ValueList& args) {
     bits += 6;
     if (bits >= 8) {
       bits -= 8;
-      out.push_back(static_cast<char>((acc >> bits) & 0xFF));
+      out[written++] = static_cast<char>((acc >> bits) & 0xFF);
     }
   }
+  out.resize(written);
   return Value::BlobVal(std::move(out));
 }
 
@@ -756,8 +748,7 @@ Result<int64_t> ParseRegexEscape(std::string_view pattern, size_t& i) {
     ++i;
     int64_t code = 0;
     size_t digits = 0;
-    while (i < pattern.size() && digits < 16 &&
-           std::isxdigit(static_cast<unsigned char>(pattern[i])) != 0) {
+    while (i < pattern.size() && digits < 16 && IsAsciiXDigit(pattern[i])) {
       const char h = pattern[i];
       int v = 0;
       if (h >= '0' && h <= '9') {
@@ -920,8 +911,8 @@ bool RunRegex(const RegexProgram& prog, std::string_view s) {
 }
 
 Result<Value> FnRegexpLike(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string pattern, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view pattern, ctx.ArgString(args[1]));
   if (pattern.empty()) {
     ctx.Cover(1);
     return Value::Boolean(true);
@@ -938,12 +929,12 @@ Result<Value> FnRegexpLike(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnRegexpReplace(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string s, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string pattern, ctx.ArgString(args[1]));
-  SOFT_ASSIGN_OR_RETURN(std::string replacement, ctx.ArgString(args[2]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view s, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view pattern, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view replacement, ctx.ArgString(args[2]));
   if (pattern.empty()) {
     ctx.Cover(1);
-    return Value::Str(std::move(s));
+    return Value::Str(std::string(s));
   }
   // The window scan below is quadratic in the subject; enforce the regex
   // engine's subject limit rather than letting giant REPEAT outputs stall
@@ -957,7 +948,7 @@ Result<Value> FnRegexpReplace(FunctionContext& ctx, const ValueList& args) {
   // window must match whole, so '^' and '$' anchor nothing inside it.
   prog.anchored_start = true;
   prog.anchored_end = true;
-  const std::string_view subject(s);
+  const std::string_view subject = s;
   std::string out;
   size_t pos = 0;
   while (pos < s.size()) {

@@ -4,6 +4,9 @@
 // introspection helpers that accept loosely-typed arguments. CONTAINS is the
 // Case 2 exemplar: the reference implementation rejects '*' arguments; the
 // Virtuoso-dialect injected bug does not.
+#include <algorithm>
+#include <functional>
+
 #include "src/sqlfunc/function.h"
 #include "src/util/str_util.h"
 
@@ -35,21 +38,30 @@ Result<Value> FnContains(FunctionContext& ctx, const ValueList& args) {
       return InvalidArgument("CONTAINS does not accept '*' arguments");
     }
   }
-  SOFT_ASSIGN_OR_RETURN(std::string hay, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string needle, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view hay, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view needle, ctx.ArgString(args[1]));
+  std::string lowered_hay;
+  std::string lowered_needle;
   if (args.size() >= 3) {
-    SOFT_ASSIGN_OR_RETURN(std::string options, ctx.ArgString(args[2]));
+    SOFT_ASSIGN_OR_RETURN(std::string_view options, ctx.ArgString(args[2]));
     if (EqualsIgnoreCase(options, "i")) {
       ctx.Cover(2);
-      hay = AsciiLower(hay);
-      needle = AsciiLower(needle);
+      lowered_hay = AsciiLower(hay);
+      lowered_needle = AsciiLower(needle);
+      hay = lowered_hay;
+      needle = lowered_needle;
     }
   }
   if (needle.empty()) {
     ctx.Cover(3);
     return Value::Int(1);
   }
-  return Value::Int(hay.find(needle) != std::string::npos ? 1 : 0);
+  // Horspool skips ahead on a mismatch, where find() would re-probe every
+  // position of a haystack that repeats the needle's first byte.
+  const auto hit =
+      std::search(hay.begin(), hay.end(),
+                  std::boyer_moore_horspool_searcher(needle.begin(), needle.end()));
+  return Value::Int(hit != hay.end() ? 1 : 0);
 }
 
 Result<Value> FnSleep(FunctionContext& ctx, const ValueList& args) {

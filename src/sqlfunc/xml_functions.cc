@@ -4,7 +4,6 @@
 // XML use-after-free and NPD entries. The substrate is a strict well-formed
 // tag parser with nesting-depth accounting (deep <a><a><a>… documents are a
 // Pattern 1.4 / 3.1 target) plus a '/a/b[1]'-style XPath subset.
-#include <cctype>
 #include <memory>
 #include <vector>
 
@@ -48,8 +47,7 @@ class XmlParser {
 
  private:
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && IsAsciiSpace(text_[pos_])) {
       ++pos_;
     }
   }
@@ -64,7 +62,7 @@ class XmlParser {
     ++pos_;
     auto node = std::make_unique<XmlNode>();
     while (pos_ < text_.size() && text_[pos_] != '>' && text_[pos_] != '/' &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
+           !IsAsciiSpace(text_[pos_])) {
       node->tag.push_back(text_[pos_]);
       ++pos_;
     }
@@ -154,7 +152,7 @@ Result<XPathTarget> ResolveXPath(XmlNode* root, std::string_view path) {
       index = 0;
       bool overflow = false;
       for (size_t i = pos + 1; i < close; ++i) {
-        if (std::isdigit(static_cast<unsigned char>(path[i])) == 0) {
+        if (!IsAsciiDigit(path[i])) {
           return InvalidArgument("non-numeric index in XPath");
         }
         overflow = overflow || __builtin_mul_overflow(index, 10, &index) ||
@@ -190,8 +188,8 @@ Result<XPathTarget> ResolveXPath(XmlNode* root, std::string_view path) {
 }
 
 Result<Value> FnExtractValue(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string xml, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string path, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view xml, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view path, ctx.ArgString(args[1]));
   XmlParser parser(xml);
   const Result<std::unique_ptr<XmlNode>> doc = parser.Parse();
   if (!doc.ok()) {
@@ -208,9 +206,9 @@ Result<Value> FnExtractValue(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string xml, ctx.ArgString(args[0]));
-  SOFT_ASSIGN_OR_RETURN(std::string path, ctx.ArgString(args[1]));
-  SOFT_ASSIGN_OR_RETURN(std::string replacement, ctx.ArgString(args[2]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view xml, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view path, ctx.ArgString(args[1]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view replacement, ctx.ArgString(args[2]));
   XmlParser parser(xml);
   Result<std::unique_ptr<XmlNode>> doc = parser.Parse();
   if (!doc.ok()) {
@@ -221,14 +219,14 @@ Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(XPathTarget target, ResolveXPath(doc->get(), path));
   if (target.node == nullptr) {
     ctx.Cover(2);
-    return Value::Str(xml);  // MySQL: path miss returns the original
+    return Value::Str(std::string(xml));  // MySQL: path miss returns the original
   }
   // Parse the replacement fragment; it must itself be well-formed.
   XmlParser repl_parser(replacement);
   Result<std::unique_ptr<XmlNode>> fragment = repl_parser.Parse();
   if (!fragment.ok()) {
     ctx.Cover(3);
-    return Value::Str(xml);
+    return Value::Str(std::string(xml));
   }
   if (target.steps == 1) {
     ctx.Cover(4);
@@ -245,7 +243,7 @@ Result<Value> FnUpdateXml(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnXmlValid(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string xml, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view xml, ctx.ArgString(args[0]));
   XmlParser parser(xml);
   const Result<std::unique_ptr<XmlNode>> doc = parser.Parse();
   if (!doc.ok() && doc.status().code() == StatusCode::kResourceExhausted) {
@@ -256,14 +254,14 @@ Result<Value> FnXmlValid(FunctionContext& ctx, const ValueList& args) {
 }
 
 Result<Value> FnXmlRoot(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string xml, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view xml, ctx.ArgString(args[0]));
   XmlParser parser(xml);
   SOFT_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> doc, parser.Parse());
   return Value::Str(doc->tag);
 }
 
 Result<Value> FnXmlElementCount(FunctionContext& ctx, const ValueList& args) {
-  SOFT_ASSIGN_OR_RETURN(std::string xml, ctx.ArgString(args[0]));
+  SOFT_ASSIGN_OR_RETURN(std::string_view xml, ctx.ArgString(args[0]));
   XmlParser parser(xml);
   SOFT_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> doc, parser.Parse());
   int64_t count = 0;

@@ -1,7 +1,5 @@
 #include "src/sqlparser/lexer.h"
 
-#include <cctype>
-
 #include "src/util/str_util.h"
 
 namespace soft {
@@ -13,11 +11,11 @@ bool Token::IsKeyword(std::string_view keyword) const {
 namespace {
 
 bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return IsAsciiAlpha(c) || c == '_';
 }
 
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' || c == '$';
+  return IsAsciiAlnum(c) || c == '_' || c == '$';
 }
 
 }  // namespace
@@ -37,7 +35,7 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
 
   while (i < n) {
     const char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (IsAsciiSpace(c)) {
       ++i;
       continue;
     }
@@ -107,22 +105,21 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
       continue;
     }
     // Number: digits, optional fraction/exponent; also ".5" form.
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-        (c == '.' && i + 1 < n && std::isdigit(static_cast<unsigned char>(sql[i + 1])) != 0)) {
+    if (IsAsciiDigit(c) || (c == '.' && i + 1 < n && IsAsciiDigit(sql[i + 1]))) {
       const size_t start = i;
       bool seen_dot = false;
       bool seen_exp = false;
       while (i < n) {
         const char d = sql[i];
-        if (std::isdigit(static_cast<unsigned char>(d)) != 0) {
+        if (IsAsciiDigit(d)) {
           ++i;
         } else if (d == '.' && !seen_dot && !seen_exp) {
           seen_dot = true;
           ++i;
         } else if ((d == 'e' || d == 'E') && !seen_exp && i + 1 < n &&
-                   (std::isdigit(static_cast<unsigned char>(sql[i + 1])) != 0 ||
+                   (IsAsciiDigit(sql[i + 1]) ||
                     ((sql[i + 1] == '+' || sql[i + 1] == '-') && i + 2 < n &&
-                     std::isdigit(static_cast<unsigned char>(sql[i + 2])) != 0))) {
+                     IsAsciiDigit(sql[i + 2])))) {
           seen_exp = true;
           i += (sql[i + 1] == '+' || sql[i + 1] == '-') ? 2 : 1;
         } else {

@@ -1,6 +1,5 @@
 #include "src/sqlvalue/cast.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 
@@ -10,9 +9,9 @@ namespace soft {
 namespace {
 
 // Lenient numeric prefix parse (MySQL semantics): "12abc" → 12, "abc" → 0.
-int64_t LenientParseInt(const std::string& s) {
+int64_t LenientParseInt(std::string_view s) {
   size_t i = 0;
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
+  while (i < s.size() && IsAsciiSpace(s[i])) {
     ++i;
   }
   bool neg = false;
@@ -21,7 +20,7 @@ int64_t LenientParseInt(const std::string& s) {
     ++i;
   }
   int64_t v = 0;
-  while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])) != 0) {
+  while (i < s.size() && IsAsciiDigit(s[i])) {
     const int digit = s[i] - '0';
     if (v > (INT64_MAX - digit) / 10) {
       v = INT64_MAX;  // saturate
@@ -169,12 +168,21 @@ Result<Value> CastToBool(const Value& v, const CastOptions& opt) {
     case TypeKind::kDecimal:
       return Value::Boolean(!v.decimal_value().IsZero());
     case TypeKind::kString: {
-      const std::string s = AsciiLower(std::string(TrimWhitespace(v.string_value())));
-      if (s == "true" || s == "t" || s == "1" || s == "yes" || s == "on") {
-        return Value::Boolean(true);
-      }
-      if (s == "false" || s == "f" || s == "0" || s == "no" || s == "off") {
-        return Value::Boolean(false);
+      // A boolean word is at most five bytes ("false"): only a trimmed text
+      // that short is lower-cased and compared.
+      const std::string_view trimmed = TrimWhitespace(v.string_value());
+      char lowered[5];
+      if (trimmed.size() <= sizeof(lowered)) {
+        for (size_t i = 0; i < trimmed.size(); ++i) {
+          lowered[i] = ToAsciiLower(trimmed[i]);
+        }
+        const std::string_view s(lowered, trimmed.size());
+        if (s == "true" || s == "t" || s == "1" || s == "yes" || s == "on") {
+          return Value::Boolean(true);
+        }
+        if (s == "false" || s == "f" || s == "0" || s == "no" || s == "off") {
+          return Value::Boolean(false);
+        }
       }
       if (opt.strict) {
         return TypeError("invalid input syntax for BOOL: '" + v.string_value() + "'");

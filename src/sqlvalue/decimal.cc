@@ -2,26 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <vector>
 
+#include "src/util/str_util.h"
+
 namespace soft {
 namespace {
 
 bool AllDigits(std::string_view s) {
-  if (s.empty()) {
-    return false;
-  }
-  for (char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-      return false;
-    }
-  }
-  return true;
+  return !s.empty() && std::all_of(s.begin(), s.end(), IsAsciiDigit);
 }
 
 }  // namespace
@@ -85,12 +78,7 @@ Result<Decimal> Decimal::FromDouble(double v) {
 
 Result<Decimal> Decimal::FromString(std::string_view s) {
   // Trim surrounding whitespace.
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())) != 0) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())) != 0) {
-    s.remove_suffix(1);
-  }
+  s = TrimWhitespace(s);
   if (s.empty()) {
     return InvalidArgument("empty DECIMAL literal");
   }
@@ -99,10 +87,31 @@ Result<Decimal> Decimal::FromString(std::string_view s) {
     neg = s.front() == '-';
     s.remove_prefix(1);
   }
+  // One scan of the mantissa, which ends at the first 'e' or 'E': where its
+  // first '.' is, and whether any other byte of it is not a digit. Nothing
+  // is copied before every check has passed, and the checks keep their
+  // order: the exponent, then the literal, then the digit limit.
+  size_t epos = 0;
+  size_t dot = std::string_view::npos;
+  bool digits_only = true;
+  for (; epos < s.size(); ++epos) {
+    const char c = s[epos];
+    if (c == 'e' || c == 'E') {
+      break;
+    }
+    if (c == '.' && dot == std::string_view::npos) {
+      dot = epos;
+    } else if (!IsAsciiDigit(c)) {
+      // The literal is malformed; only the exponent, whose error comes
+      // first, is still to be found.
+      digits_only = false;
+      epos = std::min({s.find('e', epos), s.find('E', epos), s.size()});
+      break;
+    }
+  }
   // Optional exponent suffix.
   int exponent = 0;
-  const size_t epos = s.find_first_of("eE");
-  if (epos != std::string_view::npos) {
+  if (epos < s.size()) {
     std::string_view exp_text = s.substr(epos + 1);
     s = s.substr(0, epos);
     bool exp_neg = false;
@@ -110,7 +119,7 @@ Result<Decimal> Decimal::FromString(std::string_view s) {
       exp_neg = exp_text.front() == '-';
       exp_text.remove_prefix(1);
     }
-    if (!AllDigits(exp_text) || exp_text.size() > 6) {
+    if (exp_text.size() > 6 || !AllDigits(exp_text)) {
       return InvalidArgument("malformed DECIMAL exponent");
     }
     int mag = 0;
@@ -118,23 +127,22 @@ Result<Decimal> Decimal::FromString(std::string_view s) {
     exponent = exp_neg ? -mag : mag;
   }
 
-  const size_t dot = s.find('.');
-  std::string int_part(dot == std::string_view::npos ? s : s.substr(0, dot));
-  std::string frac_part(dot == std::string_view::npos ? std::string_view() : s.substr(dot + 1));
-  if (int_part.empty() && frac_part.empty()) {
+  const std::string_view int_part = s.substr(0, std::min(dot, s.size()));
+  const std::string_view frac_part =
+      dot == std::string_view::npos ? std::string_view() : s.substr(dot + 1);
+  if ((int_part.empty() && frac_part.empty()) || !digits_only) {
     return InvalidArgument("malformed DECIMAL literal");
   }
-  if (int_part.empty()) {
-    int_part.push_back('0');
-  }
-  if ((!AllDigits(int_part)) || (!frac_part.empty() && !AllDigits(frac_part))) {
-    return InvalidArgument("malformed DECIMAL literal");
-  }
-  if (int_part.size() + frac_part.size() > static_cast<size_t>(kHardDigitLimit)) {
+  // An empty integer part reads as one '0'.
+  const size_t int_digits = int_part.empty() ? 1 : int_part.size();
+  if (int_digits + frac_part.size() > static_cast<size_t>(kHardDigitLimit)) {
     return ResourceExhausted("DECIMAL literal exceeds hard digit limit");
   }
 
-  std::string digits = int_part + frac_part;
+  std::string digits;
+  digits.reserve(int_digits + frac_part.size());
+  digits.append(int_part.empty() ? std::string_view("0") : int_part);
+  digits.append(frac_part);
   int scale = static_cast<int>(frac_part.size());
   // Apply the exponent by shifting the scale.
   scale -= exponent;

@@ -1,9 +1,10 @@
 #include "src/sqlvalue/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "src/util/str_util.h"
 
 namespace soft {
 
@@ -71,9 +72,17 @@ int JsonValue::Depth() const {
 
 namespace {
 
-void EscapeJsonString(const std::string& s, std::string& out) {
+void EscapeJsonString(std::string_view s, std::string& out) {
+  out.reserve(out.size() + s.size() + 2);
   out.push_back('"');
-  for (char c : s) {
+  size_t plain = 0;  // start of the run of bytes copied as they are
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -90,16 +99,14 @@ void EscapeJsonString(const std::string& s, std::string& out) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain);
   out.push_back('"');
 }
 
@@ -187,8 +194,7 @@ class JsonParser {
 
  private:
   void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && IsAsciiSpace(text_[pos_])) {
       ++pos_;
     }
   }
@@ -370,9 +376,8 @@ class JsonParser {
       ++pos_;
     }
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
+           (IsAsciiDigit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E' || text_[pos_] == '-' || text_[pos_] == '+')) {
       ++pos_;
     }
     if (pos_ == start) {

@@ -44,9 +44,17 @@ std::string_view TypeKindName(TypeKind kind) {
 
 std::optional<TypeKind> ParseTypeName(std::string_view name) {
   // Strip parenthesized parameters: DECIMAL(10,2) → DECIMAL.
-  const size_t paren = name.find('(');
-  std::string base = AsciiUpper(TrimWhitespace(
-      paren == std::string_view::npos ? name : name.substr(0, paren)));
+  const std::string_view trimmed = TrimWhitespace(name.substr(0, name.find('(')));
+  // No type name is longer than "DOUBLE PRECISION": a longer text is not
+  // upper-cased at all.
+  char upper[16];
+  if (trimmed.size() > sizeof(upper)) {
+    return std::nullopt;
+  }
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    upper[i] = ToAsciiUpper(trimmed[i]);
+  }
+  const std::string_view base(upper, trimmed.size());
 
   if (base == "INT" || base == "INTEGER" || base == "BIGINT" || base == "SMALLINT" ||
       base == "TINYINT" || base == "SIGNED" || base == "UNSIGNED" || base == "INT64" ||

@@ -1,9 +1,14 @@
 // The engine's runtime value: a tagged union over every SQL type kind.
 //
-// Values are cheap to copy: recursive payloads (JSON, ARRAY, ROW, MAP,
-// GEOMETRY) are held behind shared_ptr. The STAR kind models the literal '*'
-// argument (SELECT COUNT(*) / the Virtuoso CONTAINS(x, x, *) crash input);
-// most functions must reject it, and the ones that don't are bug surface.
+// Recursive payloads (JSON, ARRAY, ROW, MAP, GEOMETRY) are held behind
+// shared_ptr, so copying such a value is cheap. STRING and BLOB payloads are
+// stored inline and copied with the value: a megabyte string costs a
+// megabyte per copy. Function bodies therefore read them in place, through
+// FunctionContext::ArgString's view, and copy only what they return or keep.
+//
+// The STAR kind models the literal '*' argument (SELECT COUNT(*) / the
+// Virtuoso CONTAINS(x, x, *) crash input); most functions must reject it,
+// and the ones that don't are bug surface.
 #ifndef SRC_SQLVALUE_VALUE_H_
 #define SRC_SQLVALUE_VALUE_H_
 

@@ -1,21 +1,22 @@
 #include "src/util/str_util.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace soft {
 
 std::string AsciiLower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  for (char& c : out) {
+    c = ToAsciiLower(c);
+  }
   return out;
 }
 
 std::string AsciiUpper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  for (char& c : out) {
+    c = ToAsciiUpper(c);
+  }
   return out;
 }
 
@@ -24,8 +25,7 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     return false;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (ToAsciiLower(a[i]) != ToAsciiLower(b[i])) {
       return false;
     }
   }
@@ -66,45 +66,63 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string_view TrimWhitespace(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin])) != 0) {
+  while (begin < end && IsAsciiSpace(s[begin])) {
     ++begin;
   }
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1])) != 0) {
+  while (end > begin && IsAsciiSpace(s[end - 1])) {
     --end;
   }
   return s.substr(begin, end - begin);
+}
+
+size_t CountOccurrences(std::string_view s, std::string_view from) {
+  if (from.size() == 1) {
+    return static_cast<size_t>(std::count(s.begin(), s.end(), from[0]));
+  }
+  size_t n = 0;
+  for (size_t hit = s.find(from); hit != std::string_view::npos;
+       hit = s.find(from, hit + from.size())) {
+    ++n;
+  }
+  return n;
 }
 
 std::string ReplaceAll(std::string_view s, std::string_view from, std::string_view to) {
   if (from.empty()) {
     return std::string(s);
   }
-  std::string out;
-  size_t pos = 0;
-  for (;;) {
-    const size_t hit = s.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out.append(s.substr(pos));
-      return out;
+  // Count first, so the output is built in one pass into its final size.
+  const size_t n = CountOccurrences(s, from);
+  std::string out(s.size() - n * from.size() + n * to.size(), '\0');
+  char* p = out.data();
+  if (from.size() == 1 && to.size() == 1) {
+    // One byte for another: a select per byte, which the compiler vectorizes
+    // (the bytes are locals, so the stores through `p` cannot change them).
+    const char match = from[0];
+    const char replacement = to[0];
+    for (size_t i = 0; i < s.size(); ++i) {
+      p[i] = s[i] == match ? replacement : s[i];
     }
-    out.append(s.substr(pos, hit - pos));
-    out.append(to);
+    return out;
+  }
+  size_t pos = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t hit = s.find(from, pos);
+    p = std::copy(s.begin() + pos, s.begin() + hit, p);
+    p = std::copy(to.begin(), to.end(), p);
     pos = hit + from.size();
   }
+  std::copy(s.begin() + pos, s.end(), p);
+  return out;
 }
 
 std::string SqlQuote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('\'');
+  std::string out(s.size() + CountOccurrences(s, "'") + 2, '\'');
+  char* p = out.data() + 1;
   for (char c : s) {
-    if (c == '\'') {
-      out += "''";
-    } else {
-      out.push_back(c);
-    }
+    *p++ = c;
+    p += c == '\'';  // the buffer is filled with quotes: skipping one doubles c
   }
-  out.push_back('\'');
   return out;
 }
 

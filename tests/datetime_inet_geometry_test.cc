@@ -84,6 +84,23 @@ TEST(DateTimeParse, WithTimeOfDay) {
   EXPECT_EQ(FormatDateTime(*dt), "2024-06-15 23:59:59");
 }
 
+// Megabyte texts keep their errors: the date ends at the first ' ' or 'T'
+// however far it is, and each field is read whole.
+TEST(DateTimeParse, MegabyteText) {
+  const auto message = [](const std::string& text) {
+    const Result<DateTime> dt = ParseDateTime(text);
+    return dt.ok() ? FormatDateTime(*dt) : dt.status().message();
+  };
+  EXPECT_EQ(message(std::string(1100000, 'x')), "malformed DATE literal");
+  EXPECT_EQ(message("2024-06-15" + std::string(1100000, 'x')), "malformed date field");
+  EXPECT_EQ(message("2024-06-15" + std::string(1100000, ' ')), "malformed DATETIME literal");
+  EXPECT_EQ(message("2024-06-15T10:00:" + std::string(1100000, '0')), "2024-06-15 10:00:00");
+  EXPECT_EQ(message("2024-06-15 10:00:" + std::string(1100000, '9')), "malformed date field");
+  EXPECT_EQ(message(std::string(1100000, '1') + "-06-15 10:00:00"), "malformed date field");
+  EXPECT_EQ(message("2024/06/15" + std::string(1100000, '-') + " 10:00:00"),
+            "malformed date field");
+}
+
 // --- Inet -------------------------------------------------------------------
 
 TEST(InetParse, V4) {

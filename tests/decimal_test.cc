@@ -2,6 +2,8 @@
 // the fault corpus and Pattern 1.1/1.3 rely on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/sqlvalue/decimal.h"
 
 namespace soft {
@@ -43,6 +45,32 @@ TEST(DecimalParse, HardDigitLimitIsResourceError) {
   const Result<Decimal> d = Decimal::FromString(huge);
   ASSERT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Megabyte literals keep every error and its precedence: a malformed
+// exponent is reported before a malformed literal, which is reported before
+// the hard digit limit.
+TEST(DecimalParse, MegabyteErrorsKeepTheirPrecedence) {
+  const std::string digits(1100000, '9');
+  const auto message = [](const std::string& text) {
+    const Result<Decimal> d = Decimal::FromString(text);
+    return d.ok() ? std::string("ok") : d.status().message();
+  };
+  EXPECT_EQ(message(digits), "DECIMAL literal exceeds hard digit limit");
+  EXPECT_EQ(message(digits + "x"), "malformed DECIMAL literal");
+  EXPECT_EQ(message(digits + ".1.2"), "malformed DECIMAL literal");
+  EXPECT_EQ(message("." + digits), "DECIMAL literal exceeds hard digit limit");
+  EXPECT_EQ(message(digits + "e1x"), "malformed DECIMAL exponent");
+  EXPECT_EQ(message("x" + digits + "e"), "malformed DECIMAL exponent");
+  EXPECT_EQ(message("1e" + digits), "malformed DECIMAL exponent");
+  EXPECT_EQ(message("x" + digits + "E5"), "malformed DECIMAL literal");
+  EXPECT_EQ(message(std::string(1100000, ' ') + "-1.5" + std::string(1100000, '\n')), "ok");
+  // An empty integer part counts as one digit against the limit.
+  const std::string ones(Decimal::kHardDigitLimit - 1, '1');
+  EXPECT_EQ(message("." + ones), "ok");
+  EXPECT_EQ(message(".1" + ones), "DECIMAL literal exceeds hard digit limit");
+  EXPECT_EQ(message(ones + "1e-1"), "ok");
+  EXPECT_EQ(message("1." + ones + "e-2"), "DECIMAL scale exceeds hard digit limit");
 }
 
 TEST(DecimalDigits, CountsAreExact) {

@@ -3,13 +3,16 @@
 // INET_ATON, INET6_ATON and DATE_FORMAT (SOFT's P3.1 pattern passes them
 // REPEAT(..., 1100000)-sized strings).
 //
-// Two pins per dialect:
+// Three pins per dialect:
 //  - ResultsDigest: every seed-1 pool case that calls one of those
 //    functions, executed in pool order, hashed over its status, crash bug id
 //    and rendered rows. Campaign digests count outcomes but never read a
 //    result value, so this is the pin that catches a wrong result. A
 //    failure prints the new digest; re-pin only for an intended result
 //    change.
+//  - PoolResultsDigest: every other seed-1 pool case, hashed the same way.
+//    Together the two pin the result of every pool case, so a change to the
+//    lexer, the cast matrix or any function body shows here.
 //  - FullSetDigest: `find_bugs <dialect> 250000`'s campaign (seed 1, stop
 //    once the full bug set is found), pinned by its statement and bug counts
 //    and both digests `find_bugs` prints.
@@ -59,6 +62,16 @@ constexpr ResultsPin kResultsPins[] = {
     {"monetdb", 2570, 0x7a8dbf840ab1cf3a},
     {"duckdb", 4446, 0x4dba706dcc4ad78d},
     {"virtuoso", 7205, 0xc6a6a2acfc5bfa48},
+};
+
+constexpr ResultsPin kPoolResultsPins[] = {
+    {"postgresql", 45911, 0x5449f3026a82e5a9},
+    {"mysql", 45806, 0x3d0c19ced0c43451},
+    {"mariadb", 44958, 0x6a460819a27f240d},
+    {"clickhouse", 60946, 0xa09de5f0a320472b},
+    {"monetdb", 26558, 0x79c1791884c58a80},
+    {"duckdb", 44958, 0x152a9d32d974aa04},
+    {"virtuoso", 61183, 0x7dcd15a6e1b13761},
 };
 
 constexpr FullSetPin kFullSetPins[] = {
@@ -114,10 +127,9 @@ uint64_t MixField(uint64_t h, std::string_view bytes) {
   return FnvMix(h, bytes);
 }
 
-class ResultsDigest : public testing::TestWithParam<ResultsPin> {};
-
-TEST_P(ResultsDigest, MatchesPin) {
-  const ResultsPin& pin = GetParam();
+// Executes, in pool order on a fresh database, the seed-1 pool cases whose
+// CallsPinnedFunction equals `pinned`, and checks their count and digest.
+void ExpectPoolResults(const ResultsPin& pin, bool pinned) {
   CampaignOptions options;
   options.seed = 1;
   const std::shared_ptr<const CasePool> pool = BuildCasePool(pin.dialect, options);
@@ -129,7 +141,7 @@ TEST_P(ResultsDigest, MatchesPin) {
   size_t cases = 0;
   uint64_t digest = kFnvOffsetBasis;
   for (const GeneratedCase& test_case : pool->cases) {
-    if (!CallsPinnedFunction(test_case.sql)) {
+    if (CallsPinnedFunction(test_case.sql) != pinned) {
       continue;
     }
     ++cases;
@@ -150,10 +162,23 @@ TEST_P(ResultsDigest, MatchesPin) {
                                 << ": results digest " << digest;
 }
 
+std::string DialectName(const testing::TestParamInfo<ResultsPin>& info) {
+  return info.param.dialect;
+}
+
+class ResultsDigest : public testing::TestWithParam<ResultsPin> {};
+
+TEST_P(ResultsDigest, MatchesPin) { ExpectPoolResults(GetParam(), /*pinned=*/true); }
+
 INSTANTIATE_TEST_SUITE_P(Dialects, ResultsDigest, testing::ValuesIn(kResultsPins),
-                         [](const testing::TestParamInfo<ResultsPin>& info) {
-                           return std::string(info.param.dialect);
-                         });
+                         DialectName);
+
+class PoolResultsDigest : public testing::TestWithParam<ResultsPin> {};
+
+TEST_P(PoolResultsDigest, MatchesPin) { ExpectPoolResults(GetParam(), /*pinned=*/false); }
+
+INSTANTIATE_TEST_SUITE_P(Dialects, PoolResultsDigest, testing::ValuesIn(kPoolResultsPins),
+                         DialectName);
 
 class FullSetDigest : public testing::TestWithParam<FullSetPin> {};
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <string>
 #include <vector>
 
 #include "src/engine/database.h"
+#include "src/util/str_util.h"
 
 namespace soft {
 namespace {
@@ -299,6 +301,55 @@ TEST_F(StringFunctionsTest, RegexpReplace) {
             "<RESOURCE_EXHAUSTED>");
   EXPECT_EQ(Message("REGEXP_REPLACE(REPEAT('b', 20), 'b', REPEAT('x', 1000000))"),
             "REGEXP_REPLACE result exceeds engine string limit");
+}
+
+// The inline ASCII helpers stand in for <cctype> in the "C" locale: they
+// must agree with it on every byte value.
+TEST(AsciiHelpers, EqualCctypeForEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const unsigned char u = static_cast<unsigned char>(b);
+    EXPECT_EQ(IsAsciiDigit(c), std::isdigit(u) != 0) << b;
+    EXPECT_EQ(IsAsciiUpper(c), std::isupper(u) != 0) << b;
+    EXPECT_EQ(IsAsciiLower(c), std::islower(u) != 0) << b;
+    EXPECT_EQ(IsAsciiAlpha(c), std::isalpha(u) != 0) << b;
+    EXPECT_EQ(IsAsciiAlnum(c), std::isalnum(u) != 0) << b;
+    EXPECT_EQ(IsAsciiXDigit(c), std::isxdigit(u) != 0) << b;
+    EXPECT_EQ(IsAsciiSpace(c), std::isspace(u) != 0) << b;
+    EXPECT_EQ(ToAsciiLower(c), static_cast<char>(std::tolower(u))) << b;
+    EXPECT_EQ(ToAsciiUpper(c), static_cast<char>(std::toupper(u))) << b;
+  }
+}
+
+// LIKE reads coerced operands through views into its function context, which
+// must outlive them. Nineteen-digit numbers render past the small-string
+// buffer, so a view of a freed rendering is a heap use-after-free (caught
+// by the ASan lane).
+TEST_F(StringFunctionsTest, LikeOverCoercedOperands) {
+  EXPECT_EQ(Eval("1234567890123456789 LIKE 1234567890123456789"), "TRUE");
+  EXPECT_EQ(Eval("1234567890123456789 LIKE '12345678901234567%'"), "TRUE");
+  EXPECT_EQ(Eval("'1234567890123456789' LIKE 1234567890123456788"), "FALSE");
+  EXPECT_EQ(Eval("12.5 LIKE '12._'"), "TRUE");
+}
+
+// Megabyte arguments are read in place; the results are those of a copy.
+TEST_F(StringFunctionsTest, MegabyteArguments) {
+  EXPECT_EQ(Eval("LENGTH(REPEAT('AB', 1100000))"), "2200000");
+  EXPECT_EQ(Eval("LOWER(REPEAT('AB', 1100000)) = REPEAT('ab', 1100000)"), "TRUE");
+  EXPECT_EQ(Eval("INITCAP(REPEAT('aB c ', 300000)) = REPEAT('Ab C ', 300000)"), "TRUE");
+  EXPECT_EQ(Eval("SOUNDEX(REPEAT('Robert', 200000))"), "R163");
+  EXPECT_EQ(Eval("REPLACE(REPEAT('ab', 1100000), 'a', 'xy') = REPEAT('xyb', 1100000)"),
+            "TRUE");
+  EXPECT_EQ(Eval("REPLACE(REPEAT('abc', 500000), 'bc', '') = REPEAT('a', 500000)"), "TRUE");
+  EXPECT_EQ(Eval("LENGTH(QUOTE(REPEAT('a''', 500000)))"), "1500002");
+  EXPECT_EQ(Eval("CAST(FROM_BASE64(TO_BASE64(REPEAT('xyz', 400000))) AS VARCHAR) = "
+                 "REPEAT('xyz', 400000)"),
+            "TRUE");
+  EXPECT_EQ(Eval("CAST(UNHEX(HEX(REPEAT('q', 1000000))) AS VARCHAR) = REPEAT('q', 1000000)"),
+            "TRUE");
+  EXPECT_EQ(Eval("TRANSLATE(REPEAT('abc', 400000), 'ab', 'x') = REPEAT('xc', 400000)"),
+            "TRUE");
+  EXPECT_EQ(Eval("REVERSE(REPEAT('ab', 500000)) = REPEAT('ba', 500000)"), "TRUE");
 }
 
 TEST_F(StringFunctionsTest, DigestsAreStable) {

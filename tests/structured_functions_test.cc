@@ -281,6 +281,27 @@ TEST_F(AggregateTest, EmptySetSemantics) {
   EXPECT_EQ(eval("BIT_AND(a)"), "-1");  // identity of AND
 }
 
+// An aggregator keeps copies of what it accumulates: each row's coerced
+// argument views die with that row's function context. Nineteen-digit
+// numbers render past the small-string buffer, so a kept view would read
+// freed heap (caught by the ASan lane).
+TEST(AggregateLifetime, GroupConcatOverCoercedInts) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE n (a INT)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO n VALUES (1234567890123456789), (2), (-1000000000000000000)").ok());
+  const StatementResult r = db.Execute("SELECT GROUP_CONCAT(a, 9000000000000000000) FROM n");
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows[0][0].ToDisplayString(),
+            "1234567890123456789900000000000000000029000000000000000000"
+            "-1000000000000000000");
+  const StatementResult keys = db.Execute("SELECT JSONB_OBJECT_AGG(a, a) FROM n");
+  ASSERT_TRUE(keys.ok()) << keys.status.ToString();
+  EXPECT_EQ(keys.rows[0][0].ToDisplayString(),
+            "{\"1234567890123456789\":1.2345678901234568e+18,\"2\":2,"
+            "\"-1000000000000000000\":-1e+18}");
+}
+
 TEST_F(AggregateTest, JsonbObjectAgg) {
   EXPECT_EQ(Eval("JSONB_OBJECT_AGG(b, a)"),
             "{\"x\":1,\"y\":2,\"x\":3,\"z\":null}");

@@ -133,6 +133,27 @@ TEST(CastMatrix, BoolText) {
   EXPECT_FALSE(CastValue(Value::Str("maybe"), TypeKind::kBool, Strict()).ok());
 }
 
+// A trimmed text longer than five bytes is no boolean word: strict mode
+// rejects it with its whole text, lenient mode reads its integer prefix.
+TEST(CastMatrix, MegabyteBoolText) {
+  const std::string pad(1100000, ' ');
+  const std::string xs(1100000, 'x');
+  EXPECT_TRUE(CastValue(Value::Str(pad + "YeS" + pad), TypeKind::kBool, Strict())->bool_value());
+  EXPECT_FALSE(CastValue(Value::Str(pad + "\tfalse\r"), TypeKind::kBool, Strict())->bool_value());
+  const Result<Value> strict = CastValue(Value::Str(xs), TypeKind::kBool, Strict());
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(strict.status().message(), "invalid input syntax for BOOL: '" + xs + "'");
+  EXPECT_FALSE(CastValue(Value::Str(xs), TypeKind::kBool, Lenient())->bool_value());
+  EXPECT_TRUE(
+      CastValue(Value::Str(std::string(1100000, '7')), TypeKind::kBool, Lenient())->bool_value());
+  EXPECT_FALSE(CastValue(Value::Str(pad + std::string(1100000, '0') + xs), TypeKind::kBool,
+                         Lenient())
+                   ->bool_value());
+  EXPECT_TRUE(CastValue(Value::Str(" falsey"), TypeKind::kBool, Lenient()).ok());
+  EXPECT_FALSE(CastValue(Value::Str(" falsey"), TypeKind::kBool, Strict()).ok());
+}
+
 TEST(CoerceValue, StrictRefusesImplicitStringToNumeric) {
   EXPECT_FALSE(CoerceValue(Value::Str("1"), TypeKind::kInt, Strict()).ok());
   EXPECT_TRUE(CoerceValue(Value::Str("1"), TypeKind::kInt, Lenient()).ok());

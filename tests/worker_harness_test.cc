@@ -221,6 +221,29 @@ INSTANTIATE_TEST_SUITE_P(AllDialects, SimRealIdentityTest,
                            return info.param;
                          });
 
+// Oracle re-executions run simulated under kReal, so a real-crash campaign
+// with every logic oracle armed reports the simulated run's oracle checks,
+// logic bugs and digests, while its own crashes are still realized.
+TEST(SimRealIdentity, RealCrashCampaignRunsTheOracles) {
+  CampaignOptions options;
+  options.seed = 1;
+  options.max_statements = 2000;
+  options.logic_oracles = {"all"};
+  const CampaignResult sim = RunShardedSoftCampaign("mysql", options, 1);
+  CampaignOptions real = options;
+  real.crash_realism = CrashRealism::kReal;
+  const CampaignResult result = RunShardedSoftCampaign("mysql", real, 1);
+
+  EXPECT_EQ(sim.logic_checks, 2790);
+  EXPECT_EQ(sim.logic_bugs.size(), 3u);
+  EXPECT_EQ(result.logic_checks, sim.logic_checks);
+  EXPECT_EQ(result.logic_bugs.size(), sim.logic_bugs.size());
+  EXPECT_EQ(DigestLogicOutcome(result), DigestLogicOutcome(sim));
+  EXPECT_EQ(DigestCampaignResult(result), DigestCampaignResult(sim));
+  ASSERT_FALSE(result.crash_flights.empty()) << "no crash was realized";
+  EXPECT_EQ(result.crash_flights.size(), static_cast<size_t>(result.crashes_observed));
+}
+
 // ---------------------------------------------------------------------------
 // Statement watchdog
 // ---------------------------------------------------------------------------
