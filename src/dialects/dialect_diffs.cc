@@ -1,6 +1,7 @@
 #include "src/dialects/dialect_diffs.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace soft {
 namespace {
@@ -31,11 +32,23 @@ bool OracleComparable(const Statement& stmt) {
 
 namespace {
 
+// Two values are the same when their display texts are equal. The scalar
+// kinds compare by value to the same effect: a DOUBLE's text converts back
+// to the value, both zeros print "0" and every NaN prints "nan".
 bool SameValue(const Value& a, const Value& b) {
   if (a.kind() != b.kind()) {
     return false;
   }
   switch (a.kind()) {
+    case TypeKind::kNull:
+      return true;
+    case TypeKind::kBool:
+      return a.bool_value() == b.bool_value();
+    case TypeKind::kInt:
+      return a.int_value() == b.int_value();
+    case TypeKind::kDouble:
+      return a.double_value() == b.double_value() ||
+             (std::isnan(a.double_value()) && std::isnan(b.double_value()));
     case TypeKind::kString:
       return a.string_value() == b.string_value();
     case TypeKind::kBlob:

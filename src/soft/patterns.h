@@ -17,6 +17,7 @@
 #define SRC_SOFT_PATTERNS_H_
 
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,10 @@ class PatternEngine {
   PatternEngine(const Database& db, uint64_t seed,
                 PatternOptions options = PatternOptions());
 
-  void set_pool(BoundaryPool pool) { pool_ = std::move(pool); }
+  void set_pool(BoundaryPool pool) {
+    pool_ = std::move(pool);
+    snippet_sql_.reset();
+  }
   const BoundaryPool& pool() const { return pool_; }
 
   // Applies every pattern to `seed_expr` (a function expression like
@@ -68,33 +72,39 @@ class PatternEngine {
                    std::vector<GeneratedCase>& out);
 
  private:
-  struct SeedTree;  // parsed seed with its call/arg sites
+  struct SeedTemplate;  // a parsed seed, each argument rendered as a hole
 
-  bool ParseSeed(const std::string& seed_expr, ExprPtr& root) const;
+  // A corpus entry as a cross-function donor (P2.3, P3.3), parsed and
+  // rendered once per engine.
+  struct Donor {
+    std::string text;  // the corpus entry this was built from
+    ExprPtr tree;      // null when `text` does not parse
+    std::string sql;   // tree's rendering
+  };
 
-  void ApplyP12(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP13(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP14(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP21(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP22(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP23(const ExprPtr& root, const std::vector<std::string>& corpus,
+  bool ParseSeed(const std::string& seed_expr, SeedTemplate& seed) const;
+  const std::vector<std::string>& SnippetSql();
+  const Donor& DonorAt(const std::vector<std::string>& corpus, size_t index);
+
+  void ApplyP12(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP13(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP14(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP21(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP22(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP23(const SeedTemplate& seed, const std::vector<std::string>& corpus,
                 std::vector<GeneratedCase>& out);
-  void ApplyP31(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP32(const ExprPtr& root, std::vector<GeneratedCase>& out);
-  void ApplyP33(const ExprPtr& root, const std::vector<std::string>& corpus,
+  void ApplyP31(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP32(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
+  void ApplyP33(const SeedTemplate& seed, const std::vector<std::string>& corpus,
                 std::vector<GeneratedCase>& out);
-
-  // Emits a variant: clone root, apply `mutate` to argument `arg` of call
-  // `call_idx`, render. `mutate` receives the owned arg slot.
-  template <typename Mutator>
-  void EmitVariant(const ExprPtr& root, size_t call_idx, size_t arg_idx,
-                   const char* pattern, std::vector<GeneratedCase>& out,
-                   Mutator&& mutate);
 
   const Database& db_;
   Rng rng_;
   PatternOptions options_;
   BoundaryPool pool_;
+  std::optional<std::vector<std::string>> snippet_sql_;  // SnippetSql(), once built
+  std::vector<const FunctionDef*> wrappers_;  // unary-capable catalog functions (P3.2)
+  std::vector<Donor> donors_;                 // by corpus index
 };
 
 }  // namespace soft

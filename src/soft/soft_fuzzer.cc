@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory_resource>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "src/dialects/dialects.h"
 #include "src/soft/expr_collection.h"
@@ -96,12 +99,21 @@ std::shared_ptr<const CasePool> BuildCasePool(const Database& db,
       }
     }
   }
-  // Deduplicate by statement text (the patterns overlap on simple seeds).
-  std::set<std::string> seen;
-  pool->cases.reserve(cases.size());
-  for (GeneratedCase& test_case : cases) {
-    if (seen.insert(test_case.sql).second) {
-      pool->cases.push_back(std::move(test_case));
+  // Deduplicate by statement text (the patterns overlap on simple seeds),
+  // keeping each text's first case. The set views `cases`, so nothing is
+  // moved out of it until every case has been looked up; its nodes live in
+  // one arena, released at once.
+  std::pmr::monotonic_buffer_resource arena;
+  std::pmr::unordered_set<std::string_view> seen(&arena);
+  seen.reserve(cases.size());
+  std::vector<bool> first_of_text(cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    first_of_text[i] = seen.insert(cases[i].sql).second;
+  }
+  pool->cases.reserve(seen.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    if (first_of_text[i]) {
+      pool->cases.push_back(std::move(cases[i]));
     }
   }
   // Keep the corpus-replay prefix in place; shuffle only the generated tail

@@ -24,95 +24,175 @@ ExprPtr Expr::Clone() const {
   return out;
 }
 
-std::string Expr::ToSql() const {
-  switch (kind) {
-    case ExprKind::kLiteral:
-      return literal.ToSqlLiteral();
-    case ExprKind::kColumnRef:
-      return column_name;
-    case ExprKind::kFunctionCall: {
-      std::string out = func_name;
-      out.push_back('(');
-      if (distinct_arg) {
-        out += "DISTINCT ";
+namespace {
+
+// The one renderer: appends a tree's SQL text to `out`, leaving out the node
+// `hole` and recording the offset where its text would start. A node's text
+// depends only on the node and its children's texts, so splicing any
+// replacement's text at that offset renders the replaced tree.
+class SqlRenderer {
+ public:
+  SqlRenderer(std::string& out, const Expr* hole) : out_(out), hole_(hole) {}
+
+  size_t hole_at() const { return hole_at_; }
+
+  void Render(const Expr& e) {
+    if (&e == hole_) {
+      hole_at_ = out_.size();
+      return;
+    }
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+        out_ += e.literal.ToSqlLiteral();
+        return;
+      case ExprKind::kColumnRef:
+        out_ += e.column_name;
+        return;
+      case ExprKind::kFunctionCall:
+        out_ += e.func_name;
+        out_ += e.distinct_arg ? "(DISTINCT " : "(";
+        RenderList(e.args);
+        out_.push_back(')');
+        return;
+      case ExprKind::kCast:
+        out_ += "CAST(";
+        Render(*e.args[0]);
+        out_ += " AS ";
+        if (e.cast_type_text.empty()) {
+          out_ += TypeKindName(e.cast_type);
+        } else {
+          out_ += e.cast_type_text;
+        }
+        out_.push_back(')');
+        return;
+      case ExprKind::kBinaryOp:
+        out_.push_back('(');
+        Render(*e.args[0]);
+        out_.push_back(' ');
+        out_ += e.op;
+        out_.push_back(' ');
+        Render(*e.args[1]);
+        out_.push_back(')');
+        return;
+      case ExprKind::kUnaryOp:
+        out_.push_back('(');
+        if (e.op == "IS NULL" || e.op == "IS NOT NULL") {
+          Render(*e.args[0]);
+          out_.push_back(' ');
+          out_ += e.op;
+        } else {
+          out_ += e.op;
+          if (e.op == "NOT") {
+            out_.push_back(' ');
+          }
+          Render(*e.args[0]);
+        }
+        out_.push_back(')');
+        return;
+      case ExprKind::kRowCtor:
+        out_ += "ROW(";
+        RenderList(e.args);
+        out_.push_back(')');
+        return;
+      case ExprKind::kArrayCtor:
+        out_ += "ARRAY[";
+        RenderList(e.args);
+        out_.push_back(']');
+        return;
+      case ExprKind::kSubquery:
+        out_.push_back('(');
+        Render(*e.subquery);
+        out_.push_back(')');
+        return;
+    }
+    out_.push_back('?');
+  }
+
+  void Render(const SelectStmt& s) {
+    out_ += s.distinct ? "SELECT DISTINCT " : "SELECT ";
+    for (size_t i = 0; i < s.items.size(); ++i) {
+      if (i > 0) {
+        out_ += ", ";
       }
-      for (size_t i = 0; i < args.size(); ++i) {
+      Render(*s.items[i].expr);
+      if (!s.items[i].alias.empty()) {
+        out_ += " AS ";
+        out_ += s.items[i].alias;
+      }
+    }
+    if (!s.from_table.empty()) {
+      out_ += " FROM ";
+      out_ += s.from_table;
+    } else if (s.from_subquery != nullptr) {
+      out_ += " FROM (";
+      Render(*s.from_subquery);
+      out_.push_back(')');
+      if (!s.from_alias.empty()) {
+        out_.push_back(' ');
+        out_ += s.from_alias;
+      }
+    }
+    if (s.where != nullptr) {
+      out_ += " WHERE ";
+      Render(*s.where);
+    }
+    if (!s.group_by.empty()) {
+      out_ += " GROUP BY ";
+      RenderList(s.group_by);
+    }
+    if (s.having != nullptr) {
+      out_ += " HAVING ";
+      Render(*s.having);
+    }
+    if (!s.order_by.empty()) {
+      out_ += " ORDER BY ";
+      for (size_t i = 0; i < s.order_by.size(); ++i) {
         if (i > 0) {
-          out += ", ";
+          out_ += ", ";
         }
-        out += args[i]->ToSql();
-      }
-      out.push_back(')');
-      return out;
-    }
-    case ExprKind::kCast: {
-      std::string out = "CAST(";
-      out += args[0]->ToSql();
-      out += " AS ";
-      if (cast_type_text.empty()) {
-        out += TypeKindName(cast_type);
-      } else {
-        out += cast_type_text;
-      }
-      out.push_back(')');
-      return out;
-    }
-    case ExprKind::kBinaryOp: {
-      std::string out = "(";
-      out += args[0]->ToSql();
-      out.push_back(' ');
-      out += op;
-      out.push_back(' ');
-      out += args[1]->ToSql();
-      out.push_back(')');
-      return out;
-    }
-    case ExprKind::kUnaryOp: {
-      std::string out = "(";
-      if (op == "IS NULL" || op == "IS NOT NULL") {
-        out += args[0]->ToSql();
-        out.push_back(' ');
-        out += op;
-      } else {
-        out += op;
-        if (op == "NOT") {
-          out.push_back(' ');
+        Render(*s.order_by[i].expr);
+        if (!s.order_by[i].ascending) {
+          out_ += " DESC";
         }
-        out += args[0]->ToSql();
       }
-      out.push_back(')');
-      return out;
     }
-    case ExprKind::kRowCtor: {
-      std::string out = "ROW(";
-      for (size_t i = 0; i < args.size(); ++i) {
-        if (i > 0) {
-          out += ", ";
-        }
-        out += args[i]->ToSql();
-      }
-      out.push_back(')');
-      return out;
+    if (s.limit.has_value()) {
+      out_ += " LIMIT ";
+      out_ += std::to_string(*s.limit);
     }
-    case ExprKind::kArrayCtor: {
-      std::string out = "ARRAY[";
-      for (size_t i = 0; i < args.size(); ++i) {
-        if (i > 0) {
-          out += ", ";
-        }
-        out += args[i]->ToSql();
-      }
-      out.push_back(']');
-      return out;
-    }
-    case ExprKind::kSubquery: {
-      std::string out = "(";
-      out += subquery->ToSql();
-      out.push_back(')');
-      return out;
+    if (s.union_next != nullptr) {
+      out_ += s.union_all ? " UNION ALL " : " UNION ";
+      Render(*s.union_next);
     }
   }
-  return "?";
+
+ private:
+  void RenderList(const std::vector<ExprPtr>& items) {
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) {
+        out_ += ", ";
+      }
+      Render(*items[i]);
+    }
+  }
+
+  std::string& out_;
+  const Expr* hole_;
+  size_t hole_at_ = std::string::npos;
+};
+
+}  // namespace
+
+std::string Expr::ToSql() const {
+  std::string out;
+  AppendSql(out);
+  return out;
+}
+
+size_t Expr::AppendSql(std::string& out, const Expr* hole) const {
+  SqlRenderer renderer(out, hole);
+  renderer.Render(*this);
+  return renderer.hole_at();
 }
 
 int Expr::CountFunctionCalls() const {
@@ -240,62 +320,15 @@ std::unique_ptr<SelectStmt> SelectStmt::Clone() const {
 }
 
 std::string SelectStmt::ToSql() const {
-  std::string out = "SELECT ";
-  if (distinct) {
-    out += "DISTINCT ";
-  }
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += items[i].expr->ToSql();
-    if (!items[i].alias.empty()) {
-      out += " AS " + items[i].alias;
-    }
-  }
-  if (!from_table.empty()) {
-    out += " FROM " + from_table;
-  } else if (from_subquery != nullptr) {
-    out += " FROM (" + from_subquery->ToSql() + ")";
-    if (!from_alias.empty()) {
-      out += " " + from_alias;
-    }
-  }
-  if (where != nullptr) {
-    out += " WHERE " + where->ToSql();
-  }
-  if (!group_by.empty()) {
-    out += " GROUP BY ";
-    for (size_t i = 0; i < group_by.size(); ++i) {
-      if (i > 0) {
-        out += ", ";
-      }
-      out += group_by[i]->ToSql();
-    }
-  }
-  if (having != nullptr) {
-    out += " HAVING " + having->ToSql();
-  }
-  if (!order_by.empty()) {
-    out += " ORDER BY ";
-    for (size_t i = 0; i < order_by.size(); ++i) {
-      if (i > 0) {
-        out += ", ";
-      }
-      out += order_by[i].expr->ToSql();
-      if (!order_by[i].ascending) {
-        out += " DESC";
-      }
-    }
-  }
-  if (limit.has_value()) {
-    out += " LIMIT " + std::to_string(*limit);
-  }
-  if (union_next != nullptr) {
-    out += union_all ? " UNION ALL " : " UNION ";
-    out += union_next->ToSql();
-  }
+  std::string out;
+  AppendSql(out);
   return out;
+}
+
+size_t SelectStmt::AppendSql(std::string& out, const Expr* hole) const {
+  SqlRenderer renderer(out, hole);
+  renderer.Render(*this);
+  return renderer.hole_at();
 }
 
 int SelectStmt::CountFunctionCalls() const {
@@ -387,7 +420,7 @@ std::string InsertStmt::ToSql() const {
       if (i > 0) {
         out += ", ";
       }
-      out += rows[r][i]->ToSql();
+      rows[r][i]->AppendSql(out);
     }
     out += ")";
   }

@@ -1,11 +1,12 @@
 // Abstract syntax for the SQL subset the engine executes.
 //
-// The AST is deliberately mutation-friendly: SOFT's pattern engine works by
-// cloning statements and rewriting function-call argument subtrees (Patterns
-// 1.2–3.3), so nodes are unique_ptr-owned trees with deep Clone() and a
-// renderer that turns any tree back into SQL text. Every generated test case
-// round-trips through text so the parser is exercised on every execution,
-// matching the paper's parse→optimize→execute crash attribution.
+// Nodes are unique_ptr-owned trees with deep Clone() and one renderer that
+// turns any tree back into SQL text. The renderer can leave one node out and
+// report where its text would start, so SOFT's pattern engine (Patterns
+// 1.2–3.3) renders each seed once per function-call argument and splices
+// every replacement into that text. Every generated test case is text, so
+// the parser is exercised on every execution, matching the paper's
+// parse→optimize→execute crash attribution.
 #ifndef SRC_SQLAST_AST_H_
 #define SRC_SQLAST_AST_H_
 
@@ -70,6 +71,13 @@ struct Expr {
   // Renders this expression as SQL text.
   std::string ToSql() const;
 
+  // Appends ToSql() to `out` with the subtree `hole` (a node of this tree,
+  // subqueries included) left out, and returns the offset in `out` where the
+  // hole's text would start, or npos when `hole` is null or not in the tree.
+  // Inserting a node's text at that offset renders the tree with that node
+  // in the hole's place.
+  size_t AppendSql(std::string& out, const Expr* hole = nullptr) const;
+
   // Number of function-call nodes in this subtree (Finding 3 accounting).
   int CountFunctionCalls() const;
 
@@ -125,6 +133,7 @@ struct SelectStmt {
 
   std::unique_ptr<SelectStmt> Clone() const;
   std::string ToSql() const;
+  size_t AppendSql(std::string& out, const Expr* hole = nullptr) const;  // as Expr's
   int CountFunctionCalls() const;
   void CollectFunctionCalls(std::vector<Expr*>& out);
 };

@@ -302,69 +302,73 @@ class JsonParser {
     ++pos_;  // consume '"'
     std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
+      // Plain bytes up to the next quote or escape are appended as one run.
+      const size_t run_start = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_, run_start, pos_ - run_start);
+      if (pos_ == text_.size()) {
+        break;
+      }
+      if (text_[pos_++] == '"') {
         return out;
       }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
+      if (pos_ >= text_.size()) {
+        break;
+      }
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+          out.push_back('"');
+          break;
+        case '\\':
+          out.push_back('\\');
+          break;
+        case '/':
+          out.push_back('/');
+          break;
+        case 'n':
+          out.push_back('\n');
+          break;
+        case 't':
+          out.push_back('\t');
+          break;
+        case 'r':
+          out.push_back('\r');
+          break;
+        case 'b':
+          out.push_back('\b');
+          break;
+        case 'f':
+          out.push_back('\f');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) {
+            return InvalidArgument("truncated \\u escape in JSON string");
+          }
+          unsigned code = 0;
+          auto [p, ec] = std::from_chars(text_.data() + pos_, text_.data() + pos_ + 4,
+                                         code, 16);
+          if (ec != std::errc() || p != text_.data() + pos_ + 4) {
+            return InvalidArgument("malformed \\u escape in JSON string");
+          }
+          pos_ += 4;
+          // Encode as UTF-8 (BMP only; surrogates passed through raw).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
           break;
         }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return InvalidArgument("truncated \\u escape in JSON string");
-            }
-            unsigned code = 0;
-            auto [p, ec] = std::from_chars(text_.data() + pos_, text_.data() + pos_ + 4,
-                                           code, 16);
-            if (ec != std::errc() || p != text_.data() + pos_ + 4) {
-              return InvalidArgument("malformed \\u escape in JSON string");
-            }
-            pos_ += 4;
-            // Encode as UTF-8 (BMP only; surrogates passed through raw).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return InvalidArgument("invalid escape in JSON string");
-        }
-      } else {
-        out.push_back(c);
+        default:
+          return InvalidArgument("invalid escape in JSON string");
       }
     }
     return InvalidArgument("unterminated JSON string");

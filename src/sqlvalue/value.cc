@@ -1,5 +1,7 @@
 #include "src/sqlvalue/value.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -97,16 +99,26 @@ std::string DoubleToText(double d) {
   if (d == std::floor(d) && std::fabs(d) < 1e15) {
     return std::to_string(static_cast<long long>(d));
   }
+  // The first precision whose "%.*g" text converts back to `d`. Of the
+  // precisions below the digit count P of std::to_chars' shortest text
+  // (the fewest characters that convert back), only P - 1 can, when its
+  // rounding lengthens the exponent; so the search starts there, not at 1.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  // Trim to shortest round-trip-ish: try shorter precision first.
-  for (int prec = 1; prec <= 17; ++prec) {
-    char probe[40];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
-    if (std::strtod(probe, nullptr) == d) {
-      return probe;
+  const std::to_chars_result shortest =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    digits += IsAsciiDigit(*c) ? 1 : 0;
+  }
+  for (int prec = std::max(1, digits - 1); prec <= 17; ++prec) {
+    const std::to_chars_result probe =
+        std::to_chars(buf, buf + sizeof(buf) - 1, d, std::chars_format::general, prec);
+    *probe.ptr = '\0';
+    if (std::strtod(buf, nullptr) == d) {
+      return std::string(buf, probe.ptr);
     }
   }
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
   return buf;
 }
 

@@ -34,6 +34,10 @@ TEST(JsonParse, StringEscapes) {
   EXPECT_EQ(Parse("\"a\\nb\"")->string_value(), "a\nb");
   EXPECT_EQ(Parse("\"q\\\"q\"")->string_value(), "q\"q");
   EXPECT_EQ(Parse("\"\\u0041\"")->string_value(), "A");
+  // Plain runs between escapes, and a megabyte run on each side of one.
+  EXPECT_EQ(Parse("\"ab\\\\cd\\/ef\\u00e9g\"")->string_value(), "ab\\cd/ef\xC3\xA9g");
+  const std::string run(1100000, 'x');
+  EXPECT_EQ(Parse("\"" + run + "\\t" + run + "\"")->string_value(), run + "\t" + run);
 }
 
 TEST(JsonParse, Malformed) {
@@ -43,6 +47,12 @@ TEST(JsonParse, Malformed) {
   EXPECT_FALSE(ParseJson("[1] trailing").ok());
   EXPECT_FALSE(ParseJson("").ok());
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
+  // Every way a string can be malformed keeps its message.
+  EXPECT_EQ(ParseJson("\"abc").status().message(), "unterminated JSON string");
+  EXPECT_EQ(ParseJson("\"abc\\").status().message(), "unterminated JSON string");
+  EXPECT_EQ(ParseJson("\"a\\xb\"").status().message(), "invalid escape in JSON string");
+  EXPECT_EQ(ParseJson("\"\\u00\"").status().message(), "truncated \\u escape in JSON string");
+  EXPECT_EQ(ParseJson("\"\\u00zz\"").status().message(), "malformed \\u escape in JSON string");
 }
 
 TEST(JsonDepth, TrackedWhileParsing) {

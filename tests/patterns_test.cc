@@ -9,6 +9,7 @@
 #include "src/soft/boundary_values.h"
 #include "src/soft/expr_collection.h"
 #include "src/soft/patterns.h"
+#include "src/soft/soft_fuzzer.h"
 #include "src/sqlparser/parser.h"
 
 namespace soft {
@@ -168,6 +169,155 @@ TEST_F(PatternsTest, GenerateAllEmitsEveryFamily) {
     EXPECT_TRUE(families.count(p) == 1) << p;
   }
 }
+
+void CollectNodes(const SelectStmt& s, std::vector<const Expr*>& out);
+
+void CollectNodes(const Expr& e, std::vector<const Expr*>& out) {
+  out.push_back(&e);
+  for (const ExprPtr& arg : e.args) {
+    CollectNodes(*arg, out);
+  }
+  if (e.subquery != nullptr) {
+    CollectNodes(*e.subquery, out);
+  }
+}
+
+void CollectNodes(const SelectStmt& s, std::vector<const Expr*>& out) {
+  for (const SelectItem& item : s.items) {
+    CollectNodes(*item.expr, out);
+  }
+  if (s.from_subquery != nullptr) {
+    CollectNodes(*s.from_subquery, out);
+  }
+  for (const Expr* e : {s.where.get(), s.having.get()}) {
+    if (e != nullptr) {
+      CollectNodes(*e, out);
+    }
+  }
+  for (const ExprPtr& g : s.group_by) {
+    CollectNodes(*g, out);
+  }
+  for (const OrderItem& o : s.order_by) {
+    CollectNodes(*o.expr, out);
+  }
+  if (s.union_next != nullptr) {
+    CollectNodes(*s.union_next, out);
+  }
+}
+
+// The pattern engine splices replacements into a seed rendered with a hole:
+// for every node of every seed above and of every statement generated from
+// them (casts, UNION subqueries, nested calls), the text before the hole,
+// the node's own text and the text after it make the whole rendering.
+TEST_F(PatternsTest, RenderingAroundAHoleSplicesBackToTheTree) {
+  const std::vector<std::string> seeds = {
+      "LENGTH('abc')",           "FORMAT(1.5, 2)",
+      "JSON_VALID('{\"key\": 0}')", "JSON_LENGTH('[1]', '$')",
+      "INSTR('banana', 'na')",   "ST_ASTEXT(ST_GEOMFROMTEXT('POINT(1 2)'))",
+      "INET6_ATON('255.255.255.255')", "UPPER(LOWER(TRIM('x')))",
+      "UPPER(LOWER('x'))",       "JSON_VALID('[1,2]')",
+      "ABS(17)",                 "REPEAT('ab', 3)",
+  };
+  std::vector<std::string> statements = {
+      "SELECT DISTINCT a AS x, -b FROM (SELECT ROW(1, 2) AS a, ARRAY[1, NULL] AS b) d "
+      "WHERE NOT (a IS NULL) AND b > 1 GROUP BY a, b HAVING COUNT(*) > 1 "
+      "ORDER BY a DESC, b LIMIT 3 UNION ALL SELECT 1, CAST('2' AS INT)"};
+  for (const std::string& seed : seeds) {
+    statements.push_back("SELECT " + seed);
+    std::vector<GeneratedCase> cases;
+    engine_.GenerateAll(seed, seeds, cases);
+    for (const GeneratedCase& c : cases) {
+      statements.push_back(c.sql);
+    }
+  }
+  size_t checked = 0;
+  for (const std::string& sql : statements) {
+    const Result<Statement> parsed = ParseStatement(sql);
+    ASSERT_TRUE(parsed.ok() && parsed->is_select()) << sql;
+    const SelectStmt& tree = *parsed->select();
+    const std::string whole = tree.ToSql();
+    std::string unholed;
+    EXPECT_EQ(tree.AppendSql(unholed), std::string::npos);
+    EXPECT_EQ(unholed, whole);
+    std::vector<const Expr*> nodes;
+    CollectNodes(tree, nodes);
+    for (const Expr* node : nodes) {
+      std::string text;
+      const size_t at = tree.AppendSql(text, node);
+      ASSERT_LE(at, text.size()) << sql;
+      EXPECT_EQ(text.substr(0, at) + node->ToSql() + text.substr(at), whole) << sql;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+}
+
+// Pins of the case pool itself: BuildCasePool's digest (FNV-1a over the
+// prerequisites and every case's pattern and text, in pool order) and its
+// case count, for every dialect at seeds 1 and 2, plus mariadb's logic-mode
+// pool over the eight patterns the logic oracles run (built through
+// GenerateOne). Any change to a pattern, the renderer, the dedupe or the
+// shuffle shows here. A failure prints the new digest; re-pin only for an
+// intended change to what the pool holds.
+struct PoolPin {
+  const char* dialect;
+  uint64_t seed;
+  bool logic;  // logic mode, every pattern but P3.1
+  size_t cases;
+  uint64_t digest;
+};
+
+constexpr PoolPin kPoolPins[] = {
+    {"postgresql", 1, false, 50446, 0x9f5ca3b55bad8e6a},
+    {"mysql", 1, false, 51746, 0x5d8e3a64b8e93e6f},
+    {"mariadb", 1, false, 50512, 0x7363257489be51b7},
+    {"clickhouse", 1, false, 68206, 0xb89a32ae5484ecd6},
+    {"monetdb", 1, false, 29128, 0x1314b19d393616c1},
+    {"duckdb", 1, false, 49404, 0x596626367e500211},
+    {"virtuoso", 1, false, 68388, 0x56ebd14c2419f106},
+    {"postgresql", 2, false, 50480, 0x27623d9cae6eabd9},
+    {"mysql", 2, false, 51791, 0x8c64c383a987929e},
+    {"mariadb", 2, false, 50550, 0xff56bbf660f90eb0},
+    {"clickhouse", 2, false, 68234, 0xdbf67af27c336c14},
+    {"monetdb", 2, false, 29216, 0x14d94c34f455c55f},
+    {"duckdb", 2, false, 49354, 0x4975e30a0fcd162b},
+    {"virtuoso", 2, false, 68234, 0x3fba1aae9d261dc8},
+    {"mariadb", 1, true, 47713, 0x70132fe6d25840ab},
+    {"mariadb", 2, true, 47751, 0xeae1c99807194952},
+};
+
+// gtest prints a parameter into its ctest name; print the key, not the
+// struct's bytes (which hold a pointer and so change from run to run).
+void PrintTo(const PoolPin& pin, std::ostream* os) {
+  *os << pin.dialect << (pin.logic ? " logic" : "") << " seed " << pin.seed;
+}
+
+class PoolDigest : public testing::TestWithParam<PoolPin> {};
+
+TEST_P(PoolDigest, MatchesPin) {
+  const PoolPin& pin = GetParam();
+  CampaignOptions options;
+  options.seed = pin.seed;
+  SoftOptions soft_options;
+  if (pin.logic) {
+    options.logic_oracles = {"all"};
+    soft_options.only_patterns = {"P1.2", "P1.3", "P1.4", "P2.1",
+                                  "P2.2", "P2.3", "P3.2", "P3.3"};
+  }
+  const std::shared_ptr<const CasePool> pool =
+      BuildCasePool(pin.dialect, options, soft_options);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->cases.size(), pin.cases);
+  EXPECT_EQ(pool->digest, pin.digest)
+      << std::hex << std::showbase << "pool digest " << pool->digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(Dialects, PoolDigest, testing::ValuesIn(kPoolPins),
+                         [](const testing::TestParamInfo<PoolPin>& info) {
+                           return std::string(info.param.dialect) +
+                                  (info.param.logic ? "_logic" : "") + "_seed" +
+                                  std::to_string(info.param.seed);
+                         });
 
 TEST(ExprCollection, ParenScanFindsKnownFunctions) {
   auto db = MakeMariadbDialect();

@@ -1,6 +1,14 @@
 // Value semantics and the cast matrix — the Pattern 2.x substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/sqlvalue/cast.h"
 #include "src/sqlvalue/value.h"
 
@@ -58,6 +66,76 @@ TEST(ValueLiterals, SqlRoundTripText) {
   EXPECT_EQ(Value::Null().ToSqlLiteral(), "NULL");
   EXPECT_EQ(Value::Star().ToSqlLiteral(), "*");
   EXPECT_EQ(Value::BlobVal(std::string("\x01\xAB", 2)).ToSqlLiteral(), "x'01AB'");
+}
+
+// The DOUBLE display text as it was first written: the first "%.*g"
+// precision from 1 up whose text strtod converts back to the value.
+std::string FirstRoundTripText(double d) {
+  if (std::isnan(d)) {
+    return "nan";
+  }
+  if (std::isinf(d)) {
+    return d > 0 ? "inf" : "-inf";
+  }
+  if (d == 0) {
+    return "0";
+  }
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    return std::to_string(static_cast<long long>(d));
+  }
+  for (int prec = 1; prec <= 17; ++prec) {
+    char probe[40];
+    std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
+    if (std::strtod(probe, nullptr) == d) {
+      return probe;
+    }
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+// The display text starts its precision search near the shortest round-trip
+// digit count; it must print what the search from 1 printed. Powers of two
+// and of ten with both neighbours (where the shortest text's exponent and
+// digit count change), then a fixed-seed sample of bit patterns.
+TEST(ValueLiterals, DoubleTextIsTheFirstRoundTripPrecision) {
+  std::vector<double> values = {std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(), 0.1, 1.0 / 3};
+  for (int e = -1074; e <= 1023; ++e) {
+    values.push_back(std::ldexp(1.0, e));
+  }
+  for (int e = -323; e <= 308; ++e) {
+    values.push_back(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  const size_t anchors = values.size();
+  for (size_t i = 0; i < anchors; ++i) {
+    values.push_back(std::nextafter(values[i], 0.0));
+    values.push_back(std::nextafter(values[i], std::numeric_limits<double>::infinity()));
+  }
+  uint64_t state = 0x5eed;
+  for (int i = 0; i < 20000; ++i) {
+    // splitmix64
+    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    double d = 0;
+    std::memcpy(&d, &z, sizeof(d));
+    values.push_back(d);
+  }
+  size_t mismatches = 0;
+  for (const double magnitude : values) {
+    for (const double d : {magnitude, -magnitude}) {
+      const std::string text = Value::DoubleVal(d).ToDisplayString();
+      if (text != FirstRoundTripText(d) && ++mismatches <= 10) {
+        ADD_FAILURE() << std::hexfloat << d << ": " << text << " vs "
+                      << FirstRoundTripText(d);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // --- Cast matrix ---------------------------------------------------------------
