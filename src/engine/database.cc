@@ -16,19 +16,42 @@
 namespace soft {
 namespace {
 
+// Times one pipeline stage into the statement's timings and the calling
+// thread's telemetry collector. The destructor also runs while a bad_alloc
+// unwinds, so a caught allocation failure keeps the stages it entered.
+class StageTimer {
+ public:
+  StageTimer(Stage stage, StageTimings& timings)
+      : stage_(stage), timing_(timings[static_cast<size_t>(stage)]) {
+    timing_.start_ns = telemetry::MonotonicNowNs();
+  }
+  ~StageTimer() {
+    timing_.dur_ns = telemetry::MonotonicNowNs() - timing_.start_ns;
+    telemetry::RecordStageLatency(stage_, timing_.dur_ns);
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  Stage stage_;
+  StageTiming& timing_;
+};
+
 // Allocation failure anywhere in the pipeline must look like any other
 // engine resource limit — a clean kResourceExhausted statement status —
 // rather than an exception unwinding through the campaign loop. The oom
 // failpoint mode exercises exactly this boundary.
 template <typename Pipeline>
 StatementResult CatchAllocationFailure(Pipeline pipeline) {
+  StageTimings timings;
+  StatementResult result;
   try {
-    return pipeline();
+    result = pipeline(timings);
   } catch (const std::bad_alloc&) {
-    StatementResult result;
     result.status = ResourceExhausted("allocation failure while executing statement");
-    return result;
   }
+  result.timings = timings;
+  return result;
 }
 
 }  // namespace
@@ -175,25 +198,28 @@ Status Database::Insert(const InsertStmt& stmt, std::optional<CrashInfo>* crash)
 }
 
 StatementResult Database::Execute(std::string_view sql) {
-  return CatchAllocationFailure([&] { return ExecuteImpl(sql, nullptr); });
+  return CatchAllocationFailure(
+      [&](StageTimings& timings) { return ExecuteImpl(sql, nullptr, timings); });
 }
 
 StatementResult Database::Execute(std::string_view sql, const Statement& stmt) {
-  return CatchAllocationFailure([&] { return ExecuteImpl(sql, &stmt); });
+  return CatchAllocationFailure(
+      [&](StageTimings& timings) { return ExecuteImpl(sql, &stmt, timings); });
 }
 
-StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* parsed) {
+StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* parsed,
+                                      StageTimings& timings) {
   StatementResult result;
 
   // --- Parse stage ---------------------------------------------------------
-  // Telemetry hook: the parse-stage histogram covers the parse-stage fault
-  // probe plus lexing/parsing proper. A parse error or parse-stage crash
+  // The parse-stage timing covers the parse-stage fault probe plus
+  // lexing/parsing proper. A parse error or parse-stage crash
   // contributes a parse sample and nothing downstream. A caller that parsed
   // `sql` already passes its tree; the probe still reads the text.
   result.stage = Stage::kParse;
   Statement own;
   {
-    const telemetry::ScopedStageTimer parse_timer(Stage::kParse);
+    const StageTimer parse_timer(Stage::kParse, timings);
     // Parse-stage injected bugs key on properties of the raw statement text.
     {
       ValueList probe = {Value::Str(std::string(sql))};
@@ -214,23 +240,24 @@ StatementResult Database::ExecuteImpl(std::string_view sql, const Statement* par
       parsed = &own;
     }
   }
-  return ExecuteStatementImpl(*parsed);
+  return ExecuteStatementImpl(*parsed, timings);
 }
 
-StatementResult Database::ExecuteStatementImpl(const Statement& stmt_in) {
+StatementResult Database::ExecuteStatementImpl(const Statement& stmt_in,
+                                               StageTimings& timings) {
   StatementResult result;
   ExecContext ec;
   ec.db = this;
   InitWatchdog(ec);
 
   // --- Optimize stage ------------------------------------------------------
-  // Telemetry hook: the optimize histogram covers tree cloning plus the
-  // optimizer pass — the work a statement costs before execution starts.
+  // The optimize timing covers tree cloning plus the optimizer pass — the
+  // work a statement costs before execution starts.
   result.stage = Stage::kOptimize;
   ec.stage = Stage::kOptimize;
   Statement stmt;
   {
-    const telemetry::ScopedStageTimer optimize_timer(Stage::kOptimize);
+    const StageTimer optimize_timer(Stage::kOptimize, timings);
     // The optimizer may rewrite the tree; clone SELECTs, copy others.
     if (stmt_in.is_select()) {
       stmt.node = stmt_in.select()->Clone();
@@ -261,9 +288,9 @@ StatementResult Database::ExecuteStatementImpl(const Statement& stmt_in) {
   }
 
   // --- Execute stage -------------------------------------------------------
-  // Telemetry hook: the execute histogram covers evaluation/catalog work up
-  // to whichever return path the statement takes.
-  const telemetry::ScopedStageTimer execute_timer(Stage::kExecute);
+  // The execute timing covers evaluation/catalog work up to whichever return
+  // path the statement takes.
+  const StageTimer execute_timer(Stage::kExecute, timings);
   result.stage = Stage::kExecute;
   ec.stage = Stage::kExecute;
 
@@ -311,7 +338,8 @@ std::vector<StatementResult> Database::ExecuteScript(std::string_view sql) {
     return results;
   }
   for (const Statement& stmt : parsed.value()) {
-    StatementResult r = CatchAllocationFailure([&] { return ExecuteStatementImpl(stmt); });
+    StatementResult r = CatchAllocationFailure(
+        [&](StageTimings& timings) { return ExecuteStatementImpl(stmt, timings); });
     const bool crashed = r.crashed();
     results.push_back(std::move(r));
     if (crashed) {

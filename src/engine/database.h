@@ -9,6 +9,8 @@
 #ifndef SRC_ENGINE_DATABASE_H_
 #define SRC_ENGINE_DATABASE_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -58,6 +60,18 @@ struct RealizedCrash {
   bool died_by_expected_signal = false;
 };
 
+// When a statement entered one pipeline stage, as a MonotonicNowNs()
+// reading (src/telemetry/telemetry.h), and how long it stayed there.
+struct StageTiming {
+  uint64_t start_ns = 0;  // 0: the statement never entered the stage
+  uint64_t dur_ns = 0;
+
+  bool entered() const { return start_ns != 0; }
+};
+
+// Indexed by Stage.
+using StageTimings = std::array<StageTiming, 3>;
+
 struct StatementResult {
   // OK, an SQL-level error, or kCrash when an injected fault fired.
   Status status;
@@ -65,6 +79,10 @@ struct StatementResult {
   std::optional<CrashInfo> crash;
   // Stage the statement reached (the failing stage on error/crash).
   Stage stage = Stage::kExecute;
+  // Each stage the statement entered, with its duration. Unlike `stage`,
+  // which a caught std::bad_alloc leaves at its default, these keep every
+  // stage entered before the allocation failure.
+  StageTimings timings{};
 
   std::vector<std::string> columns;
   std::vector<ValueList> rows;
@@ -77,6 +95,13 @@ struct StatementResult {
 
   bool ok() const { return status.ok(); }
   bool crashed() const { return crash.has_value(); }
+  bool Entered(Stage s) const { return timings[static_cast<size_t>(s)].entered(); }
+  // The deepest stage the statement entered (from `timings`).
+  Stage DeepestStage() const {
+    return Entered(Stage::kExecute)    ? Stage::kExecute
+           : Entered(Stage::kOptimize) ? Stage::kOptimize
+                                       : Stage::kParse;
+  }
 };
 
 class Database {
@@ -122,10 +147,11 @@ class Database {
   // simulated kCrash StatementResult.
   void OnCrashTriggered(const CrashInfo& info);
 
-  // Executes one statement of SQL text through all three stages. Allocation
-  // failure anywhere in the pipeline (std::bad_alloc — e.g. the oom failpoint
-  // mode, docs/ROBUSTNESS.md) surfaces as kResourceExhausted, never as an
-  // escaping exception.
+  // Executes one statement of SQL text through all three stages, timing
+  // each stage it enters into the result and the calling thread's telemetry
+  // collector. Allocation failure anywhere in the pipeline (std::bad_alloc —
+  // e.g. the oom failpoint mode, docs/ROBUSTNESS.md) surfaces as
+  // kResourceExhausted, never as an escaping exception.
   StatementResult Execute(std::string_view sql);
 
   // Executes `stmt`, the parse of `sql`, exactly as Execute(sql) would: the
@@ -145,7 +171,6 @@ class Database {
   // `crash` (when non-null) receives the CrashInfo if an injected fault
   // fires while evaluating the VALUES expressions.
   Status Insert(const InsertStmt& stmt, std::optional<CrashInfo>* crash = nullptr);
-  void ClearTables() { tables_.clear(); }
   size_t table_count() const { return tables_.size(); }
 
  private:
@@ -154,10 +179,12 @@ class Database {
   void InitWatchdog(ExecContext& ec) const;
 
   // Pipeline bodies; the public Execute/ExecuteScript entry points add the
-  // std::bad_alloc → kResourceExhausted boundary around them. ExecuteImpl
-  // parses `sql` only when `parsed` is null.
-  StatementResult ExecuteImpl(std::string_view sql, const Statement* parsed);
-  StatementResult ExecuteStatementImpl(const Statement& stmt);
+  // std::bad_alloc → kResourceExhausted boundary around them and copy
+  // `timings` into the result. ExecuteImpl parses `sql` only when `parsed`
+  // is null.
+  StatementResult ExecuteImpl(std::string_view sql, const Statement* parsed,
+                              StageTimings& timings);
+  StatementResult ExecuteStatementImpl(const Statement& stmt, StageTimings& timings);
 
   EngineConfig config_;
   CrashRealism crash_realism_ = CrashRealism::kSimulated;

@@ -1,6 +1,23 @@
 #include "src/soft/campaign.h"
 
+#include <algorithm>
+
+#include "src/failpoint/failpoint.h"
+
 namespace soft {
+namespace {
+
+// Sum of fires across the inventory — read only while something is armed
+// (the armed-chaos case: 22 registry lookups).
+uint64_t TotalFailpointFires() {
+  uint64_t total = 0;
+  for (const failpoint::SiteInfo& site : failpoint::kInventory) {
+    total += failpoint::Stats(site.name).fires;
+  }
+  return total;
+}
+
+}  // namespace
 
 CampaignRecorder::CampaignRecorder(std::string tool, Database& db,
                                    const CampaignOptions& options, bool on_the_fly)
@@ -8,9 +25,6 @@ CampaignRecorder::CampaignRecorder(std::string tool, Database& db,
       options_(options),
       on_the_fly_(on_the_fly),
       collector_(&result_.telemetry),
-      tracer_(options.trace_sample > 0 ? &result_.trace : nullptr, db.config().name,
-              options.shard_index, options.trace_sample),
-      flight_(options.crash_realism == CrashRealism::kReal),
       start_ns_(telemetry::MonotonicNowNs()) {
   result_.tool = std::move(tool);
   result_.dialect = db.config().name;
@@ -32,20 +46,32 @@ StatementResult CampaignRecorder::Execute(const std::string& sql,
   if (on_the_fly_) {
     Count(&telemetry::PatternCounters::generated);
   }
-  trace::FlightBeginStatement(ordinal, pattern, sql);
-  trace::BeginStatement(ordinal, pattern);
+  const bool real = options_.crash_realism == CrashRealism::kReal;
+  if (real) {
+    if (flight_ring_.size() < trace::kFlightRingCapacity) {
+      flight_ring_.emplace_back();
+    }
+    trace::FlightEntry& entry = FlightSlot(ordinal);
+    entry.statement_index = ordinal;
+    entry.pattern.assign(pattern);
+    entry.sql.assign(sql);
+    entry.outcome = "in-flight";
+  }
+  OpenSpan(ordinal, pattern);
   StatementResult r = db_.Execute(sql);
-  if (options_.crash_realism == CrashRealism::kReal) {
+  span_stages_ = r.timings;
+  if (real) {
+    FlightSlot(ordinal).stage_reached = StageName(r.DeepestStage());
     RecordRealizedCrashes();
   }
   if (r.crashed()) {
     outcome_ = "crash";
     ++result_.crashes_observed;
     Count(&telemetry::PatternCounters::crashes);
-    trace::AnnotateStatement("bug_id", std::to_string(r.crash->bug_id));
+    Annotate("bug_id", std::to_string(r.crash->bug_id));
     if (found_ids_.insert(r.crash->bug_id).second) {
       Count(&telemetry::PatternCounters::bugs_deduped);
-      trace::AnnotateStatement("first_witness", "1");
+      Annotate("first_witness", "1");
       FoundBug bug;
       bug.crash = *r.crash;
       bug.poc_sql = sql;
@@ -80,18 +106,75 @@ StatementResult CampaignRecorder::Execute(const std::string& sql,
   return r;
 }
 
+void CampaignRecorder::OpenSpan(int ordinal, const std::string& pattern) {
+  // Sample the 1st, (1+N)th, ... statement, so a trace always has the first.
+  span_open_ = options_.trace_sample > 0 && (ordinal - 1) % options_.trace_sample == 0;
+  if (!span_open_) {
+    return;
+  }
+  span_ = trace::TraceSpan{};
+  span_.id =
+      trace::SpanId(result_.dialect, options_.shard_index, trace::SpanKind::kStatement, ordinal);
+  span_.kind = trace::SpanKind::kStatement;
+  span_.shard = options_.shard_index;
+  span_.start_ns = telemetry::MonotonicNowNs() - start_ns_;
+  span_.args.emplace_back("index", std::to_string(ordinal));
+  span_.args.emplace_back("pattern", pattern);
+  fires_before_ = failpoint::AnyArmed() ? TotalFailpointFires() : 0;
+}
+
+void CampaignRecorder::Annotate(std::string key, std::string value) {
+  if (span_open_) {
+    span_.args.emplace_back(std::move(key), std::move(value));
+  }
+}
+
+void CampaignRecorder::CloseSpan() {
+  span_open_ = false;
+  span_.dur_ns = telemetry::MonotonicNowNs() - start_ns_ - span_.start_ns;
+  span_.args.emplace_back("outcome", std::string(outcome_));
+  if (failpoint::AnyArmed()) {
+    const uint64_t delta = TotalFailpointFires() - fires_before_;
+    if (delta > 0) {
+      span_.args.emplace_back("failpoint_fires", std::to_string(delta));
+    }
+  }
+  const uint64_t parent_id = span_.id;
+  std::vector<trace::TraceSpan>& spans = result_.trace.spans;
+  spans.push_back(std::move(span_));
+  for (size_t s = 0; s < span_stages_.size(); ++s) {
+    const StageTiming& timing = span_stages_[s];
+    if (!timing.entered()) {
+      continue;  // a parse error has one child, a full pipeline three
+    }
+    const trace::SpanKind kind = trace::StageSpanKind(static_cast<Stage>(s));
+    trace::TraceSpan& stage = spans.emplace_back();
+    // The stage folds into the statement ordinal so IDs stay unique across
+    // the whole shard: statement i, stage s → i*4+s+1.
+    stage.id = trace::SpanId(result_.dialect, options_.shard_index, kind,
+                             result_.statements_executed * 4 + static_cast<int>(s) + 1);
+    stage.parent_id = parent_id;
+    stage.kind = kind;
+    stage.shard = options_.shard_index;
+    stage.start_ns = timing.start_ns - start_ns_;
+    stage.dur_ns = timing.dur_ns;
+  }
+}
+
 void CampaignRecorder::RecordRealizedCrashes() {
+  const int newest = result_.statements_executed;
+  const int oldest = std::max(1, newest - static_cast<int>(trace::kFlightRingCapacity) + 1);
   for (const RealizedCrash& realized : db_.TakeRealizedCrashes()) {
     trace::CrashFlightRecord flight;
     flight.shard = options_.shard_index;
     flight.worker_run = static_cast<int>(result_.crash_flights.size());
     flight.announced = realized.died_by_expected_signal;
     flight.bug_id = realized.crash.bug_id;
-    flight.entries = trace::FlightSnapshot();
-    if (!flight.entries.empty()) {
-      flight.entries.back().stage_reached = std::string(StageName(realized.crash.stage));
-      flight.entries.back().outcome = "crash";
+    for (int ordinal = oldest; ordinal <= newest; ++ordinal) {
+      flight.entries.push_back(FlightSlot(ordinal));
     }
+    flight.entries.back().stage_reached = std::string(StageName(realized.crash.stage));
+    flight.entries.back().outcome = "crash";
     result_.crash_flights.push_back(std::move(flight));
   }
 }
@@ -111,8 +194,12 @@ void CampaignRecorder::CountLogicCheck(bool divergence, bool attributed) {
 }
 
 void CampaignRecorder::Close() {
-  trace::EndStatement(outcome_);
-  trace::FlightEndStatement(outcome_);
+  if (span_open_) {
+    CloseSpan();
+  }
+  if (!flight_ring_.empty()) {
+    FlightSlot(result_.statements_executed).outcome.assign(outcome_);
+  }
   if (options_.progress) {
     options_.progress(result_.statements_executed);
   }

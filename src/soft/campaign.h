@@ -170,18 +170,21 @@ struct CampaignResult {
   std::vector<trace::CrashFlightRecord> crash_flights;
 };
 
-// The one statement-recording path of every fuzzer, SOFT and the baselines.
+// The one statement recorder of every fuzzer, SOFT and the baselines.
 // Constructed at the top of a Run, it owns the campaign's result, applies
 // the statement limits and crash realism to the database, and installs the
-// telemetry collector (for the engine's stage timers), the statement tracer
-// and, under kReal, the flight recorder for the campaign's lifetime. Each
-// campaign statement goes through Execute, which runs it and folds its
-// outcome into the result totals, the per-pattern counters, the
-// first-witness dedup and one flight record per realized crash, then Close,
-// which ends its span and flight entry. A caller may examine the open
-// statement in between (SOFT's logic oracles). Per-pattern counters and
-// wall stamps are written only while the collector is installed, so
-// telemetry::SetRuntimeEnabled(false) leaves the result's telemetry empty.
+// telemetry collector (for the engine's stage timers) for the campaign's
+// lifetime. Each campaign statement goes through Execute, which runs it and
+// folds its outcome into the result totals, the per-pattern counters, the
+// first-witness dedup, its span (every trace_sample-th statement, with
+// stage children built from the stage timings the engine returns), the
+// kReal flight ring and one flight record per realized crash, then Close,
+// which ends its span and flight entry. A caller may examine and annotate
+// the open statement in between (SOFT's logic oracles); what it executes
+// itself, like an oracle's re-executions, reaches the collector but never
+// the recorder. Per-pattern counters and wall stamps are written only while
+// the collector is installed, so telemetry::SetRuntimeEnabled(false) leaves
+// the result's telemetry empty.
 class CampaignRecorder {
  public:
   // `on_the_fly`: the fuzzer generates each statement as it runs it, so
@@ -202,6 +205,9 @@ class CampaignRecorder {
   // in. The statement stays open until Close.
   StatementResult Execute(const std::string& sql, const std::string& pattern);
 
+  // Adds `key` = `value` to the open statement's span, if it is sampled.
+  void Annotate(std::string key, std::string value);
+
   // Folds one in-scope logic-oracle examination of the open statement. A
   // divergence is `attributed` when the statement hit a recorded fault (a
   // logic bug); otherwise it is a false positive.
@@ -214,6 +220,15 @@ class CampaignRecorder {
   CampaignResult Finish();
 
  private:
+  // Starts the span of statement `ordinal` when it is sampled.
+  void OpenSpan(int ordinal, const std::string& pattern);
+  // Appends the open span, then its stage children in pipeline order.
+  void CloseSpan();
+
+  // The flight ring's slot of statement `ordinal` (kReal only).
+  trace::FlightEntry& FlightSlot(int ordinal) {
+    return flight_ring_[static_cast<size_t>(ordinal - 1) % trace::kFlightRingCapacity];
+  }
   // Appends a flight record for each crash the database realized during the
   // open statement: the ring as it stands, the statement itself newest.
   void RecordRealizedCrashes();
@@ -229,13 +244,20 @@ class CampaignRecorder {
   const bool on_the_fly_;
   CampaignResult result_;
   const telemetry::ScopedCollector collector_;
-  const trace::ScopedStatementTracer tracer_;
-  const trace::ScopedFlightRecorder flight_;
-  const uint64_t start_ns_;
+  const uint64_t start_ns_;  // spans are placed relative to it
   std::set<int> found_ids_;
   // The open statement's pattern counters; null while not recording.
   telemetry::PatternCounters* counters_ = nullptr;
   std::string_view outcome_ = "ok";
+  // The open statement's span while it is sampled, the stage timings its
+  // children are built from, and the failpoint fire total it opened at.
+  bool span_open_ = false;
+  trace::TraceSpan span_;
+  StageTimings span_stages_{};
+  uint64_t fires_before_ = 0;
+  // kReal: the last kFlightRingCapacity statements, the one of ordinal n in
+  // slot (n - 1) % kFlightRingCapacity.
+  std::vector<trace::FlightEntry> flight_ring_;
 };
 
 // Common interface so the comparison benches can run the four tools

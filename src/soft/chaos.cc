@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/dialects/dialects.h"
 #include "src/failpoint/failpoint.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/unit_spool.h"
@@ -73,6 +75,15 @@ CampaignOptions SmokeOptions(int budget) {
   options.seed = 20260807;
   options.max_statements = budget;
   return options;
+}
+
+// The campaign's pool census: cases generated, summed over patterns.
+uint64_t GeneratedCensus(const CampaignResult& result) {
+  uint64_t total = 0;
+  for (const auto& [pattern, counters] : result.telemetry.patterns) {
+    total += counters.generated;
+  }
+  return total;
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -143,24 +154,43 @@ ChaosSiteOutcome CheckEngineSite(const failpoint::SiteInfo& site,
     return outcome;
   }
 
-  // (3) a campaign with the site armed completes its budget and is
-  // run-to-run deterministic under the identical armed spec.
-  const CampaignResult baseline =
-      RunShardedSoftCampaign(dialect, SmokeOptions(budget), /*shards=*/1);
+  // (3) a campaign with the site armed runs the baseline's cases, completes
+  // its budget and is run-to-run deterministic under the identical armed
+  // spec. The pool is built once, unarmed, so the armed site acts on the
+  // campaign alone and not on the cases it is given.
+  const CampaignOptions options = SmokeOptions(budget);
+  const std::shared_ptr<const CasePool> pool = BuildCasePool(dialect, options);
+  if (pool == nullptr) {
+    outcome.detail = "unknown dialect '" + dialect + "'";
+    return outcome;
+  }
+  const auto run_campaign = [&] {
+    return SoftFuzzer(SoftOptions(), pool).Run(*MakeDialect(dialect), options);
+  };
+  const CampaignResult baseline = run_campaign();
   const std::string campaign_spec = std::string(site.name) + "=after:50";
   uint64_t digests[2] = {0, 0};
   int statements[2] = {0, 0};
+  uint64_t census = 0;
+  uint64_t campaign_fires = 0;
   for (int run = 0; run < 2; ++run) {
     failpoint::DisarmAll();  // resets counters so both runs fire identically
     if (Status armed = failpoint::ArmFromSpec(campaign_spec); !armed.ok()) {
       outcome.detail = "campaign arm failed: " + armed.ToString();
       return outcome;
     }
-    const CampaignResult injected =
-        RunShardedSoftCampaign(dialect, SmokeOptions(budget), /*shards=*/1);
+    const CampaignResult injected = run_campaign();
+    campaign_fires = failpoint::Stats(site.name).fires;
     failpoint::DisarmAll();
     digests[run] = DigestCampaignResult(injected);
     statements[run] = injected.statements_executed;
+    census = GeneratedCensus(injected);
+  }
+  if (census != GeneratedCensus(baseline)) {
+    outcome.detail = "injected campaign ran a different pool: " + std::to_string(census) +
+                     " vs baseline " + std::to_string(GeneratedCensus(baseline)) +
+                     " generated cases";
+    return outcome;
   }
   if (statements[0] != baseline.statements_executed) {
     outcome.detail = "injected campaign stopped early: " +
@@ -175,7 +205,9 @@ ChaosSiteOutcome CheckEngineSite(const failpoint::SiteInfo& site,
   outcome.ok = true;
   outcome.detail = "error+oom surfaced cleanly after " +
                    std::to_string(stats.fires) + " fire(s); armed campaign ran " +
-                   std::to_string(statements[0]) + " statements, deterministic";
+                   std::to_string(statements[0]) + " statements of the baseline's " +
+                   std::to_string(census) + "-case pool with " +
+                   std::to_string(campaign_fires) + " fire(s), deterministic";
   return outcome;
 }
 

@@ -9,7 +9,8 @@
 //   kEngine    a fixed driver statement through the site surfaces a clean
 //              kResourceExhausted (error mode) — and under oom mode the
 //              thrown bad_alloc is caught at the Execute boundary; a small
-//              campaign with the site armed still completes its full budget
+//              campaign with the site armed runs the uninjected baseline's
+//              case pool (built once, unarmed), completes its full budget
 //              and is run-to-run deterministic under the same armed spec.
 //   kIoRetry   the fault is absorbed by a retry loop: payloads are
 //              bit-identical to the uninjected run. worker.fork makes crash

@@ -5,9 +5,7 @@
 
 #include "src/dialects/dialect_diffs.h"
 #include "src/dialects/dialects.h"
-#include "src/soft/boundary_values.h"
 #include "src/soft/eet_transform.h"
-#include "src/util/rng.h"
 
 namespace soft {
 namespace {
@@ -87,53 +85,6 @@ Result<std::optional<LogicBug>> CheckTlp(Database& db, const std::string& table,
     return std::optional<LogicBug>(std::move(bug));
   }
   return std::optional<LogicBug>();
-}
-
-LogicCampaignResult RunLogicCampaign(Database& db, const std::string& table,
-                                     int predicate_budget, uint64_t seed) {
-  LogicCampaignResult result;
-  const Table* t = db.FindTable(table);
-  if (t == nullptr || t->columns.empty()) {
-    return result;
-  }
-
-  Rng rng(seed);
-  const BoundaryPool pool = GenerateBoundaryPool();
-  const std::vector<std::string> comparators = {"=", "!=", "<", "<=", ">", ">="};
-  // A few function shapes the predicates route the column through, so
-  // boundary handling inside functions is also on the oracle's path.
-  const std::vector<std::string> wrappers = {"%s", "ABS(%s)", "LENGTH(%s)",
-                                             "COALESCE(%s, 0)"};
-
-  for (int i = 0; i < predicate_budget; ++i) {
-    const ColumnDef& col = t->columns[rng.NextBelow(t->columns.size())];
-    std::string lhs = col.name;
-    const std::string& shape = wrappers[rng.NextBelow(wrappers.size())];
-    if (shape != "%s") {
-      lhs = shape.substr(0, shape.find("%s")) + col.name + ")";
-    }
-    std::string boundary;
-    do {
-      boundary = pool.snippets[rng.NextBelow(pool.snippets.size())];
-    } while (boundary == "*");  // '*' is not a predicate operand
-    const std::string predicate =
-        lhs + " " + comparators[rng.NextBelow(comparators.size())] + " " + boundary;
-
-    const Result<std::optional<LogicBug>> norec = CheckNoRec(db, table, predicate);
-    const Result<std::optional<LogicBug>> tlp = CheckTlp(db, table, predicate);
-    if (!norec.ok() || !tlp.ok()) {
-      ++result.skipped_errors;
-      continue;
-    }
-    ++result.predicates_checked;
-    if (norec->has_value()) {
-      result.bugs.push_back(**norec);
-    }
-    if (tlp->has_value()) {
-      result.bugs.push_back(**tlp);
-    }
-  }
-  return result;
 }
 
 namespace {

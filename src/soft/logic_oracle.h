@@ -83,17 +83,6 @@ Result<std::optional<LogicBug>> CheckNoRec(Database& db, const std::string& tabl
 Result<std::optional<LogicBug>> CheckTlp(Database& db, const std::string& table,
                                          const std::string& predicate);
 
-struct LogicCampaignResult {
-  int predicates_checked = 0;
-  int skipped_errors = 0;  // predicates that failed to execute at all
-  std::vector<LogicBug> bugs;
-};
-
-// Generates boundary-valued predicates over the table's columns and runs
-// both oracles on each. Deterministic per seed.
-LogicCampaignResult RunLogicCampaign(Database& db, const std::string& table,
-                                     int predicate_budget, uint64_t seed = 1);
-
 }  // namespace soft
 
 #endif  // SRC_SOFT_LOGIC_ORACLE_H_

@@ -8,6 +8,13 @@
 namespace soft {
 namespace {
 
+// Donor sample size for the cross-function patterns (P2.3, P3.2, P3.3).
+constexpr int kDonorSample = 8;
+
+// Length bounds used by P3.1 (chosen to sweep across every dialect's
+// internal thresholds without exceeding engine limits).
+constexpr int64_t kRepeatBounds[] = {16, 100, 2000, 6000, 120000, 400000, 1100000};
+
 // Types the cast patterns sweep over.
 constexpr TypeKind kCastSweep[] = {
     TypeKind::kInt,      TypeKind::kDouble, TypeKind::kDecimal, TypeKind::kString,
@@ -296,7 +303,7 @@ void PatternEngine::ApplyP23(const SeedTemplate& seed, const std::vector<std::st
   // k, v) inheriting two string arguments from a string function.
   std::vector<const Expr*> donor_calls;
   std::vector<std::string> donor_args;  // individual donors for partial variants
-  for (int i = 0; i < options_.donor_sample * 3 && !corpus.empty(); ++i) {
+  for (int i = 0; i < kDonorSample * 3 && !corpus.empty(); ++i) {
     const Expr* donor = DonorAt(corpus, rng_.NextBelow(corpus.size())).tree.get();
     if (donor == nullptr || donor->kind != ExprKind::kFunctionCall || donor->args.empty()) {
       continue;
@@ -315,7 +322,7 @@ void PatternEngine::ApplyP23(const SeedTemplate& seed, const std::vector<std::st
       }
     }
     donor_calls.push_back(donor);
-    if (static_cast<int>(donor_calls.size()) >= options_.donor_sample) {
+    if (static_cast<int>(donor_calls.size()) >= kDonorSample) {
       break;
     }
   }
@@ -370,7 +377,7 @@ void PatternEngine::ApplyP31(const SeedTemplate& seed, std::vector<GeneratedCase
           break;
         }
         const std::string prefix = text.substr(0, prefix_len);
-        for (int64_t bound : options_.repeat_bounds) {
+        for (int64_t bound : kRepeatBounds) {
           std::vector<ExprPtr> args;
           args.push_back(MakeLiteral(Value::Str(prefix)));
           args.push_back(MakeLiteral(Value::Int(bound)));
@@ -389,7 +396,7 @@ void PatternEngine::ApplyP32(const SeedTemplate& seed, std::vector<GeneratedCase
   for (size_t c = 0; c < seed.calls.size(); ++c) {
     for (size_t a = 0; a < seed.calls[c]->args.size(); ++a) {
       const Expr& arg = *seed.calls[c]->args[a];
-      for (int k = 0; k < options_.donor_sample; ++k) {
+      for (int k = 0; k < kDonorSample; ++k) {
         const FunctionDef* wrapper = wrappers_[rng_.NextBelow(wrappers_.size())];
         std::vector<ExprPtr> args;
         args.push_back(arg.Clone());
@@ -407,7 +414,7 @@ void PatternEngine::ApplyP33(const SeedTemplate& seed, const std::vector<std::st
   }
   for (const std::vector<Splice>& args : seed.args) {
     for (const Splice& slot : args) {
-      for (int k = 0; k < options_.donor_sample; ++k) {
+      for (int k = 0; k < kDonorSample; ++k) {
         const Donor& donor = DonorAt(corpus, rng_.NextBelow(corpus.size()));
         if (donor.tree == nullptr || donor.tree->kind != ExprKind::kFunctionCall) {
           continue;
@@ -418,31 +425,9 @@ void PatternEngine::ApplyP33(const SeedTemplate& seed, const std::vector<std::st
   }
 }
 
-void PatternEngine::GenerateAll(const std::string& seed_expr,
-                                const std::vector<std::string>& corpus,
-                                std::vector<GeneratedCase>& out) {
-  SeedTemplate seed;
-  if (!ParseSeed(seed_expr, seed)) {
-    return;
-  }
-  ApplyP12(seed, out);
-  ApplyP13(seed, out);
-  ApplyP14(seed, out);
-  ApplyP21(seed, out);
-  ApplyP22(seed, out);
-  ApplyP23(seed, corpus, out);
-  ApplyP31(seed, out);
-  ApplyP32(seed, out);
-  ApplyP33(seed, corpus, out);
-}
-
-void PatternEngine::GenerateOne(const std::string& pattern, const std::string& seed_expr,
-                                const std::vector<std::string>& corpus,
-                                std::vector<GeneratedCase>& out) {
-  SeedTemplate seed;
-  if (!ParseSeed(seed_expr, seed)) {
-    return;
-  }
+void PatternEngine::Apply(std::string_view pattern, const SeedTemplate& seed,
+                          const std::vector<std::string>& corpus,
+                          std::vector<GeneratedCase>& out) {
   if (pattern == "P1.2") {
     ApplyP12(seed, out);
   } else if (pattern == "P1.3") {
@@ -462,6 +447,31 @@ void PatternEngine::GenerateOne(const std::string& pattern, const std::string& s
   } else if (pattern == "P3.3") {
     ApplyP33(seed, corpus, out);
   }
+}
+
+void PatternEngine::Generate(const std::vector<std::string>& patterns,
+                             const std::string& seed_expr,
+                             const std::vector<std::string>& corpus,
+                             std::vector<GeneratedCase>& out) {
+  SeedTemplate seed;
+  if (!ParseSeed(seed_expr, seed)) {
+    return;
+  }
+  for (const std::string& pattern : patterns) {
+    Apply(pattern, seed, corpus, out);
+  }
+}
+
+void PatternEngine::GenerateAll(const std::string& seed_expr,
+                                const std::vector<std::string>& corpus,
+                                std::vector<GeneratedCase>& out) {
+  Generate(kPatternNames, seed_expr, corpus, out);
+}
+
+void PatternEngine::GenerateOne(const std::string& pattern, const std::string& seed_expr,
+                                const std::vector<std::string>& corpus,
+                                std::vector<GeneratedCase>& out) {
+  Generate({pattern}, seed_expr, corpus, out);
 }
 
 }  // namespace soft

@@ -16,9 +16,9 @@
 #ifndef SRC_SOFT_PATTERNS_H_
 #define SRC_SOFT_PATTERNS_H_
 
-#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -32,18 +32,13 @@ struct GeneratedCase {
   std::string pattern;  // "P1.2" ... "P3.3"
 };
 
-inline constexpr int64_t kDefaultRepeatBounds[] = {16,     100,    2000,   6000,
-                                                  120000, 400000, 1100000};
+// The generating patterns, in the order GenerateAll applies them.
+inline const std::vector<std::string> kPatternNames = {
+    "P1.2", "P1.3", "P1.4", "P2.1", "P2.2", "P2.3", "P3.1", "P3.2", "P3.3"};
 
 struct PatternOptions {
   // Finding-3 cutoff: seeds with more function calls than this are skipped.
   int max_seed_functions = 2;
-  // Donor sample size for the cross-function patterns (P2.3, P3.2, P3.3).
-  int donor_sample = 8;
-  // Length bounds used by P3.1 (chosen to sweep across every dialect's
-  // internal thresholds without exceeding engine limits).
-  std::vector<int64_t> repeat_bounds = std::vector<int64_t>(
-      std::begin(kDefaultRepeatBounds), std::end(kDefaultRepeatBounds));
 
   bool operator==(const PatternOptions&) const = default;
 };
@@ -59,14 +54,19 @@ class PatternEngine {
   }
   const BoundaryPool& pool() const { return pool_; }
 
-  // Applies every pattern to `seed_expr` (a function expression like
-  // "JSON_LENGTH('[1]', '$')"), using `corpus` as the donor set for the
-  // cross-function patterns. Appends generated statements to `out`.
+  // Applies `patterns` ("P1.2", ..., "P3.3"; other names apply nothing) in
+  // list order to `seed_expr` (a function expression like
+  // "JSON_LENGTH('[1]', '$')"), parsed once, using `corpus` as the donor set
+  // for the cross-function patterns. Appends generated statements to `out`.
+  void Generate(const std::vector<std::string>& patterns, const std::string& seed_expr,
+                const std::vector<std::string>& corpus, std::vector<GeneratedCase>& out);
+
+  // Generate with every pattern (kPatternNames).
   void GenerateAll(const std::string& seed_expr, const std::vector<std::string>& corpus,
                    std::vector<GeneratedCase>& out);
 
-  // Applies a single pattern ("P1.2", ..., "P3.3"); used by the per-pattern
-  // tests and the ablation benches.
+  // Generate with a single pattern; used by the per-pattern tests and the
+  // ablation benches.
   void GenerateOne(const std::string& pattern, const std::string& seed_expr,
                    const std::vector<std::string>& corpus,
                    std::vector<GeneratedCase>& out);
@@ -86,6 +86,8 @@ class PatternEngine {
   const std::vector<std::string>& SnippetSql();
   const Donor& DonorAt(const std::vector<std::string>& corpus, size_t index);
 
+  void Apply(std::string_view pattern, const SeedTemplate& seed,
+             const std::vector<std::string>& corpus, std::vector<GeneratedCase>& out);
   void ApplyP12(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
   void ApplyP13(const SeedTemplate& seed, std::vector<GeneratedCase>& out);
   void ApplyP14(const SeedTemplate& seed, std::vector<GeneratedCase>& out);

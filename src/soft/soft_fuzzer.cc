@@ -90,14 +90,10 @@ std::shared_ptr<const CasePool> BuildCasePool(const Database& db,
   for (const std::string& expr : corpus.expressions) {
     cases.push_back(GeneratedCase{"SELECT " + expr, "seed"});
   }
+  const std::vector<std::string>& patterns =
+      soft_options.only_patterns.empty() ? kPatternNames : soft_options.only_patterns;
   for (const std::string& expr : corpus.expressions) {
-    if (soft_options.only_patterns.empty()) {
-      engine.GenerateAll(expr, corpus.expressions, cases);
-    } else {
-      for (const std::string& pattern : soft_options.only_patterns) {
-        engine.GenerateOne(pattern, expr, corpus.expressions, cases);
-      }
-    }
+    engine.Generate(patterns, expr, corpus.expressions, cases);
   }
   // Deduplicate by statement text (the patterns overlap on simple seeds),
   // keeping each text's first case. The set views `cases`, so nothing is
@@ -239,13 +235,9 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     // r.logic_hits is ground truth consulted only AFTER an oracle flags,
     // to separate attributed bugs from false positives.
     if (!oracles.empty() && r.ok()) {
-      // Oracle re-executions happen while this statement's trace span is
-      // open; the scoped guard suppresses their stage spans so the traced
-      // pipeline stays the statement's own (and span IDs stay unique per
-      // ordinal). The guard is released before the verdict annotation,
-      // which needs the span open again.
+      // Oracle re-executions bypass the recorder: the statement's span keeps
+      // only its own stages, and takes the verdict as an annotation.
       const std::string verdict = [&]() -> std::string {
-        const trace::ScopedOracleExecution suppress_oracle_stage_spans;
         const SimulatedCrashScope simulated(db, options.crash_realism);
         // One parse of the statement, shared by every oracle.
         const Result<Statement> parsed = ParseStatement(test_case.sql);
@@ -287,7 +279,7 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
         }
         return any_in_scope ? "consistent" : "skipped";
       }();
-      trace::AnnotateStatement("oracle_verdict", verdict);
+      recorder.Annotate("oracle_verdict", verdict);
     }
     recorder.Close();
     if (stop) {

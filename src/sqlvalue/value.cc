@@ -386,27 +386,4 @@ bool Value::Equals(const Value& other) const {
   return cmp.ok() && *cmp == 0;
 }
 
-size_t Value::PayloadSize() const {
-  switch (kind()) {
-    case TypeKind::kString:
-      return string_value().size();
-    case TypeKind::kBlob:
-      return blob_value().size();
-    case TypeKind::kJson:
-      return json_value() != nullptr ? json_value()->Serialize().size() : 0;
-    case TypeKind::kDecimal:
-      return static_cast<size_t>(decimal_value().total_digits());
-    case TypeKind::kArray:
-      return array_items().size();
-    case TypeKind::kRow:
-      return row_fields().size();
-    case TypeKind::kMap:
-      return map_entries().size();
-    case TypeKind::kGeometry:
-      return geometry_value().points.size();
-    default:
-      return 0;
-  }
-}
-
 }  // namespace soft

@@ -117,9 +117,6 @@ class Value {
   // Structural equality (used by tests and GROUP BY keys). NULL == NULL here.
   bool Equals(const Value& other) const;
 
-  // Byte length of the textual/binary payload; 0 for scalars without one.
-  size_t PayloadSize() const;
-
  private:
   struct ArrayBox {
     ValueListPtr items;

@@ -10,9 +10,10 @@ namespace {
 
 std::atomic<bool> g_runtime_enabled{true};
 
-// The calling thread's active collector. One campaign == one collector; the
-// parallel runner's shard threads each install their own, so recording is
-// contention-free on the statement path.
+// The calling thread's active collector, the one thread-local recording
+// sink. One campaign == one collector; the parallel runner's shard threads
+// each install their own, so recording is contention-free on the statement
+// path.
 thread_local CampaignTelemetry* t_sink = nullptr;
 
 }  // namespace
@@ -22,8 +23,6 @@ bool RuntimeEnabled() { return g_runtime_enabled.load(std::memory_order_relaxed)
 void SetRuntimeEnabled(bool enabled) {
   g_runtime_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-bool CollectorInstalled() { return t_sink != nullptr; }
 
 ScopedCollector::ScopedCollector(CampaignTelemetry* sink)
     : previous_sink_(t_sink), installed_(sink != nullptr && RuntimeEnabled()) {

@@ -14,10 +14,13 @@
 //     The fleet coordinator's counters and its doctor's rates are declared
 //     the same way (kFleetCounterFields, kHealthRateFields).
 //   * Recording: a campaign's CampaignRecorder (src/soft/campaign.h) writes
-//     the per-pattern counters into its own result; the engine's stage
-//     timers record into the calling thread's collector, which the recorder
-//     installs for the campaign. With no collector installed — or with
-//     SetRuntimeEnabled(false) — a stage timer is a pointer check.
+//     the per-pattern counters into its own result. Database::Execute times
+//     every stage it enters, into the statement's result and into the
+//     calling thread's collector, which the recorder installs for the
+//     campaign. The collector therefore counts every engine execution on
+//     the campaign thread, the oracles' re-executions and sibling engines
+//     included; with none installed — or with SetRuntimeEnabled(false) —
+//     nothing is counted.
 //   * The NDJSON journal (src/telemetry/journal.h) serializing a campaign's
 //     event stream for offline bug-vs-budget replotting.
 //
@@ -37,7 +40,6 @@
 #include <string_view>
 
 #include "src/fault/fault.h"
-#include "src/telemetry/trace.h"
 
 namespace soft {
 namespace telemetry {
@@ -352,9 +354,6 @@ struct CampaignTelemetry {
 bool RuntimeEnabled();
 void SetRuntimeEnabled(bool enabled);
 
-// True when the calling thread has an active collector.
-bool CollectorInstalled();
-
 // Installs `sink` as the calling thread's collector for the scope lifetime
 // (restores the previous collector on destruction, so scopes nest; the
 // innermost wins). A null sink, or RuntimeEnabled() == false, installs
@@ -373,43 +372,15 @@ class ScopedCollector {
   bool installed_;
 };
 
-// Records one stage latency into the calling thread's collector, if any.
+// Records one stage latency into the calling thread's collector, if any
+// (the engine's stage timer in src/engine/database.cc).
 void RecordStageLatency(Stage stage, uint64_t ns);
-
-// RAII stage timer used by the engine pipeline. The clock is read only when
-// a collector is installed or a sampled statement span is open, so the
-// disabled/idle cost is a couple of thread-local pointer checks per stage.
-// Also the flight recorder's stage marker: entering a stage advances the
-// in-flight statement's deepest-stage-reached note (src/telemetry/trace.h).
-class ScopedStageTimer {
- public:
-  explicit ScopedStageTimer(Stage stage)
-      : stage_(stage),
-        start_ns_(CollectorInstalled() || trace::StatementOpen() ? MonotonicNowNs()
-                                                                 : 0) {
-    trace::FlightNoteStage(stage);
-  }
-  ~ScopedStageTimer() {
-    if (start_ns_ != 0) {
-      const uint64_t dur_ns = MonotonicNowNs() - start_ns_;
-      RecordStageLatency(stage_, dur_ns);
-      trace::RecordStageSpan(stage_, start_ns_, dur_ns);
-    }
-  }
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  Stage stage_;
-  uint64_t start_ns_;
-};
 
 // Wall-clock stopwatch over MonotonicNowNs — the one timing code path for
 // benches and corpus builds (replaces ad-hoc std::chrono snippets).
 struct WallTimer {
   uint64_t start_ns = MonotonicNowNs();
   uint64_t ElapsedNs() const { return MonotonicNowNs() - start_ns; }
-  double ElapsedMs() const { return static_cast<double>(ElapsedNs()) / 1e6; }
 };
 
 }  // namespace telemetry

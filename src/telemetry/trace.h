@@ -1,22 +1,23 @@
-// Causal span tracing and the crash flight recorder.
+// Causal span tracing and the crash flight recorder: the data model.
 //
 // The aggregate telemetry layer (src/telemetry/telemetry.h) answers "how
 // much" — histograms and counters — but not "which statement, in which
-// worker, caused what". This layer records the causal tree of a campaign:
+// worker, caused what". A traced campaign records its causal tree:
 //
 //   campaign → shard → worker-run → statement → parse/optimize/execute
 //
-// as spans with deterministic IDs, and keeps a fixed-size ring buffer of the
-// last executed statements per campaign thread (the flight recorder) so each
-// real-signal crash carries its own minimal repro context. Three parts:
+// as spans with deterministic IDs, and a kReal campaign keeps a ring of its
+// last executed statements (the flight recorder) so each real-signal crash
+// carries its own minimal repro context. This header holds only the data
+// model, TraceSpan/TraceData and FlightEntry/CrashFlightRecord, which ride
+// along in CampaignResult:
 //
-//   * Data model: TraceSpan/TraceData and FlightEntry/CrashFlightRecord.
-//     These ride along in CampaignResult; the structural spans (campaign,
-//     shard, worker-run) are created by the parallel runner whenever
-//     tracing is requested.
-//   * Recording hooks: a thread-local statement tracer installed by each
-//     campaign's CampaignRecorder (sampled every trace_sample-th statement)
-//     and a thread-local flight ring installed for kReal campaigns.
+//   * A campaign's CampaignRecorder (src/soft/campaign.h) builds each
+//     sampled statement span and its stage children from the stage timings
+//     Database::Execute returns, and under kReal keeps the flight ring. It
+//     sees only campaign statements, never the oracles' re-executions.
+//   * The parallel runner adds the structural spans (campaign, shard,
+//     worker-run) whenever tracing is requested.
 //   * Export: Chrome trace-event JSON via telemetry::WriteChromeTraceFile
 //     (src/telemetry/journal.h) — loadable in Perfetto / chrome://tracing.
 //
@@ -97,7 +98,7 @@ struct TraceData {
 // Crash flight recorder data model.
 // ---------------------------------------------------------------------------
 
-// Ring capacity: the last K executed statements kept per worker.
+// Ring capacity: the last K executed statements kept per campaign.
 inline constexpr size_t kFlightRingCapacity = 16;
 
 struct FlightEntry {
@@ -124,80 +125,6 @@ struct CrashFlightRecord {
 
   bool operator==(const CrashFlightRecord&) const = default;
 };
-
-// ---------------------------------------------------------------------------
-// Recording hooks. All state is thread-local, mirroring
-// telemetry::ScopedCollector.
-// ---------------------------------------------------------------------------
-
-// Installs `sink` as the calling thread's statement tracer for the scope
-// lifetime. Every sample_every-th statement (1 = all) gets a kStatement span
-// with kParse/kOptimize/kExecute children. A null sink installs nothing.
-// Statement spans are recorded with parent_id = 0; the parallel runner
-// re-parents them under the shard's worker-run span.
-class ScopedStatementTracer {
- public:
-  ScopedStatementTracer(TraceData* sink, std::string dialect, int shard,
-                        int sample_every);
-  ~ScopedStatementTracer();
-  ScopedStatementTracer(const ScopedStatementTracer&) = delete;
-  ScopedStatementTracer& operator=(const ScopedStatementTracer&) = delete;
-};
-
-// True while a sampled statement span is open on this thread (lets the
-// stage timers skip the clock otherwise).
-bool StatementOpen();
-
-// Statement span lifecycle, called from the fuzzer execution loops.
-// `statement_index` is the per-shard executed ordinal (1-based).
-void BeginStatement(int statement_index, std::string_view pattern);
-void AnnotateStatement(std::string_view key, std::string value);
-void EndStatement(std::string_view outcome);
-
-// Records a completed pipeline-stage child span of the open statement span.
-// `start_abs_ns` is a MonotonicNowNs() reading (rebased internally).
-void RecordStageSpan(Stage stage, uint64_t start_abs_ns, uint64_t dur_ns);
-
-// Suppresses stage-span recording for the scope lifetime. The logic oracles
-// re-execute statements (EET variants, NoREC/TLP rewrites, differential
-// siblings) while the flagged statement's span is still open — those runs
-// are oracle machinery, not pipeline stages of the traced statement, and
-// recording them would duplicate the deterministic per-ordinal span IDs.
-// AnnotateStatement/EndStatement work again once the scope closes.
-class ScopedOracleExecution {
- public:
-  ScopedOracleExecution();
-  ~ScopedOracleExecution();
-  ScopedOracleExecution(const ScopedOracleExecution&) = delete;
-  ScopedOracleExecution& operator=(const ScopedOracleExecution&) = delete;
-
- private:
-  bool was_open_ = false;
-};
-
-// Installs the calling thread's flight ring for the scope lifetime (no ring
-// is installed when `enabled` is false — sim campaigns don't pay for it).
-class ScopedFlightRecorder {
- public:
-  explicit ScopedFlightRecorder(bool enabled);
-  ~ScopedFlightRecorder();
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-};
-
-bool FlightInstalled();
-
-// Flight ring lifecycle: Begin pushes the statement (evicting the oldest
-// beyond kFlightRingCapacity), NoteStage advances its deepest-stage marker
-// from inside the stage timers, End stamps the outcome. A crashing
-// statement is still open when its realized crash is recorded.
-void FlightBeginStatement(int statement_index, std::string_view pattern,
-                          std::string_view sql);
-void FlightNoteStage(Stage stage);
-void FlightEndStatement(std::string_view outcome);
-
-// Snapshot of the ring, oldest first. Empty without an installed ring.
-std::vector<FlightEntry> FlightSnapshot();
 
 }  // namespace trace
 }  // namespace soft

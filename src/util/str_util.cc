@@ -36,10 +36,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -124,15 +120,6 @@ std::string SqlQuote(std::string_view s) {
     p += c == '\'';  // the buffer is filled with quotes: skipping one doubles c
   }
   return out;
-}
-
-int DecimalDigitCount(uint64_t v) {
-  int digits = 1;
-  while (v >= 10) {
-    v /= 10;
-    ++digits;
-  }
-  return digits;
 }
 
 }  // namespace soft

@@ -2,7 +2,6 @@
 #ifndef SRC_UTIL_STR_UTIL_H_
 #define SRC_UTIL_STR_UTIL_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,7 +30,6 @@ std::string AsciiUpper(std::string_view s);
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Looks up `name` upper-cased in a map keyed by upper-case names. Names the
 // parser stores are upper-case already, so only one with a lower-case letter
@@ -64,10 +62,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from, std::string_vi
 
 // Escape a string for embedding in a single-quoted SQL literal ('' doubling).
 std::string SqlQuote(std::string_view s);
-
-// Number of decimal digits in the textual representation of a non-negative
-// integer (0 has one digit).
-int DecimalDigitCount(uint64_t v);
 
 }  // namespace soft
 

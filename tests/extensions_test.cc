@@ -80,14 +80,6 @@ TEST_F(LogicOracleTest, DetectsAnInjectedLogicBug) {
   EXPECT_TRUE(flagged) << "NoREC failed to flag the inconsistent predicate";
 }
 
-TEST_F(LogicOracleTest, CampaignRunsCleanOnHealthyEngine) {
-  const LogicCampaignResult result = RunLogicCampaign(db_, "t", 200, 7);
-  EXPECT_GT(result.predicates_checked, 100);
-  EXPECT_TRUE(result.bugs.empty()) << result.bugs[0].oracle << ": "
-                                   << result.bugs[0].predicate << " — "
-                                   << result.bugs[0].detail;
-}
-
 TEST(ClauseExtension, GeneratesAllClauseKinds) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT, b STRING)").ok());

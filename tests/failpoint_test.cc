@@ -193,6 +193,25 @@ TEST_F(FailpointTest, OomThrowIsCaughtAtTheExecuteBoundary) {
   EXPECT_FALSE(result.crashed());
 }
 
+TEST_F(FailpointTest, OomKeepsTheStageTimingsItEntered) {
+  // The stage timings outlive the unwind; `stage` does not, and reads its
+  // default — which is why the flight recorder takes the deepest stage from
+  // the timings.
+  Database db;
+  const StatementResult clean = db.Execute("SELECT 1");
+  EXPECT_EQ(clean.DeepestStage(), Stage::kExecute);
+  EXPECT_LE(clean.timings[0].start_ns + clean.timings[0].dur_ns, clean.timings[1].start_ns);
+
+  failpoint::ScopedFailpoint scoped("optimize.enter", failpoint::Mode::kOomThrow);
+  const StatementResult result = db.Execute("SELECT 1");
+  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(result.Entered(Stage::kParse));
+  EXPECT_TRUE(result.Entered(Stage::kOptimize));
+  EXPECT_FALSE(result.Entered(Stage::kExecute));
+  EXPECT_EQ(result.DeepestStage(), Stage::kOptimize);
+  EXPECT_EQ(result.stage, Stage::kExecute);
+}
+
 TEST_F(FailpointTest, AfterNInjectionIsStatementDeterministic) {
   // The same armed spec replayed against a fresh database injects at the
   // same statement — the property chaos campaigns rely on.

@@ -256,9 +256,9 @@ TEST_F(PatternsTest, RenderingAroundAHoleSplicesBackToTheTree) {
 // prerequisites and every case's pattern and text, in pool order) and its
 // case count, for every dialect at seeds 1 and 2, plus mariadb's logic-mode
 // pool over the eight patterns the logic oracles run (built through
-// GenerateOne). Any change to a pattern, the renderer, the dedupe or the
-// shuffle shows here. A failure prints the new digest; re-pin only for an
-// intended change to what the pool holds.
+// PatternEngine::Generate). Any change to a pattern, the renderer, the
+// dedupe or the shuffle shows here. A failure prints the new digest; re-pin
+// only for an intended change to what the pool holds.
 struct PoolPin {
   const char* dialect;
   uint64_t seed;

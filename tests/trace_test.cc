@@ -11,24 +11,31 @@
 //    its last entry is the crashing statement itself.
 //  * The Chrome trace-event export is well-formed (deep validation lives in
 //    tools/check_trace_json.py, wired as TraceLint.ChromeTraceValidates).
+//  * Identity pins: the span identities, crash flight records and stage
+//    sample counts of fixed seed-1 campaigns, digested without their times.
 //
-// NOTE: the RealCrash* tests fork. Keep them out of the TSan lane
-// (`ctest -R 'Parallel|GoldenPoc|Telemetry'`); the ASan CI jobs run them.
+// NOTE: the RealCrash* and FlightIdentity tests fork. Keep them out of the
+// TSan lane, which runs the TraceSpanId, TraceStructure, TraceExport and
+// TraceIdentity suites; the ASan CI jobs run them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "src/dialects/dialects.h"
+#include "src/failpoint/failpoint.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/trace.h"
+#include "src/util/fnv.h"
 
 #ifndef SOFT_GOLDEN_DIR
 #error "SOFT_GOLDEN_DIR must be defined to the tests/golden directory"
@@ -409,6 +416,156 @@ TEST(RealCrashFlight, RecordsSurviveTheJournalRoundTrip) {
       EXPECT_EQ(got.entries[j].outcome, want.entries[j].outcome);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Identity pins (seed 1). Each digest covers what the determinism contract
+// covers and nothing timed: a span's id, parent, kind, shard and arguments
+// in order; a flight record's shard, realization ordinal, verdict, bug and
+// entries. A failure prints the new value; re-pin only for an intended
+// change to what a campaign records.
+// ---------------------------------------------------------------------------
+
+uint64_t PinField(uint64_t digest, std::string_view bytes) {
+  return FnvMixByte(FnvMix(digest, bytes), 0xFF);  // separator: fields stay apart
+}
+
+uint64_t PinField(uint64_t digest, uint64_t value) {
+  return PinField(digest, std::to_string(value));
+}
+
+uint64_t DigestSpans(const trace::TraceData& data) {
+  uint64_t digest = kFnvOffsetBasis;
+  for (const trace::TraceSpan& span : data.spans) {
+    digest = PinField(digest, span.id);
+    digest = PinField(digest, span.parent_id);
+    digest = PinField(digest, static_cast<uint64_t>(span.kind));
+    digest = PinField(digest, static_cast<uint64_t>(static_cast<int64_t>(span.shard)));
+    for (const auto& [key, value] : span.args) {
+      digest = PinField(PinField(digest, key), value);
+    }
+  }
+  return digest;
+}
+
+uint64_t DigestFlights(const std::vector<trace::CrashFlightRecord>& flights) {
+  uint64_t digest = kFnvOffsetBasis;
+  for (const trace::CrashFlightRecord& flight : flights) {
+    digest = PinField(digest, static_cast<uint64_t>(flight.shard));
+    digest = PinField(digest, static_cast<uint64_t>(flight.worker_run));
+    digest = PinField(digest, flight.announced ? "announced" : "unannounced");
+    digest = PinField(digest, static_cast<uint64_t>(flight.bug_id));
+    for (const trace::FlightEntry& entry : flight.entries) {
+      digest = PinField(digest, static_cast<uint64_t>(entry.statement_index));
+      digest = PinField(digest, entry.pattern);
+      digest = PinField(digest, entry.sql);
+      digest = PinField(digest, entry.stage_reached);
+      digest = PinField(digest, entry.outcome);
+    }
+  }
+  return digest;
+}
+
+CampaignOptions PinCampaign(int budget, bool traced) {
+  CampaignOptions options;
+  options.seed = 1;
+  options.max_statements = budget;
+  options.trace_sample = traced ? 1 : 0;
+  return options;
+}
+
+void ExpectSpans(const CampaignResult& result, size_t spans, uint64_t digest) {
+  EXPECT_EQ(result.trace.spans.size(), spans);
+  EXPECT_EQ(DigestSpans(result.trace), digest)
+      << std::hex << std::showbase << "span digest " << DigestSpans(result.trace);
+}
+
+void ExpectFlights(const CampaignResult& result, size_t flights, uint64_t digest) {
+  EXPECT_EQ(result.crash_flights.size(), flights);
+  EXPECT_EQ(DigestFlights(result.crash_flights), digest)
+      << std::hex << std::showbase << "flight digest "
+      << DigestFlights(result.crash_flights);
+}
+
+int CountSpansWithArg(const CampaignResult& result, std::string_view key) {
+  int count = 0;
+  for (const trace::TraceSpan& span : result.trace.spans) {
+    for (const auto& arg : span.args) {
+      if (arg.first == key) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(TraceIdentity, ShardedCampaign) {
+  const CampaignResult result =
+      RunShardedSoftCampaign("duckdb", PinCampaign(600, true), 2);
+  ExpectSpans(result, 2405, 0x699136233d8061f7);
+}
+
+TEST(TraceIdentity, OracleVerdicts) {
+  CampaignOptions options = PinCampaign(1500, true);
+  options.logic_oracles = {"all"};
+  const CampaignResult result = RunShardedSoftCampaign("mariadb", options, 1);
+  EXPECT_GT(CountSpansWithArg(result, "oracle_verdict"), 0);
+  ExpectSpans(result, 6001, 0xb3b190d684bb4b26);
+}
+
+TEST(TraceIdentity, SampledEveryFifth) {
+  CampaignOptions options = PinCampaign(400, true);
+  options.trace_sample = 5;
+  const CampaignResult result = RunShardedSoftCampaign("virtuoso", options, 1);
+  ExpectSpans(result, 323, 0x24e459f5ada4112b);
+}
+
+TEST(TraceIdentity, FailpointFires) {
+  failpoint::DisarmAll();
+  ASSERT_TRUE(failpoint::ArmFromSpec("eval.function=after:200:40").ok());
+  const CampaignResult result =
+      RunShardedSoftCampaign("duckdb", PinCampaign(800, true), 1);
+  failpoint::DisarmAll();
+  EXPECT_EQ(CountSpansWithArg(result, "failpoint_fires"), 40);
+  ExpectSpans(result, 3203, 0xc1c82e3206769a86);
+}
+
+// The collector counts every engine execution on the campaign thread: the
+// campaign's statements and prerequisites, and with oracles on, every
+// variant, rewrite and sibling run.
+TEST(TraceIdentity, StageSampleCounts) {
+  for (const bool oracles : {false, true}) {
+    SCOPED_TRACE(oracles ? "oracles" : "no oracles");
+    CampaignOptions options = PinCampaign(3000, false);
+    if (oracles) {
+      options.logic_oracles = {"all"};
+    }
+    const CampaignResult result = RunShardedSoftCampaign("mariadb", options, 1);
+    const std::array<uint64_t, 3> want =
+        oracles ? std::array<uint64_t, 3>{18656, 18655, 18655}
+                : std::array<uint64_t, 3>{3004, 3003, 3003};
+    for (size_t stage = 0; stage < want.size(); ++stage) {
+      EXPECT_EQ(result.telemetry.stage_latency[stage].samples, want[stage])
+          << telemetry::kStageKeys[stage];
+    }
+  }
+}
+
+TEST(FlightIdentity, ShardedTracedCampaign) {
+  CampaignOptions options = PinCampaign(2000, true);
+  options.crash_realism = CrashRealism::kReal;
+  const CampaignResult result = RunShardedSoftCampaign("duckdb", options, 2);
+  ExpectFlights(result, 10, 0x3eece0699da178a6);
+  ExpectSpans(result, 8005, 0xfc0b84d452734b3b);
+}
+
+TEST(FlightIdentity, OracleCampaign) {
+  CampaignOptions options = PinCampaign(3000, false);
+  options.crash_realism = CrashRealism::kReal;
+  options.logic_oracles = {"all"};
+  const CampaignResult result = RunShardedSoftCampaign("mariadb", options, 1);
+  ExpectFlights(result, 14, 0xc8222c082245f3e0);
 }
 
 // ---------------------------------------------------------------------------
